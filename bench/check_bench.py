@@ -1,15 +1,25 @@
 #!/usr/bin/env python3
-"""CI guard over microbench_tracked's JSON output.
+"""CI guard over the microbenches' JSON output.
 
 Fails (exit 1) when a key throughput ratio drops below its floor, so a
-regression on the tracked path or the sync-aware suppression fast path
-turns the bench-smoke job red instead of sliding by as a number nobody
-reads. Floors are deliberately conservative: CI machines are slow, shared,
+regression on the inline fast path, the tracked path or the sync-aware
+suppression fast path turns the bench-smoke job red instead of sliding by
+as a number nobody reads. Floors are deliberately conservative: CI machines are slow, shared,
 and 2-core, so they sit well under the ratios seen on real hardware — the
 guard catches "the fast path stopped being fast" (a lost suppression hit,
 an accidental lock on the hit path), not single-digit noise.
 
-Checked ratios (all at 8 threads, the acceptance-criteria point):
+Inline exits (microbench_fastpath, 4 threads, throughput in thread CPU
+time relative to the staged-write exit `full` of the same run; ranges over
+20 runs on a shared 4-vCPU host):
+  untracked_read_ratio     reads of lines with no tracker: 1.17-1.69 on
+                           the inline exit, 0.35-0.46 when they took the
+                           out-of-line slow path.
+  tracked_unsampled_ratio  unsampled accesses to escalated lines: 0.39-0.72
+                           on the inline exit, 0.15-0.29 on the slow path.
+
+Tracked path (microbench_tracked, all at 8 threads, the acceptance-criteria
+point):
   speedup_t8           lock-free tracker over spinlock reference
   handoff_speedup_t8   epoch-passing over PR 3 signature on the lock-
                        handoff phase: the suppression WIN. Real hardware
@@ -20,7 +30,7 @@ Checked ratios (all at 8 threads, the acceptance-criteria point):
                        when it never hits (in practice scheduling streaks
                        make it win outright).
 
-Usage: check_bench.py BENCH_tracked.json [more.json ...]
+Usage: check_bench.py BENCH_fastpath.json BENCH_tracked.json [more.json ...]
 Stdlib only — CI and the local tree both have bare python3.
 """
 import json
@@ -28,6 +38,14 @@ import sys
 
 # key -> (floor, meaning of a failure)
 FLOORS = {
+    "untracked_read_ratio": (
+        0.8,
+        "reads of untracked lines no longer retire on the inline fast path",
+    ),
+    "tracked_unsampled_ratio": (
+        0.33,
+        "unsampled tracked accesses no longer retire on the inline fast path",
+    ),
     "speedup_t8": (
         1.0,
         "lock-free tracked path no faster than the spinlock reference",

@@ -65,8 +65,17 @@ std::string Session::goodbye_frame() const {
 void Session::register_global(void* addr, std::size_t size,
                               std::string name) {
   const Address a = reinterpret_cast<Address>(addr);
-  if (runtime_->find_region(a) == nullptr) {
-    runtime_->register_region(a, size);
+  // Regions are whole lines, so a neighbour registered earlier may already
+  // cover the global's first bytes: skip what is covered and register the
+  // rest.
+  const Address end = a + size;
+  for (Address next = a; next < end;) {
+    const ShadowSpace* r = runtime_->find_region(next);
+    if (r == nullptr) {
+      runtime_->register_region(next, end - next);
+      break;
+    }
+    next = r->end();
   }
   ObjectInfo info;
   info.start = a;

@@ -113,7 +113,9 @@ class Session {
   void free(void* p);
 
   /// Starts tracking an existing object (e.g. a global variable). The
-  /// object's memory itself is registered as a tracked region.
+  /// object's memory itself is registered as a tracked region — the part
+  /// no earlier region covers. When the region table is full the object
+  /// stays untracked and Runtime::regions_dropped() counts it.
   void register_global(void* addr, std::size_t size, std::string name);
 
   // --- threads & accesses ---

@@ -101,6 +101,20 @@ struct SampleClock {
     return off < window;
   }
 
+  /// tick() for an access the caller retires only if it is unsampled:
+  /// ticks and returns true when access number n falls outside the window,
+  /// and returns false with the clock untouched when tick() would sample
+  /// it — including the interval-boundary and resync cases, which always
+  /// land on offset 0.
+  bool tick_unsampled(std::uint64_t window, std::uint64_t interval) {
+    const std::uint64_t n = count.load(std::memory_order_relaxed);
+    const std::uint64_t off =
+        n - interval_begin.load(std::memory_order_relaxed);
+    if (off < window || off >= interval) return false;
+    count.store(n + 1, std::memory_order_relaxed);
+    return true;
+  }
+
   void reset() {
     count.store(0, std::memory_order_relaxed);
     interval_begin.store(0, std::memory_order_relaxed);
@@ -240,6 +254,49 @@ class alignas(kCacheLineSize) CacheTracker {
     return invalidated;
   }
 
+  /// The inline tracked exit of Runtime::handle_access: retires one
+  /// single-word access that falls outside the calling thread's sampling
+  /// window by ticking its stripe clock (and, for a write, the stripe's
+  /// write count) — owner-local loads and stores, no RMW. Returns false,
+  /// changing nothing, when the access needs the full path: spinlock mode,
+  /// a disarmed tracker, a thread with no stripe yet, a sampled access, or
+  /// a write while the line's prediction decision is pending (its count
+  /// must reach the shared counter the threshold check reads). The caller
+  /// guarantees the sync-aware path would not apply (epoch 0).
+  bool try_retire_unsampled(AccessType type, std::uint64_t sample_window,
+                            std::uint64_t sample_interval) {
+    if (!lock_free_ || !armed_.load(std::memory_order_acquire)) return false;
+    const bool write = type == AccessType::kWrite;
+    if (write && !prediction_decided()) return false;
+    Stripe* st = find_stripe();
+    if (st == nullptr ||
+        !st->clock.tick_unsampled(sample_window, sample_interval)) {
+      return false;
+    }
+    if (write) Stripe::bump(st->writes);
+    return true;
+  }
+
+  /// Counts one tracked write in the calling thread's stripe once the
+  /// line's prediction decision is made (lock-free mode only); returns
+  /// false, counting nothing, while the decision is pending, and the
+  /// caller then counts the write in the region's shared counter.
+  bool count_write() {
+    if (!lock_free_ || !prediction_decided()) return false;
+    Stripe::bump(stripe_for_thread().writes);
+    return true;
+  }
+
+  /// Writes counted in stripes (see count_write); ShadowSpace::writes_count
+  /// adds them to the shared per-line counter.
+  std::uint64_t stripe_writes() const {
+    std::uint64_t n = 0;
+    for_each_stripe([&](const Stripe& s) {
+      n += s.writes.load(std::memory_order_relaxed);
+    });
+    return n;
+  }
+
   /// Completes escalation: from here on accesses advance the sampling clock.
   /// Idempotent; called by the runtime after tracker creation bookkeeping
   /// (staged-count purge, monitor emission) is done.
@@ -376,7 +433,8 @@ class alignas(kCacheLineSize) CacheTracker {
     for (AtomicWordAccess& w : atomic_words_) w.reset();
     if (const auto* dir = stripe_dir_.load(std::memory_order_acquire)) {
       // Cross-thread stores; a concurrently ticking owner resyncs (see
-      // SampleClock::tick).
+      // SampleClock::tick). Stripe write counts stay: like the shared
+      // counter they add to, they total the line's writes across tenants.
       for (Stripe* s : *dir) {
         if (s == nullptr) continue;
         s->clock.reset();
@@ -398,6 +456,18 @@ class alignas(kCacheLineSize) CacheTracker {
     return !prediction_done_.exchange(true, std::memory_order_acq_rel);
   }
 
+  /// Makes the prediction decision without analysis (prediction is off),
+  /// so tracked writes count in stripes from the start.
+  void settle_prediction() {
+    prediction_done_.store(true, std::memory_order_release);
+  }
+
+  /// True once try_begin_prediction has been won or settle_prediction
+  /// called: the line no longer needs an exact shared write count.
+  bool prediction_decided() const {
+    return prediction_done_.load(std::memory_order_acquire);
+  }
+
  private:
   /// One per-thread sampling stripe: a host-line-padded block owned
   /// exclusively by one OS thread (stripe tokens are never reused), so
@@ -413,6 +483,9 @@ class alignas(kCacheLineSize) CacheTracker {
     /// total_accesses() stays exact without any RMW on the fast hit.
     std::atomic<std::uint64_t> suppressed_reads{0};
     std::atomic<std::uint64_t> suppressed_writes{0};
+    /// Tracked writes issued after the line's prediction decision; they no
+    /// longer touch the region's shared counter (see count_write).
+    std::atomic<std::uint64_t> writes{0};
 
     /// Owner-exclusive increment: no lock-prefixed RMW.
     static void bump(std::atomic<std::uint64_t>& c) {
@@ -477,13 +550,15 @@ class alignas(kCacheLineSize) CacheTracker {
   /// directory plus an index — the slow (locked) registration runs once per
   /// (thread, tracker) pair.
   Stripe& stripe_for_thread() {
+    if (Stripe* st = find_stripe()) [[likely]] return *st;
+    return register_stripe(detail::stripe_token());
+  }
+
+  /// The calling thread's stripe, or nullptr before it registers one.
+  Stripe* find_stripe() const {
     const std::uint32_t token = detail::stripe_token();
     const auto* dir = stripe_dir_.load(std::memory_order_acquire);
-    if (dir != nullptr && token < dir->size() && (*dir)[token] != nullptr)
-        [[likely]] {
-      return *(*dir)[token];
-    }
-    return register_stripe(token);
+    return dir != nullptr && token < dir->size() ? (*dir)[token] : nullptr;
   }
 
   Stripe& register_stripe(std::uint32_t token) {

@@ -48,8 +48,9 @@ struct RuntimeConfig {
   InstrumentMode instrument_mode = InstrumentMode::kReadsAndWrites;
 
   /// O(1) region resolution: flat shadow page map plus a per-thread
-  /// last-region cache (runtime/region_map.hpp). Off = the seed's linear
-  /// scan over registered regions. Ablation knob for bench/microbench_fastpath.
+  /// last-region cache (runtime/region_map.hpp), whose inline fast path
+  /// also retires reads of untracked lines. Off = the seed's linear scan
+  /// over registered regions. Ablation knob for bench/microbench_fastpath.
   bool fast_region_lookup = true;
 
   /// Thread-local staging of pre-threshold write counts
@@ -61,7 +62,8 @@ struct RuntimeConfig {
   /// Lock-free tracked path (runtime/cache_tracker.hpp): packed 64-bit
   /// history table updated by CAS, atomic word histogram with a monotone
   /// owner word, per-OS-thread striped sampling clocks, and RCU-published
-  /// virtual-line snapshots — no per-line spinlock on sampled accesses.
+  /// virtual-line snapshots — no per-line spinlock on sampled accesses —
+  /// and the inline exit for unsampled tracked accesses.
   /// Off = the seed's spinlocked tracker, kept as the ablation baseline
   /// (bench/microbench_tracked) and the determinism reference; the two
   /// modes report bit-identical counts on single-OS-thread workloads.

@@ -98,6 +98,7 @@ Report build_report(const Runtime& rt) {
   const RuntimeConfig& cfg = rt.config();
   const LineGeometry& geo = cfg.geometry;
   Report report;
+  report.regions_dropped = rt.regions_dropped();
   Accumulator acc;
 
   rt.for_each_region([&](const ShadowSpace& region) {
@@ -318,10 +319,16 @@ std::string format_finding(const ObjectFinding& f,
 
 std::string format_report(const Report& report,
                           const CallsiteTable& callsites) {
-  if (report.findings.empty()) {
-    return "No false sharing problems detected.\n";
-  }
   std::string out;
+  if (report.regions_dropped != 0) {
+    append_fmt(out,
+               "Regions dropped: %" PRIu64
+               " (region table full; their accesses were ignored)\n",
+               report.regions_dropped);
+  }
+  if (report.findings.empty()) {
+    return out + "No false sharing problems detected.\n";
+  }
   int rank = 1;
   for (const ObjectFinding& f : report.findings) {
     append_fmt(out, "--- Finding #%d ---\n", rank++);

@@ -91,6 +91,9 @@ struct ObjectFinding {
 struct Report {
   std::vector<ObjectFinding> findings;  ///< ranked by impact, descending
   std::uint64_t total_invalidations = 0;
+  /// Regions the runtime refused (Runtime::regions_dropped): their
+  /// accesses went unobserved.
+  std::uint64_t regions_dropped = 0;
 };
 
 /// Classifies a word histogram. `words` is one line's (or one object's

@@ -32,15 +32,6 @@ namespace {
 
 thread_local WriteStage t_write_stage;
 
-/// One-entry per-thread region cache: the common monotone access stream
-/// resolves its region without touching any shared state.
-struct RegionCache {
-  const Runtime* rt = nullptr;
-  std::uint64_t gen = 0;
-  ShadowSpace* region = nullptr;
-};
-thread_local RegionCache t_region_cache;
-
 }  // namespace
 
 WriteStage& thread_write_stage() { return t_write_stage; }
@@ -71,8 +62,8 @@ Runtime::Runtime(RuntimeConfig config) : config_(config) {
 
 Runtime::~Runtime() {
   // Invalidate every thread-local pointer into this runtime (staged write
-  // slots, hot-line and last-region caches). Threads discover the bump
-  // lazily and drop stale entries instead of draining them.
+  // slots and the region cache). Threads discover the bump lazily and drop
+  // stale entries instead of draining them.
   detail::runtime_generation_counter.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -80,7 +71,10 @@ ShadowSpace* Runtime::register_region(Address base, std::size_t size) {
   // Claim a slot with fetch_add so concurrent registrations cannot collide,
   // then publish the constructed region with a release store.
   const std::size_t slot = num_claimed_.fetch_add(1, std::memory_order_relaxed);
-  PRED_CHECK(slot < kMaxRegions);
+  if (slot >= kMaxRegions) {
+    regions_dropped_.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
   regions_[slot] = std::make_unique<ShadowSpace>(base, size, config_.geometry,
                                                  config_.lock_free_tracker);
   ShadowSpace* region = regions_[slot].get();
@@ -96,9 +90,7 @@ ShadowSpace* Runtime::register_region(Address base, std::size_t size) {
     const std::size_t n = num_claimed_.load(std::memory_order_acquire);
     for (std::size_t i = 0; i < n && i < kMaxRegions; ++i) {
       if (ShadowSpace* r = visible_[i].load(std::memory_order_acquire)) {
-        extents.push_back(
-            {r, r->base(),
-             r->base() + r->num_lines() * r->geometry().line_size});
+        extents.push_back({r, r->base(), r->end()});
       }
     }
     region_map_.rebuild(extents);
@@ -119,18 +111,42 @@ ShadowSpace* Runtime::find_region(Address addr) const {
   if (!config_.fast_region_lookup) [[unlikely]] {
     return find_region_slow(addr);
   }
-  RegionCache& cache = t_region_cache;
+  const FastPathCache& fc = t_fastpath_cache;
   const std::uint64_t gen = runtime_generation();
-  if (cache.rt == this && cache.gen == gen && cache.region->contains(addr)) {
-    return cache.region;
+  if (fc.rt == this && fc.gen == gen && fc.region->contains(addr)) {
+    return fc.region;
   }
   ShadowSpace* r = region_map_.lookup(addr);
   if (r != nullptr && !r->contains(addr)) [[unlikely]] {
     // The page straddles two regions and maps to the other one.
     r = find_region_slow(addr);
   }
-  if (r != nullptr) cache = RegionCache{this, gen, r};
+  if (r != nullptr) fill_fastpath_cache(*r, gen);
   return r;
+}
+
+void Runtime::fill_fastpath_cache(ShadowSpace& region,
+                                  std::uint64_t gen) const {
+  const std::size_t ls = config_.geometry.line_size;
+  const std::size_t ws = config_.geometry.word_size;
+  FastPathCache& fc = t_fastpath_cache;
+  fc.rt = this;
+  fc.region = &region;
+  fc.trackers = region.trackers();
+  fc.gen = gen;
+  fc.region_begin = region.base();
+  fc.region_bytes = std::has_single_bit(ls) && std::has_single_bit(ws)
+                        ? region.end() - region.base()
+                        : 0;
+  fc.stage = &t_write_stage;
+  fc.tracking_threshold = config_.tracking_threshold;
+  fc.line_shift = static_cast<std::uint32_t>(std::countr_zero(ls));
+  fc.word_mask = ws - 1;
+  fc.word_size = ws;
+  fc.untracked_read_exit = config_.fast_region_lookup;
+  fc.tracked_read_exit = config_.lock_free_tracker &&
+                         config_.instrument_mode != InstrumentMode::kWritesOnly;
+  fc.tracked_write_exit = config_.lock_free_tracker;
 }
 
 ThreadId Runtime::register_thread() {
@@ -206,7 +222,10 @@ void Runtime::handle_access_one_word(ShadowSpace& region, Address addr,
                     is_write(type) ? 1u : 0u, tid);
     }
   }
-  if (type == AccessType::kWrite) {
+  // Until the line's prediction decision is made the shared counter must
+  // see every write, so the threshold check below reads an exact count;
+  // from then on the write counts in the thread's stripe, no RMW.
+  if (type == AccessType::kWrite && !track->count_write()) {
     const std::uint64_t w =
         region.writes(idx).fetch_add(1, std::memory_order_relaxed) + 1;
     if (w >= config_.prediction_threshold && config_.prediction_enabled &&
@@ -248,23 +267,9 @@ void Runtime::stage_write(ShadowSpace& region, std::size_t line_index) {
     apply_staged(region, line_index, n);
     return;
   }
-  // Point the inline fast path at this region (power-of-two geometry only:
-  // the fast path replaces divisions with a shift and a mask).
-  const std::size_t ls = config_.geometry.line_size;
-  const std::size_t ws = config_.geometry.word_size;
-  if ((ls & (ls - 1)) == 0 && (ws & (ws - 1)) == 0) {
-    FastPathCache& fc = t_fastpath_cache;
-    fc.region = &region;
-    fc.gen = gen;
-    fc.region_begin = region.base();
-    fc.region_end = region.base() + region.num_lines() * ls;
-    fc.stage = &st;
-    fc.tracking_threshold = config_.tracking_threshold;
-    fc.line_shift = static_cast<std::uint32_t>(std::countr_zero(ls));
-    fc.word_mask = ws - 1;
-    fc.word_size = ws;
-    fc.rt = this;
-  }
+  // find_region already pointed the inline fast path at this region; the
+  // linear-scan ablation bypasses the cache, so staging fills it there.
+  if (!config_.fast_region_lookup) fill_fastpath_cache(region, gen);
 }
 
 void Runtime::drain_slot(StagedSlot& s) {
@@ -328,6 +333,9 @@ void Runtime::ensure_tracked_line(ShadowSpace& region,
   // window slots on accesses that arrived mid-escalation). arm() below
   // opens the sampling clock once the bookkeeping is complete.
   CacheTracker* track = region.ensure_tracker(line_index, /*armed=*/false);
+  // With prediction off there is no decision to wait for: tracked writes
+  // count in stripes from the first one.
+  if (!config_.prediction_enabled) track->settle_prediction();
   if (fresh) {
     PRED_MON_EMIT(kLineEscalated, region.line_start(line_index), 0,
                   kInvalidThread);

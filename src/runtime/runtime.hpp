@@ -4,12 +4,16 @@
 // nominated by the prediction engine.
 //
 // Hot-path layering (see docs/architecture.md):
-//   1. region resolution — per-thread last-region cache, then the flat
-//      shadow page map (runtime/region_map.hpp); O(1) per access;
-//   2. pre-threshold write counting — staged in thread-local slots
+//   1. inline fast path (handle_access below) — a single-word access inside
+//      the region the thread last resolved retires without a call when it
+//      is a write to a live staged line, a read of a line with no tracker,
+//      or an unsampled access to an armed lock-free tracker;
+//   2. region resolution — the same per-thread cache (FastPathCache), then
+//      the flat shadow page map (runtime/region_map.hpp); O(1) per access;
+//   3. pre-threshold write counting — staged in thread-local slots
 //      (runtime/write_stage.hpp) and drained in batches, so the common
 //      case touches no shared cache line;
-//   3. tracked path — lock-free by default (RuntimeConfig::lock_free_tracker):
+//   4. tracked path — lock-free by default (RuntimeConfig::lock_free_tracker):
 //      per-OS-thread striped sampling clocks, CAS-packed history table,
 //      atomic word histogram, RCU virtual-line fan-out; a per-line-spinlock
 //      reference implementation remains selectable for ablation.
@@ -51,11 +55,18 @@ class Runtime {
 
   /// Starts tracking [base, base+size). Returns the region, which remains
   /// owned by the runtime. The base is rounded down to a line boundary.
-  /// Thread-safe: concurrent callers claim distinct slots.
+  /// Thread-safe: concurrent callers claim distinct slots. Once all
+  /// kMaxRegions slots are taken the range stays untracked: returns
+  /// nullptr and counts the drop in regions_dropped().
   ShadowSpace* register_region(Address base, std::size_t size);
 
+  /// Registrations refused because every region slot was taken.
+  std::uint64_t regions_dropped() const {
+    return regions_dropped_.load(std::memory_order_relaxed);
+  }
+
   /// Region containing `addr`, or nullptr when the address is untracked.
-  /// O(1): per-thread cache, then the shadow page map.
+  /// O(1): per-thread cache (FastPathCache), then the shadow page map.
   ShadowSpace* find_region(Address addr) const;
 
   // --- the hot path (Figure 1) ---
@@ -63,8 +74,9 @@ class Runtime {
   /// Records one memory access of `size` bytes issued by thread `tid`.
   /// Accesses that straddle a word boundary are split so the word histogram
   /// stays exact; accesses to untracked memory are ignored. Defined inline
-  /// below: single-word writes to the current hot staged line retire with a
-  /// few compares and two thread-local increments.
+  /// below: in the region the thread last resolved, single-word writes to a
+  /// live staged line, reads of untracked lines and unsampled tracked
+  /// accesses retire without leaving the caller.
   void handle_access(Address addr, AccessType type, ThreadId tid,
                      std::size_t size = 8);
 
@@ -219,6 +231,9 @@ class Runtime {
   /// `fast_region_lookup = false` ablation.
   ShadowSpace* find_region_slow(Address addr) const;
 
+  /// Points the calling thread's FastPathCache at `region`.
+  void fill_fastpath_cache(ShadowSpace& region, std::uint64_t gen) const;
+
   RuntimeConfig config_;
 
   /// Per-thread epoch counters for sync-aware suppression, hashed by tid
@@ -241,6 +256,7 @@ class Runtime {
   std::unique_ptr<ShadowSpace> regions_[kMaxRegions];  // slot-claimed owners
   std::atomic<ShadowSpace*> visible_[kMaxRegions];     // published to readers
   std::atomic<std::size_t> num_claimed_{0};
+  std::atomic<std::uint64_t> regions_dropped_{0};
   Spinlock reg_lock_;  // serializes page-map rebuilds, not slot claims
   RegionMap region_map_;
 
@@ -259,33 +275,48 @@ class Runtime {
 
 inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,
                                    std::size_t size) {
-  // Hot-region fast path: a single-word write into the region the calling
-  // thread is staging, landing on a line whose staged slot is live. The
-  // cache is only filled while staging is on, a live slot proves the line
-  // had no tracker, and the generation compare rejects dead runtimes — so
-  // no config, tracker, or region-map work is needed here.
+  // Hot-region fast path: a single-word access inside the region the
+  // calling thread last resolved. The generation compare rejects dead
+  // runtimes and the cache's exit flags carry the config switches, so no
+  // region-map work is needed here. Whatever no exit retires — sampled
+  // accesses, threads that have synced, writes to a line whose prediction
+  // is pending, disarmed trackers — takes the unchanged slow path.
   FastPathCache& fc = t_fastpath_cache;
-  if (type == AccessType::kWrite && fc.rt == this &&
-      addr >= fc.region_begin && addr + size <= fc.region_end &&
+  const Address off = addr - fc.region_begin;
+  if (fc.rt == this && off < fc.region_bytes &&
       (addr & fc.word_mask) + size <= fc.word_size &&
       fc.gen == detail::runtime_generation_counter.load(
                     std::memory_order_acquire)) [[likely]] {
-    const std::size_t line =
-        static_cast<std::size_t>(addr - fc.region_begin) >> fc.line_shift;
-    StagedSlot& s =
-        fc.stage->slots[WriteStage::slot_index(fc.region, line)];
-    if (s.region == fc.region && s.line == line && s.gen == fc.gen)
-        [[likely]] {
-      ++s.count;
-      if (++fc.stage->staged_since_epoch >= WriteStage::kEpochLength)
-          [[unlikely]] {
-        fc.stage->flush();
+    const std::size_t line = off >> fc.line_shift;
+    if (type == AccessType::kWrite) {
+      // A write to a line whose staged slot is live: two thread-local
+      // increments.
+      StagedSlot& s =
+          fc.stage->slots[WriteStage::slot_index(fc.region, line)];
+      if (s.region == fc.region && s.line == line && s.gen == fc.gen)
+          [[likely]] {
+        ++s.count;
+        if (++fc.stage->staged_since_epoch >= WriteStage::kEpochLength)
+            [[unlikely]] {
+          fc.stage->flush();
+          return;
+        }
+        if (s.base + s.count >= fc.tracking_threshold) [[unlikely]] {
+          drain_slot(s);
+        }
         return;
       }
-      if (s.base + s.count >= fc.tracking_threshold) [[unlikely]] {
-        drain_slot(s);
-      }
-      return;
+    }
+    CacheTracker* track = fc.trackers[line].load(std::memory_order_acquire);
+    if (track == nullptr) {
+      // A read of a line with no tracker: the slow path ignores it too.
+      if (type == AccessType::kRead && fc.untracked_read_exit) return;
+    } else if ((type == AccessType::kWrite ? fc.tracked_write_exit
+                                           : fc.tracked_read_exit) &&
+               thread_epoch(tid) == 0 &&
+               track->try_retire_unsampled(type, config_.sample_window,
+                                           config_.sample_interval)) {
+      return;  // outside the thread's sampling window: counted only
     }
   }
   handle_access_slow(addr, type, tid, size);

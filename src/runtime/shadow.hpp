@@ -1,7 +1,11 @@
 // Shadow memory for one tracked region (Section 2.3.2, "Optimizing Metadata
 // Lookup"): metadata for an address is found by pure address arithmetic.
 // Two side arrays exist per region, exactly as in the paper's Section 2.4.1:
-//   CacheWrites   — per-line write counters driving TrackingThreshold,
+//   CacheWrites   — per-line shared write counters driving TrackingThreshold
+//                   and PredictionThreshold; once a tracked line's
+//                   prediction decision is made, its further writes count
+//                   in the tracker's per-thread stripes instead, and
+//                   writes_count() adds the two,
 //   CacheTracking — per-line pointers to lazily allocated CacheTrackers.
 #pragma once
 
@@ -35,9 +39,7 @@ class ShadowSpace {
     for (auto& t : tracking_) t.store(nullptr, std::memory_order_relaxed);
   }
 
-  bool contains(Address a) const {
-    return a >= base_ && a < base_ + num_lines_ * geometry_.line_size;
-  }
+  bool contains(Address a) const { return a >= base_ && a < end(); }
 
   std::size_t line_index(Address a) const {
     return (a - base_) / geometry_.line_size;
@@ -47,15 +49,29 @@ class ShadowSpace {
   }
   std::size_t num_lines() const { return num_lines_; }
   Address base() const { return base_; }
+  /// One past the last tracked byte (the region is whole lines).
+  Address end() const { return base_ + num_lines_ * geometry_.line_size; }
   const LineGeometry& geometry() const { return geometry_; }
 
+  /// The shared counter: every pre-tracker write and every tracked write
+  /// before the line's prediction decision.
   std::atomic<std::uint64_t>& writes(std::size_t idx) { return writes_[idx]; }
+  /// Every write the line has seen: the shared counter plus the writes its
+  /// tracker counted in stripes. Exact once writers have quiesced and
+  /// drained their staged counts.
   std::uint64_t writes_count(std::size_t idx) const {
-    return writes_[idx].load(std::memory_order_relaxed);
+    std::uint64_t n = writes_[idx].load(std::memory_order_relaxed);
+    if (const CacheTracker* t = tracker(idx)) n += t->stripe_writes();
+    return n;
   }
 
   CacheTracker* tracker(std::size_t idx) const {
     return tracking_[idx].load(std::memory_order_acquire);
+  }
+  /// The CacheTracking array itself, indexed by line (the inline fast path
+  /// caches it per thread).
+  const std::atomic<CacheTracker*>* trackers() const {
+    return tracking_.data();
   }
 
   /// Allocates (or returns the existing) tracker for a line. Mirrors the

@@ -37,6 +37,7 @@
 
 namespace pred {
 
+class CacheTracker;
 class Runtime;
 class ShadowSpace;
 
@@ -92,28 +93,41 @@ class WriteStage {
 /// The calling thread's staging block.
 WriteStage& thread_write_stage();
 
-/// One-entry hot-region cache consulted by the inline fast path in
-/// Runtime::handle_access. It caches everything needed to resolve a
-/// single-word write without the out-of-line slow path: the staged region's
-/// bounds, the line shift (power-of-two geometry only), and the thread's
-/// staging block. The fast path then requires an exact staged-slot match
-/// for the computed line — a slot occupied by (region, line, gen) proves
-/// the line had no tracker when staged, and every same-thread event that
-/// could give the line a tracker (escalation, virtual-line fan-out) purges
-/// the slot first. So cache validity is re-derived from slot occupancy on
-/// every access; only the slow path fills the cache (stage_write), and only
-/// runtime destruction (generation bump) wholesale-invalidates it.
+/// One-entry per-thread region cache: the region the calling thread last
+/// resolved. Runtime::find_region fills it on every miss (and staging fills
+/// it under the linear-scan ablation) and answers from it on a hit; the
+/// inline fast path in Runtime::handle_access reads it to retire three
+/// kinds of single-word access without a call:
+///   - a write to a line whose staged slot is live — a slot occupied by
+///     (region, line, gen) proves the line had no tracker when staged, and
+///     every same-thread event that could give the line a tracker
+///     (escalation, virtual-line fan-out) purges the slot first;
+///   - a read of a line whose CacheTracking entry is null;
+///   - an unsampled access to an armed lock-free tracker
+///     (CacheTracker::try_retire_unsampled).
+/// Region and tracker pointers stay valid while their runtime lives
+/// (regions are never unregistered, trackers never freed), and only runtime
+/// destruction (generation bump) wholesale-invalidates the cache. The exit
+/// flags carry the config switches each exit depends on, so the seed
+/// ablations (fast_region_lookup, lock_free_tracker off) never take them.
 struct FastPathCache {
   const Runtime* rt = nullptr;  ///< nullptr = invalid
   ShadowSpace* region = nullptr;
+  const std::atomic<CacheTracker*>* trackers = nullptr;  ///< per line
   std::uint64_t gen = 0;
   Address region_begin = 0;
-  Address region_end = 0;
+  /// Tracked bytes from region_begin; 0 (no inline exit) unless the line
+  /// and word sizes are powers of two — the exits replace divisions with a
+  /// shift and a mask.
+  std::size_t region_bytes = 0;
   WriteStage* stage = nullptr;
   std::uint64_t tracking_threshold = 0;
   std::uint32_t line_shift = 0;  ///< log2(line_size)
   std::size_t word_mask = 0;     ///< word_size - 1
   std::size_t word_size = 0;
+  bool untracked_read_exit = false;  ///< fast_region_lookup
+  bool tracked_read_exit = false;    ///< lock_free_tracker, reads recorded
+  bool tracked_write_exit = false;   ///< lock_free_tracker
 };
 
 inline thread_local FastPathCache t_fastpath_cache;
