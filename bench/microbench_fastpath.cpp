@@ -1,26 +1,16 @@
-// Hot-path ablation: measures pre-threshold access throughput under the
-// four combinations of the two fast-path features:
+// Hot-path throughput of the three inline exits of Runtime::handle_access.
+// Each phase runs 4 threads, each sweeping round-robin over 8 private cache
+// lines (disjoint between threads):
 //
-//   seed        fast_region_lookup=0  staged_write_counters=0  (baseline)
-//   map-only    fast_region_lookup=1  staged_write_counters=0
-//   staged-only fast_region_lookup=0  staged_write_counters=1
-//   full        fast_region_lookup=1  staged_write_counters=1  (default)
-//
-// Workload: 4 threads, each writing round-robin over 8 private cache lines
-// (disjoint between threads), with thresholds set high enough that no line
-// ever escalates — so the measurement isolates exactly the two redesigned
-// layers: region resolution and pre-threshold write counting.
-//
-// Two more phases, default config, time the other inline exits of
-// Runtime::handle_access on the same line layout:
-//
+//   full               writes to lines that never escalate: region
+//                      resolution plus the staged-write exit
 //   untracked_read     reads of lines that never escalate
 //   tracked_unsampled  alternating write and read sweeps over escalated
 //                      lines whose prediction decision is made; 99% of
 //                      the accesses fall outside the 1% sampling window
 //
-// Each phase also reports its throughput relative to `full` (the staged
-// write exit), which bench/check_bench.py floors. Throughput is counted in
+// The last two phases also report their throughput relative to `full`,
+// which bench/check_bench.py floors. Throughput is counted in
 // thread CPU time, so other work on a shared host moves the ratios less.
 //
 // Usage: microbench_fastpath [accesses_per_thread] [--json FILE]
@@ -128,12 +118,10 @@ double run_phase(const Phase& phase, std::uint64_t accesses_per_thread) {
   return best;
 }
 
-pred::RuntimeConfig never_escalate(bool fast_lookup, bool staged) {
+pred::RuntimeConfig never_escalate() {
   pred::RuntimeConfig cfg;
   cfg.tracking_threshold = kNever;
   cfg.prediction_threshold = kNever;
-  cfg.fast_region_lookup = fast_lookup;
-  cfg.staged_write_counters = staged;
   return cfg;
 }
 
@@ -165,41 +153,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  const Phase modes[] = {
-      {"seed (linear scan + shared fetch_add)", "seed", Pattern::kWrites,
-       never_escalate(false, false)},
-      {"map-only (page map, shared fetch_add)", "map_only", Pattern::kWrites,
-       never_escalate(true, false)},
-      {"staged-only (linear scan, TLS staging)", "staged_only",
-       Pattern::kWrites, never_escalate(false, true)},
-      {"full (page map + TLS staging)", "full", Pattern::kWrites,
-       never_escalate(true, true)},
-  };
+  const Phase full = {"full (staged writes, no tracker)", "full",
+                      Pattern::kWrites, never_escalate()};
   const Phase exits[] = {
       {"untracked_read (reads, no tracker)", "untracked_read",
-       Pattern::kReads, never_escalate(true, true)},
+       Pattern::kReads, never_escalate()},
       {"tracked_unsampled (tracked, 1% sampled)", "tracked_unsampled",
        Pattern::kWriteReadSweeps, one_percent_sampling()},
   };
 
-  std::printf("hot-path ablation: %u threads x %" PRIu64
+  std::printf("inline exits: %u threads x %" PRIu64
               " accesses over private lines\n\n",
               kThreads, accesses);
-  std::printf("%-42s %15s %9s\n", "mode", "accesses/sec", "speedup");
+  std::printf("%-42s %15s %9s\n", "inline exit", "accesses/sec", "vs full");
 
   pred::bench::JsonWriter json;
-  double seed_rate = 0.0;
-  double full_rate = 0.0;
-  for (const Phase& m : modes) {
-    const double rate = run_phase(m, accesses);
-    if (seed_rate == 0.0) seed_rate = rate;
-    full_rate = rate;  // `full` is the last mode
-    std::printf("%-42s %15.0f %8.2fx\n", m.name, rate, rate / seed_rate);
-    json.add(std::string(m.key) + "_aps", rate);
-    json.add(std::string(m.key) + "_speedup", rate / seed_rate);
-  }
-  std::printf("\n%-42s %15s %9s\n", "inline exit (default config)",
-              "accesses/sec", "vs full");
+  const double full_rate = run_phase(full, accesses);
+  std::printf("%-42s %15.0f %8.2fx\n", full.name, full_rate, 1.0);
+  json.add(std::string(full.key) + "_aps", full_rate);
   for (const Phase& p : exits) {
     const double rate = run_phase(p, accesses);
     std::printf("%-42s %15.0f %8.2fx\n", p.name, rate, rate / full_rate);

@@ -47,8 +47,15 @@ void BM_HandleAccessFastPath(benchmark::State& state) {
 }
 BENCHMARK(BM_HandleAccessFastPath);
 
+// The two tracked rows turn prediction off, so the escalated line is born
+// with its prediction decision made and unsampled writes can retire on the
+// inline tracked exit (bench_config's threshold would never settle it).
 void BM_HandleAccessTrackedLine(benchmark::State& state) {
-  Runtime rt(bench_config(1));
+  // Default 1% sampling: the first 10k of every 1M writes take the slow
+  // path, the rest retire inline.
+  RuntimeConfig cfg = bench_config(1);
+  cfg.prediction_enabled = false;
+  Runtime rt(cfg);
   rt.register_region(reinterpret_cast<Address>(g_mem), sizeof(g_mem));
   rt.handle_access(reinterpret_cast<Address>(g_mem), AccessType::kWrite, 0);
   for (auto _ : state) {
@@ -60,6 +67,7 @@ BENCHMARK(BM_HandleAccessTrackedLine);
 void BM_HandleAccessSampledOut(benchmark::State& state) {
   // Outside the sampling window: counter bump only.
   RuntimeConfig cfg = bench_config(1);
+  cfg.prediction_enabled = false;
   cfg.sample_window = 1;
   cfg.sample_interval = 1 << 30;
   Runtime rt(cfg);

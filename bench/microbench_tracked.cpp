@@ -1,12 +1,13 @@
 // Tracked-path ablation: sampled-access throughput on ONE hot (escalated)
-// cache line — the contention worst case. The bench drives
-// CacheTracker::handle_access directly (no region lookup, no pre-threshold
-// layers — microbench_fastpath owns those) so the measurement isolates
-// exactly the code the tentpole rebuilt: sampling decision, sampled
-// counters, word histogram, two-entry history table.
+// cache line — the contention worst case. The bench drives the trackers'
+// handle_access directly (no region lookup, no pre-threshold layers —
+// microbench_fastpath owns those) so the measurement isolates the tracked
+// path itself: sampling decision, sampled counters, word histogram,
+// two-entry history table.
 //
-//   spin      lock_free_tracker=0   per-line spinlock + global sample clock
-//   lockfree  lock_free_tracker=1   striped clocks + CAS history (default)
+//   spin      SeedTracker below: the seed's global sample clock and one
+//             per-line spinlock around every sampled update
+//   lockfree  pred::CacheTracker: striped clocks + CAS history
 //
 // Workload: T threads, each writing its own word of the same line (classic
 // false sharing — every sampled write by a new thread invalidates), full
@@ -33,14 +34,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/spinlock.hpp"
 #include "runtime/cache_tracker.hpp"
+#include "runtime/history_table.hpp"
+#include "runtime/word_access.hpp"
 
 namespace {
 
@@ -48,16 +55,59 @@ constexpr std::uint32_t kThreadCounts[] = {1, 2, 4, 8, 16};
 constexpr pred::LineGeometry kGeo{};  // 64-byte line, 8-byte words
 constexpr pred::Address kLineBase = 0;
 
+// The seed tracker: one global access counter sampled by `n % interval`
+// (a hardware divide per access), then one per-line spinlock around every
+// sampled update. Members keep the seed's layout — lock and counters on
+// the first line, the access counter past the word histogram.
+class alignas(pred::kCacheLineSize) SeedTracker {
+ public:
+  SeedTracker(std::size_t /*line_index*/, const pred::LineGeometry& geometry)
+      : geometry_(geometry) {}
+
+  void handle_access(pred::Address addr, pred::AccessType type,
+                     pred::ThreadId tid, std::uint64_t window,
+                     std::uint64_t interval) {
+    const std::uint64_t n =
+        access_counter_.fetch_add(1, std::memory_order_relaxed);
+    if (n % interval >= window) return;  // outside the window: count only
+    std::lock_guard<pred::Spinlock> g(lock_);
+    ++(type == pred::AccessType::kWrite ? sampled_writes_ : sampled_reads_);
+    words_[geometry_.word_in_line(addr)].record(tid, type);
+    if (history_.access(tid, type) == pred::HistoryOutcome::kInvalidation) {
+      ++invalidations_;
+    }
+  }
+
+  std::uint64_t sampled_accesses() const {
+    std::lock_guard<pred::Spinlock> g(lock_);
+    return sampled_reads_ + sampled_writes_;
+  }
+  std::uint64_t sampled_writes() const {
+    std::lock_guard<pred::Spinlock> g(lock_);
+    return sampled_writes_;
+  }
+
+ private:
+  mutable pred::Spinlock lock_;
+  pred::HistoryTable history_;
+  std::uint64_t invalidations_ = 0;
+  std::uint64_t sampled_reads_ = 0;
+  std::uint64_t sampled_writes_ = 0;
+  std::array<pred::WordAccess, pred::CacheTracker::kMaxWords> words_{};
+  std::atomic<std::uint64_t> access_counter_{0};
+  const pred::LineGeometry geometry_;
+};
+
 // The runtime passes the sampling window/interval from RuntimeConfig, so
-// the spin reference's `n % interval` is a genuine hardware divide there.
+// the seed tracker's `n % interval` is a genuine hardware divide there.
 // Source the bench's values through a volatile so the compiler cannot
 // strength-reduce the modulo into multiply tricks and flatter the baseline.
 volatile std::uint64_t g_window = 1'000'000;
 volatile std::uint64_t g_interval = 1'000'000;
 
-double run_mode(bool lock_free, std::uint32_t nthreads,
-                std::uint64_t writes_per_thread) {
-  pred::CacheTracker tracker(0, kGeo, lock_free);
+template <typename Tracker>
+double run_mode(std::uint32_t nthreads, std::uint64_t writes_per_thread) {
+  Tracker tracker(0, kGeo);
   // window == interval: full sampling, every access walks the detail path.
   const std::uint64_t window = g_window;
   const std::uint64_t interval = g_interval;
@@ -105,7 +155,7 @@ double run_handoff(bool sync_mode, std::uint32_t nthreads,
   trackers.reserve(nthreads);
   for (std::uint32_t i = 0; i < nthreads; ++i) {
     trackers.push_back(
-        std::make_unique<pred::CacheTracker>(0, kGeo, /*lock_free=*/true));
+        std::make_unique<pred::CacheTracker>(0, kGeo));
   }
   const std::uint64_t window = g_window;
   const std::uint64_t interval = g_interval;
@@ -170,7 +220,7 @@ double run_multiline(bool sync_mode, std::uint32_t nthreads,
   trackers.reserve(nlines);
   for (std::uint32_t i = 0; i < nlines; ++i) {
     trackers.push_back(
-        std::make_unique<pred::CacheTracker>(0, kGeo, /*lock_free=*/true));
+        std::make_unique<pred::CacheTracker>(0, kGeo));
   }
   const std::uint64_t window = g_window;
   const std::uint64_t interval = g_interval;
@@ -246,10 +296,10 @@ int main(int argc, char** argv) {
   pred::bench::JsonWriter json;
   for (std::uint32_t t : kThreadCounts) {
     // Warm-up pass, then the measured pass, per mode.
-    run_mode(false, t, writes / 8);
-    const double spin = run_mode(false, t, writes);
-    run_mode(true, t, writes / 8);
-    const double lf = run_mode(true, t, writes);
+    run_mode<SeedTracker>(t, writes / 8);
+    const double spin = run_mode<SeedTracker>(t, writes);
+    run_mode<pred::CacheTracker>(t, writes / 8);
+    const double lf = run_mode<pred::CacheTracker>(t, writes);
     const double speedup = lf / spin;
     std::printf("%8u %18.0f %18.0f %8.2fx\n", t, spin, lf, speedup);
     char key[32];

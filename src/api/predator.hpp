@@ -15,8 +15,7 @@
 //   - `record()` is the single access entry point; the typed shims in
 //     instrument/access.hpp route through it and infer the access size.
 //   - allocation callsites are interned once (`intern_frames`) and passed
-//     as `CallsiteId`; the `std::vector<std::string>` overload survives as
-//     a deprecated convenience.
+//     as `CallsiteId`.
 //   - `flush()` publishes the calling thread's staged write counters;
 //     `ScopedThread`/`ThreadContext::unbind` do it automatically, and
 //     `report()` flushes the reporting thread, so explicit calls are only
@@ -34,18 +33,6 @@
 #include "predict/predictor.hpp"
 #include "runtime/report.hpp"
 #include "runtime/runtime.hpp"
-
-// Session API v2 is frozen: the legacy v1 entry points (alloc with a
-// per-call frame vector, on_read/on_write) compile only when the build
-// opts in with -DPREDATOR_LEGACY_API (CMake option of the same name,
-// default OFF). No in-tree code uses them; out-of-tree users migrating at
-// their own pace can turn the option on and additionally define
-// PREDATOR_WARN_DEPRECATED for compiler nudges toward the v2 API.
-#ifdef PREDATOR_WARN_DEPRECATED
-#define PRED_DEPRECATED(msg) [[deprecated(msg)]]
-#else
-#define PRED_DEPRECATED(msg)
-#endif
 
 namespace pred {
 
@@ -101,15 +88,6 @@ class Session {
   /// Allocates `size` bytes attributed to a pre-interned callsite.
   void* alloc(std::size_t size, CallsiteId callsite);
 
-#ifdef PREDATOR_LEGACY_API
-  /// Allocates attributing to a symbolic stack built per call. Prefer
-  /// intern_frames + the CallsiteId overload on hot allocation paths.
-  PRED_DEPRECATED("intern the stack once and call alloc(size, CallsiteId)")
-  void* alloc(std::size_t size, std::vector<std::string> callsite_frames) {
-    return allocator_->allocate(size, std::move(callsite_frames));
-  }
-#endif
-
   void free(void* p);
 
   /// Starts tracking an existing object (e.g. a global variable). The
@@ -155,17 +133,6 @@ class Session {
   void handoff(const void* p, std::size_t len, ThreadId tid) {
     runtime_->handle_handoff(reinterpret_cast<Address>(p), len, tid);
   }
-
-#ifdef PREDATOR_LEGACY_API
-  PRED_DEPRECATED("use record(p, AccessType::kRead, tid, size)")
-  void on_read(const void* p, ThreadId tid, std::size_t size = 8) {
-    record(p, AccessType::kRead, tid, size);
-  }
-  PRED_DEPRECATED("use record(p, AccessType::kWrite, tid, size)")
-  void on_write(const void* p, ThreadId tid, std::size_t size = 8) {
-    record(p, AccessType::kWrite, tid, size);
-  }
-#endif
 
   /// Publishes the calling thread's staged write counters to the shared
   /// per-line counters, running any threshold checks that became due.

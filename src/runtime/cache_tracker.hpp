@@ -5,8 +5,7 @@
 //
 // Tracked-path concurrency (see docs/architecture.md, "Tracked path
 // concurrency"): the tracker runs precisely on the hottest, most
-// falsely-shared lines, so in the default lock-free mode
-// (RuntimeConfig::lock_free_tracker) one sampled access performs
+// falsely-shared lines, so one sampled access performs
 //   - a division-free sampling decision on the calling OS thread's own
 //     *stripe* — a host-line-padded block the thread owns exclusively, so
 //     the clock tick and the sampled/invalidation counters are plain
@@ -16,13 +15,10 @@
 //     on the word's owner slot, and
 //   - one CAS on the packed 64-bit history table, whose winner reports the
 //     invalidation —
-// and never takes a lock. The spinlock implementation is the pre-PR3 seed
-// path kept verbatim (global fetch_add access counter, `n % interval`
-// sampling modulo, one per-line spinlock around every sampled update) and
-// remains selectable (lock_free = false) as the ablation baseline for
-// bench/microbench_tracked and as the single-threaded determinism
-// reference; both modes produce bit-identical counts on any
-// single-OS-thread workload.
+// and never takes a lock. Its references live outside the runtime:
+// bench/microbench_tracked measures it against the seed's spinlock tracker,
+// and tests/test_oracle.cpp checks single-OS-thread counts against a
+// reference detector that samples by the same `n % interval < window` rule.
 //
 // Layout: the class is alignas(kCacheLineSize) and sized to a whole number
 // of host lines (static_asserts below), so adjacent trackers — and the
@@ -54,7 +50,8 @@ namespace detail {
 /// private sampling stripe. Tokens are handed out on first use in thread
 /// creation order and never reused, so a stripe has exactly one writer for
 /// its whole life; deterministic single-OS-thread tests always use one
-/// stripe and replays behave exactly like the global-counter seed.
+/// stripe, so a replay samples exactly like one `n % interval < window`
+/// counter per line.
 inline std::atomic<std::uint32_t> next_stripe_token{0};
 inline std::uint32_t stripe_token() {
   constexpr std::uint32_t kUnassigned = 0xffffffffu;
@@ -127,17 +124,14 @@ class alignas(kCacheLineSize) CacheTracker {
   /// 256 bytes at 8-byte words without a secondary allocation).
   static constexpr std::size_t kMaxWords = 32;
 
-  /// `lock_free` selects the per-thread-stripe tracked path (default;
-  /// matches RuntimeConfig::lock_free_tracker) versus the seed's
-  /// per-line-spinlock reference. `armed` gates the sampling clock: the
-  /// runtime creates trackers disarmed and arms them once escalation
-  /// bookkeeping completes, so accesses racing an in-flight escalation no
-  /// longer consume sampling window positions (they count toward totals
-  /// only). Standalone trackers default to armed.
+  /// `armed` gates the sampling clock: the runtime creates trackers
+  /// disarmed and arms them once escalation bookkeeping completes, so
+  /// accesses racing an in-flight escalation no longer consume sampling
+  /// window positions (they count toward totals only). Standalone trackers
+  /// default to armed.
   CacheTracker(std::size_t line_index, const LineGeometry& geometry,
-               bool lock_free = true, bool armed = true)
-      : armed_(armed), line_index_(line_index), geometry_(geometry),
-        lock_free_(lock_free) {
+               bool armed = true)
+      : armed_(armed), line_index_(line_index), geometry_(geometry) {
     PRED_CHECK(geometry.words_per_line() <= kMaxWords);
   }
 
@@ -166,12 +160,7 @@ class alignas(kCacheLineSize) CacheTracker {
       unarmed_accesses_.fetch_add(1, std::memory_order_relaxed);
       return {};
     }
-    if (lock_free_) [[likely]] {
-      return handle_access_lock_free(addr, type, tid, sample_window,
-                                     sample_interval);
-    }
-    return handle_access_spinlock(addr, type, tid, sample_window,
-                                  sample_interval);
+    return sample_and_record(addr, type, tid, sample_window, sample_interval);
   }
 
   /// Sync-aware variant (RuntimeConfig::sync_suppression): consults the
@@ -187,8 +176,7 @@ class alignas(kCacheLineSize) CacheTracker {
   /// *soundness* gate (invalidation counts stay exact under every
   /// interleaving — see PackedHistoryTable::owned_write_by). Suppressed
   /// accesses are still counted, in owner-exclusive stripe counters, so
-  /// total_accesses() stays exact. Suppression is a lock-free-mode
-  /// optimization; the spinlock reference path ignores the epoch.
+  /// total_accesses() stays exact.
   AccessOutcome handle_access(Address addr, AccessType type, ThreadId tid,
                               std::uint64_t sample_window,
                               std::uint64_t sample_interval,
@@ -197,16 +185,12 @@ class alignas(kCacheLineSize) CacheTracker {
       unarmed_accesses_.fetch_add(1, std::memory_order_relaxed);
       return {};
     }
-    if (!lock_free_) {
-      return handle_access_spinlock(addr, type, tid, sample_window,
-                                    sample_interval);
-    }
     const std::uint64_t want = pack_sync(tid, epoch);
     if (want == 0) {
       // Never-synced thread (or unrepresentable tid/epoch): exact PR 3
       // behavior, no claims.
-      return handle_access_lock_free(addr, type, tid, sample_window,
-                                     sample_interval);
+      return sample_and_record(addr, type, tid, sample_window,
+                               sample_interval);
     }
     std::uint64_t seen = sync_word_.load(std::memory_order_relaxed);
     if (seen == want && packed_history_.owned_write_by(tid)) [[likely]] {
@@ -217,8 +201,8 @@ class alignas(kCacheLineSize) CacheTracker {
       outcome.suppressed = true;
       return outcome;
     }
-    AccessOutcome outcome = handle_access_lock_free(
-        addr, type, tid, sample_window, sample_interval);
+    AccessOutcome outcome =
+        sample_and_record(addr, type, tid, sample_window, sample_interval);
     // Claim ownership for the epoch we just recorded under. Losing the CAS
     // race only means the next same-owner access falls through again —
     // never a wrong suppression, since a hit re-confirms the history state.
@@ -235,21 +219,9 @@ class alignas(kCacheLineSize) CacheTracker {
   /// sampling clock nor the word histogram — the claim is not a sampled
   /// access. Returns true if the claim registered an invalidation.
   bool claim_for_handoff(ThreadId tid, std::uint32_t epoch) {
-    bool invalidated = false;
-    if (lock_free_) {
-      if (packed_history_.access(tid, AccessType::kWrite) ==
-          HistoryOutcome::kInvalidation) {
-        Stripe::bump(stripe_for_thread().invalidations);
-        invalidated = true;
-      }
-    } else {
-      std::lock_guard<Spinlock> g(lock_);
-      if (history_.access(tid, AccessType::kWrite) ==
-          HistoryOutcome::kInvalidation) {
-        ++invalidations_;
-        invalidated = true;
-      }
-    }
+    const bool invalidated = packed_history_.access(tid, AccessType::kWrite) ==
+                             HistoryOutcome::kInvalidation;
+    if (invalidated) Stripe::bump(stripe_for_thread().invalidations);
     sync_word_.store(pack_sync(tid, epoch), std::memory_order_relaxed);
     return invalidated;
   }
@@ -258,14 +230,14 @@ class alignas(kCacheLineSize) CacheTracker {
   /// single-word access that falls outside the calling thread's sampling
   /// window by ticking its stripe clock (and, for a write, the stripe's
   /// write count) — owner-local loads and stores, no RMW. Returns false,
-  /// changing nothing, when the access needs the full path: spinlock mode,
-  /// a disarmed tracker, a thread with no stripe yet, a sampled access, or
-  /// a write while the line's prediction decision is pending (its count
-  /// must reach the shared counter the threshold check reads). The caller
-  /// guarantees the sync-aware path would not apply (epoch 0).
+  /// changing nothing, when the access needs the full path: a disarmed
+  /// tracker, a thread with no stripe yet, a sampled access, or a write
+  /// while the line's prediction decision is pending (its count must reach
+  /// the shared counter the threshold check reads). The caller guarantees
+  /// the sync-aware path would not apply (epoch 0).
   bool try_retire_unsampled(AccessType type, std::uint64_t sample_window,
                             std::uint64_t sample_interval) {
-    if (!lock_free_ || !armed_.load(std::memory_order_acquire)) return false;
+    if (!armed_.load(std::memory_order_acquire)) return false;
     const bool write = type == AccessType::kWrite;
     if (write && !prediction_decided()) return false;
     Stripe* st = find_stripe();
@@ -278,24 +250,18 @@ class alignas(kCacheLineSize) CacheTracker {
   }
 
   /// Counts one tracked write in the calling thread's stripe once the
-  /// line's prediction decision is made (lock-free mode only); returns
-  /// false, counting nothing, while the decision is pending, and the
-  /// caller then counts the write in the region's shared counter.
+  /// line's prediction decision is made; returns false, counting nothing,
+  /// while the decision is pending, and the caller then counts the write
+  /// in the region's shared counter.
   bool count_write() {
-    if (!lock_free_ || !prediction_decided()) return false;
+    if (!prediction_decided()) return false;
     Stripe::bump(stripe_for_thread().writes);
     return true;
   }
 
   /// Writes counted in stripes (see count_write); ShadowSpace::writes_count
   /// adds them to the shared per-line counter.
-  std::uint64_t stripe_writes() const {
-    std::uint64_t n = 0;
-    for_each_stripe([&](const Stripe& s) {
-      n += s.writes.load(std::memory_order_relaxed);
-    });
-    return n;
-  }
+  std::uint64_t stripe_writes() const { return sum(&Stripe::writes); }
 
   /// Completes escalation: from here on accesses advance the sampling clock.
   /// Idempotent; called by the runtime after tracker creation bookkeeping
@@ -303,70 +269,35 @@ class alignas(kCacheLineSize) CacheTracker {
   void arm() { armed_.store(true, std::memory_order_release); }
   bool armed() const { return armed_.load(std::memory_order_acquire); }
 
-  bool lock_free() const { return lock_free_; }
   std::size_t line_index() const { return line_index_; }
 
   // --- snapshot accessors (thread-safe; used by reporting/prediction) ---
 
-  std::uint64_t invalidations() const {
-    if (lock_free_) {
-      std::uint64_t n = 0;
-      for_each_stripe([&](const Stripe& s) {
-        n += s.invalidations.load(std::memory_order_relaxed);
-      });
-      return n;
-    }
-    std::lock_guard<Spinlock> g(lock_);
-    return invalidations_;
-  }
+  std::uint64_t invalidations() const { return sum(&Stripe::invalidations); }
   std::uint64_t total_accesses() const {
     std::uint64_t n = unarmed_accesses_.load(std::memory_order_relaxed) +
                       suppressed_accesses();
-    if (lock_free_) {
-      for_each_stripe([&](const Stripe& s) {
-        n += s.clock.count.load(std::memory_order_relaxed);
-      });
-      return n;
-    }
-    return n + access_counter_.load(std::memory_order_relaxed);
-  }
-  /// Accesses retired on the sync-aware ownership word (both modes; the
-  /// counters live in the per-thread stripes either way).
-  std::uint64_t suppressed_accesses() const {
-    std::uint64_t n = 0;
     for_each_stripe([&](const Stripe& s) {
-      n += s.suppressed_reads.load(std::memory_order_relaxed) +
-           s.suppressed_writes.load(std::memory_order_relaxed);
+      n += s.clock.count.load(std::memory_order_relaxed);
     });
     return n;
   }
+  /// Accesses retired on the sync-aware ownership word.
+  std::uint64_t suppressed_accesses() const {
+    return sum(&Stripe::suppressed_reads) + sum(&Stripe::suppressed_writes);
+  }
   std::uint64_t sampled_accesses() const {
-    if (lock_free_) return lf_sampled_reads() + lf_sampled_writes();
-    std::lock_guard<Spinlock> g(lock_);
-    return sampled_accesses_;
+    return sampled_reads() + sampled_writes();
   }
-  std::uint64_t sampled_writes() const {
-    if (lock_free_) return lf_sampled_writes();
-    std::lock_guard<Spinlock> g(lock_);
-    return sampled_writes_;
-  }
-  std::uint64_t sampled_reads() const {
-    if (lock_free_) return lf_sampled_reads();
-    std::lock_guard<Spinlock> g(lock_);
-    return sampled_reads_;
-  }
+  std::uint64_t sampled_writes() const { return sum(&Stripe::sampled_writes); }
+  std::uint64_t sampled_reads() const { return sum(&Stripe::sampled_reads); }
 
   /// Copy of the word histogram (size = words_per_line).
   std::vector<WordAccess> words_snapshot() const {
     std::vector<WordAccess> out(geometry_.words_per_line());
-    if (lock_free_) {
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = atomic_words_[i].snapshot();
-      }
-      return out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = atomic_words_[i].snapshot();
     }
-    std::lock_guard<Spinlock> g(lock_);
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = words_[i];
     return out;
   }
 
@@ -421,14 +352,6 @@ class alignas(kCacheLineSize) CacheTracker {
   /// (the "updates recording information at memory de-allocations" rule of
   /// Section 2.3.2). Only called for lines with zero invalidations.
   void reset_for_reuse() {
-    {
-      std::lock_guard<Spinlock> g(lock_);
-      history_.reset();
-      invalidations_ = 0;
-      sampled_accesses_ = sampled_reads_ = sampled_writes_ = 0;
-      words_.fill(WordAccess{});
-    }
-    access_counter_.store(0, std::memory_order_relaxed);
     packed_history_.reset();
     for (AtomicWordAccess& w : atomic_words_) w.reset();
     if (const auto* dir = stripe_dir_.load(std::memory_order_acquire)) {
@@ -495,9 +418,11 @@ class alignas(kCacheLineSize) CacheTracker {
   };
   static_assert(sizeof(Stripe) == kCacheLineSize);
 
-  AccessOutcome handle_access_lock_free(Address addr, AccessType type,
-                                        ThreadId tid, std::uint64_t window,
-                                        std::uint64_t interval) {
+  /// The sampling decision on the calling thread's stripe, then — inside
+  /// the window — the word histogram and the history automaton.
+  AccessOutcome sample_and_record(Address addr, AccessType type, ThreadId tid,
+                                  std::uint64_t window,
+                                  std::uint64_t interval) {
     Stripe& st = stripe_for_thread();
     if (!st.clock.tick(window, interval)) {
       return {};  // outside the sampling window: count only
@@ -512,35 +437,6 @@ class alignas(kCacheLineSize) CacheTracker {
     atomic_words_[geometry_.word_in_line(addr)].record(tid, type);
     if (packed_history_.access(tid, type) == HistoryOutcome::kInvalidation) {
       Stripe::bump(st.invalidations);
-      outcome.invalidated = true;
-    }
-    return outcome;
-  }
-
-  /// The pre-PR3 seed path, verbatim: global access counter with a
-  /// hardware-divide sampling modulo, then one per-line spinlock around
-  /// every sampled update. Kept as the ablation baseline and the
-  /// determinism reference.
-  AccessOutcome handle_access_spinlock(Address addr, AccessType type,
-                                       ThreadId tid, std::uint64_t window,
-                                       std::uint64_t interval) {
-    const std::uint64_t n =
-        access_counter_.fetch_add(1, std::memory_order_relaxed);
-    if (n % interval >= window) {
-      return {};  // outside the sampling window: count only
-    }
-    AccessOutcome outcome;
-    outcome.sampled = true;
-    std::lock_guard<Spinlock> g(lock_);
-    ++sampled_accesses_;
-    if (type == AccessType::kWrite) {
-      ++sampled_writes_;
-    } else {
-      ++sampled_reads_;
-    }
-    words_[geometry_.word_in_line(addr)].record(tid, type);
-    if (history_.access(tid, type) == HistoryOutcome::kInvalidation) {
-      ++invalidations_;
       outcome.invalidated = true;
     }
     return outcome;
@@ -588,32 +484,15 @@ class alignas(kCacheLineSize) CacheTracker {
     }
   }
 
-  std::uint64_t lf_sampled_reads() const {
+  /// One stripe counter summed over every registered stripe.
+  std::uint64_t sum(std::atomic<std::uint64_t> Stripe::*counter) const {
     std::uint64_t n = 0;
     for_each_stripe([&](const Stripe& s) {
-      n += s.sampled_reads.load(std::memory_order_relaxed);
-    });
-    return n;
-  }
-  std::uint64_t lf_sampled_writes() const {
-    std::uint64_t n = 0;
-    for_each_stripe([&](const Stripe& s) {
-      n += s.sampled_writes.load(std::memory_order_relaxed);
+      n += (s.*counter).load(std::memory_order_relaxed);
     });
     return n;
   }
 
-  // --- spinlock (seed ablation / determinism reference) state ---
-  mutable Spinlock lock_;
-  HistoryTable history_;
-  std::uint64_t invalidations_ = 0;
-  std::uint64_t sampled_accesses_ = 0;
-  std::uint64_t sampled_reads_ = 0;
-  std::uint64_t sampled_writes_ = 0;
-  std::array<WordAccess, kMaxWords> words_{};
-  std::atomic<std::uint64_t> access_counter_{0};
-
-  // --- lock-free state ---
   PackedHistoryTable packed_history_;
   std::array<AtomicWordAccess, kMaxWords> atomic_words_{};
   mutable Spinlock stripe_lock_;  ///< serializes stripe registration only
@@ -641,7 +520,6 @@ class alignas(kCacheLineSize) CacheTracker {
            (static_cast<std::uint64_t>(epoch & 0xffffu) << 24);
   }
 
-  // --- mode-independent ---
   std::atomic<std::uint64_t> sync_word_{0};
   std::atomic<std::uint64_t> unarmed_accesses_{0};
   std::atomic<bool> armed_;
@@ -654,7 +532,6 @@ class alignas(kCacheLineSize) CacheTracker {
 
   const std::size_t line_index_;
   const LineGeometry geometry_;
-  const bool lock_free_;
 };
 
 // Adjacent trackers (ShadowSpace arena slots) must not themselves falsely
@@ -664,5 +541,8 @@ class alignas(kCacheLineSize) CacheTracker {
 // guarantee for the heap-allocated trackers the arena owns.
 static_assert(alignof(CacheTracker) == kCacheLineSize);
 static_assert(sizeof(CacheTracker) % kCacheLineSize == 0);
+// Every escalated line pays this much metadata (Figures 8/9): 1024 B on
+// x86-64, pinned with one host line of slack.
+static_assert(sizeof(CacheTracker) <= 1088);
 
 }  // namespace pred

@@ -1,5 +1,7 @@
 // Runtime configuration: the thresholds and sampling parameters of
-// Sections 2.4 and 3.2 of the paper, plus the modeled line geometry.
+// Sections 2.4 and 3.2 of the paper, plus the modeled line geometry. Each
+// field changes what is detected, not how: every runtime layer has one
+// implementation, and the seed baselines live in tests and benches.
 #pragma once
 
 #include <cstddef>
@@ -46,28 +48,6 @@ struct RuntimeConfig {
   bool prediction_enabled = true;
 
   InstrumentMode instrument_mode = InstrumentMode::kReadsAndWrites;
-
-  /// O(1) region resolution: flat shadow page map plus a per-thread
-  /// last-region cache (runtime/region_map.hpp), whose inline fast path
-  /// also retires reads of untracked lines. Off = the seed's linear scan
-  /// over registered regions. Ablation knob for bench/microbench_fastpath.
-  bool fast_region_lookup = true;
-
-  /// Thread-local staging of pre-threshold write counts
-  /// (runtime/write_stage.hpp). Off = the seed's shared fetch_add per
-  /// write. Detection results are identical on single-writer streams and
-  /// deterministic replays; see write_stage.hpp for the multi-writer bound.
-  bool staged_write_counters = true;
-
-  /// Lock-free tracked path (runtime/cache_tracker.hpp): packed 64-bit
-  /// history table updated by CAS, atomic word histogram with a monotone
-  /// owner word, per-OS-thread striped sampling clocks, and RCU-published
-  /// virtual-line snapshots — no per-line spinlock on sampled accesses —
-  /// and the inline exit for unsampled tracked accesses.
-  /// Off = the seed's spinlocked tracker, kept as the ablation baseline
-  /// (bench/microbench_tracked) and the determinism reference; the two
-  /// modes report bit-identical counts on single-OS-thread workloads.
-  bool lock_free_tracker = true;
 
   /// Sync-aware suppression (SmartTrack-style ownership/epoch fast state,
   /// runtime/cache_tracker.hpp): each tracker carries one packed word

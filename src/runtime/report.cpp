@@ -99,6 +99,7 @@ Report build_report(const Runtime& rt) {
   const LineGeometry& geo = cfg.geometry;
   Report report;
   report.regions_dropped = rt.regions_dropped();
+  report.wide_tid_accesses = rt.wide_tid_accesses();
   Accumulator acc;
 
   rt.for_each_region([&](const ShadowSpace& region) {
@@ -325,6 +326,12 @@ std::string format_report(const Report& report,
                "Regions dropped: %" PRIu64
                " (region table full; their accesses were ignored)\n",
                report.regions_dropped);
+  }
+  if (report.wide_tid_accesses != 0) {
+    append_fmt(out,
+               "Wide thread ids: %" PRIu64
+               " tracked accesses ignored (thread id above 2^30-1)\n",
+               report.wide_tid_accesses);
   }
   if (report.findings.empty()) {
     return out + "No false sharing problems detected.\n";

@@ -94,6 +94,9 @@ struct Report {
   /// Regions the runtime refused (Runtime::regions_dropped): their
   /// accesses went unobserved.
   std::uint64_t regions_dropped = 0;
+  /// Tracked accesses and claims by thread ids too wide for the history
+  /// table (Runtime::wide_tid_accesses): recorded in no history.
+  std::uint64_t wide_tid_accesses = 0;
 };
 
 /// Classifies a word histogram. `words` is one line's (or one object's

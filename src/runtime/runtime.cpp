@@ -75,8 +75,7 @@ ShadowSpace* Runtime::register_region(Address base, std::size_t size) {
     regions_dropped_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  regions_[slot] = std::make_unique<ShadowSpace>(base, size, config_.geometry,
-                                                 config_.lock_free_tracker);
+  regions_[slot] = std::make_unique<ShadowSpace>(base, size, config_.geometry);
   ShadowSpace* region = regions_[slot].get();
   visible_[slot].store(region, std::memory_order_release);
 
@@ -108,9 +107,6 @@ ShadowSpace* Runtime::find_region_slow(Address addr) const {
 }
 
 ShadowSpace* Runtime::find_region(Address addr) const {
-  if (!config_.fast_region_lookup) [[unlikely]] {
-    return find_region_slow(addr);
-  }
   const FastPathCache& fc = t_fastpath_cache;
   const std::uint64_t gen = runtime_generation();
   if (fc.rt == this && fc.gen == gen && fc.region->contains(addr)) {
@@ -143,10 +139,13 @@ void Runtime::fill_fastpath_cache(ShadowSpace& region,
   fc.line_shift = static_cast<std::uint32_t>(std::countr_zero(ls));
   fc.word_mask = ws - 1;
   fc.word_size = ws;
-  fc.untracked_read_exit = config_.fast_region_lookup;
-  fc.tracked_read_exit = config_.lock_free_tracker &&
-                         config_.instrument_mode != InstrumentMode::kWritesOnly;
-  fc.tracked_write_exit = config_.lock_free_tracker;
+  fc.tracked_read_exit = config_.instrument_mode != InstrumentMode::kWritesOnly;
+}
+
+bool Runtime::admit_tid(ThreadId tid) {
+  if (tid <= PackedHistoryTable::kMaxThread) [[likely]] return true;
+  wide_tid_accesses_.fetch_add(1, std::memory_order_relaxed);
+  return false;
 }
 
 ThreadId Runtime::register_thread() {
@@ -186,18 +185,10 @@ void Runtime::handle_access_one_word(ShadowSpace& region, Address addr,
   if (!track) {
     // Fast path of Figure 1: count writes only, no detailed tracking until
     // the line crosses TrackingThreshold.
-    if (type == AccessType::kWrite) {
-      if (config_.staged_write_counters) [[likely]] {
-        stage_write(region, idx);
-      } else {
-        // Seed behavior: a shared fetch_add per pre-threshold write.
-        const std::uint64_t w =
-            region.writes(idx).fetch_add(1, std::memory_order_relaxed) + 1;
-        if (w >= config_.tracking_threshold) escalate(region, idx);
-      }
-    }
+    if (type == AccessType::kWrite) stage_write(region, idx);
     return;
   }
+  if (!admit_tid(tid)) return;  // too wide for the history table: counted
 
   // Sync-aware suppression applies only while no virtual line covers this
   // line: prediction verification (Section 3.4) is fed by sampled-access
@@ -261,15 +252,8 @@ void Runtime::stage_write(ShadowSpace& region, std::size_t line_index) {
   if (s.base + s.count >= config_.tracking_threshold) {
     // Same access as the unstaged path would escalate on (single-writer
     // streams): publish and run the threshold checks now.
-    const std::uint32_t n = s.count;
-    s.region = nullptr;
-    s.count = 0;
-    apply_staged(region, line_index, n);
-    return;
+    drain_slot(s);
   }
-  // find_region already pointed the inline fast path at this region; the
-  // linear-scan ablation bypasses the cache, so staging fills it there.
-  if (!config_.fast_region_lookup) fill_fastpath_cache(region, gen);
 }
 
 void Runtime::drain_slot(StagedSlot& s) {
@@ -379,7 +363,7 @@ void Runtime::handle_handoff(Address addr, std::size_t len, ThreadId tid) {
   // be lost.
   for (std::size_t i = first; i <= last && i < region->num_lines(); ++i) {
     ensure_tracked_line(*region, i);
-    region->tracker(i)->claim_for_handoff(tid, epoch);
+    if (admit_tid(tid)) region->tracker(i)->claim_for_handoff(tid, epoch);
   }
 }
 
@@ -391,8 +375,7 @@ VirtualLineTracker* Runtime::add_virtual_line(ShadowSpace& region,
   VirtualLineTracker* vl = nullptr;
   {
     std::lock_guard<Spinlock> g(vl_lock_);
-    virtual_lines_.emplace_back(start, size, kind, origin_line, hot_x, hot_y,
-                                config_.lock_free_tracker);
+    virtual_lines_.emplace_back(start, size, kind, origin_line, hot_x, hot_y);
     vl = &virtual_lines_.back();
   }
   PRED_MON_EMIT(kVirtualLineNominated, start, size, kInvalidThread);

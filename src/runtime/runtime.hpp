@@ -7,16 +7,15 @@
 //   1. inline fast path (handle_access below) — a single-word access inside
 //      the region the thread last resolved retires without a call when it
 //      is a write to a live staged line, a read of a line with no tracker,
-//      or an unsampled access to an armed lock-free tracker;
+//      or an unsampled access to an armed tracker;
 //   2. region resolution — the same per-thread cache (FastPathCache), then
 //      the flat shadow page map (runtime/region_map.hpp); O(1) per access;
 //   3. pre-threshold write counting — staged in thread-local slots
 //      (runtime/write_stage.hpp) and drained in batches, so the common
 //      case touches no shared cache line;
-//   4. tracked path — lock-free by default (RuntimeConfig::lock_free_tracker):
-//      per-OS-thread striped sampling clocks, CAS-packed history table,
-//      atomic word histogram, RCU virtual-line fan-out; a per-line-spinlock
-//      reference implementation remains selectable for ablation.
+//   4. tracked path — lock-free: per-OS-thread striped sampling clocks,
+//      CAS-packed history table, atomic word histogram, RCU virtual-line
+//      fan-out (runtime/cache_tracker.hpp).
 #pragma once
 
 #include <atomic>
@@ -63,6 +62,14 @@ class Runtime {
   /// Registrations refused because every region slot was taken.
   std::uint64_t regions_dropped() const {
     return regions_dropped_.load(std::memory_order_relaxed);
+  }
+
+  /// Slow-path tracked accesses and handoff claims ignored because their
+  /// thread id exceeds PackedHistoryTable::kMaxThread (30 bits): they never
+  /// reach a history table. Unsampled accesses the inline fast path
+  /// retires need no history and are counted as usual.
+  std::uint64_t wide_tid_accesses() const {
+    return wide_tid_accesses_.load(std::memory_order_relaxed);
   }
 
   /// Region containing `addr`, or nullptr when the address is untracked.
@@ -227,9 +234,13 @@ class Runtime {
   void apply_staged(ShadowSpace& region, std::size_t line_index,
                     std::uint64_t count);
 
-  /// Seed-style linear scan; fallback for page-straddling regions and the
-  /// `fast_region_lookup = false` ablation.
+  /// Linear scan over the registered regions: the fallback for a page
+  /// shared by two regions.
   ShadowSpace* find_region_slow(Address addr) const;
+
+  /// True when `tid` fits the history table; otherwise counts the access in
+  /// wide_tid_accesses() and returns false.
+  bool admit_tid(ThreadId tid);
 
   /// Points the calling thread's FastPathCache at `region`.
   void fill_fastpath_cache(ShadowSpace& region, std::uint64_t gen) const;
@@ -257,6 +268,7 @@ class Runtime {
   std::atomic<ShadowSpace*> visible_[kMaxRegions];     // published to readers
   std::atomic<std::size_t> num_claimed_{0};
   std::atomic<std::uint64_t> regions_dropped_{0};
+  std::atomic<std::uint64_t> wide_tid_accesses_{0};
   Spinlock reg_lock_;  // serializes page-map rebuilds, not slot claims
   RegionMap region_map_;
 
@@ -277,10 +289,9 @@ inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,
                                    std::size_t size) {
   // Hot-region fast path: a single-word access inside the region the
   // calling thread last resolved. The generation compare rejects dead
-  // runtimes and the cache's exit flags carry the config switches, so no
-  // region-map work is needed here. Whatever no exit retires — sampled
-  // accesses, threads that have synced, writes to a line whose prediction
-  // is pending, disarmed trackers — takes the unchanged slow path.
+  // runtimes, so no region-map work is needed here. Whatever no exit
+  // retires — sampled accesses, threads that have synced, writes to a line
+  // whose prediction is pending, disarmed trackers — takes the slow path.
   FastPathCache& fc = t_fastpath_cache;
   const Address off = addr - fc.region_begin;
   if (fc.rt == this && off < fc.region_bytes &&
@@ -310,9 +321,8 @@ inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,
     CacheTracker* track = fc.trackers[line].load(std::memory_order_acquire);
     if (track == nullptr) {
       // A read of a line with no tracker: the slow path ignores it too.
-      if (type == AccessType::kRead && fc.untracked_read_exit) return;
-    } else if ((type == AccessType::kWrite ? fc.tracked_write_exit
-                                           : fc.tracked_read_exit) &&
+      if (type == AccessType::kRead) return;
+    } else if ((type == AccessType::kWrite || fc.tracked_read_exit) &&
                thread_epoch(tid) == 0 &&
                track->try_retire_unsampled(type, config_.sample_window,
                                            config_.sample_interval)) {

@@ -23,15 +23,11 @@ namespace pred {
 
 class ShadowSpace {
  public:
-  /// `lock_free_trackers` selects the tracked-path implementation for every
-  /// tracker this region allocates (RuntimeConfig::lock_free_tracker).
-  ShadowSpace(Address base, std::size_t size, const LineGeometry& geometry,
-              bool lock_free_trackers = true)
+  ShadowSpace(Address base, std::size_t size, const LineGeometry& geometry)
       : base_(geometry.line_base(base)),
         geometry_(geometry),
         num_lines_((base + size - base_ + geometry.line_size - 1) /
                    geometry.line_size),
-        lock_free_trackers_(lock_free_trackers),
         writes_(num_lines_),
         tracking_(num_lines_) {
     PRED_CHECK(size > 0);
@@ -81,8 +77,7 @@ class ShadowSpace {
   CacheTracker* ensure_tracker(std::size_t idx, bool armed = true) {
     CacheTracker* existing = tracking_[idx].load(std::memory_order_acquire);
     if (existing) return existing;
-    auto fresh = std::make_unique<CacheTracker>(idx, geometry_,
-                                                lock_free_trackers_, armed);
+    auto fresh = std::make_unique<CacheTracker>(idx, geometry_, armed);
     CacheTracker* raw = fresh.get();
     CacheTracker* expected = nullptr;
     if (tracking_[idx].compare_exchange_strong(expected, raw,
@@ -124,7 +119,6 @@ class ShadowSpace {
   const Address base_;
   const LineGeometry geometry_;
   const std::size_t num_lines_;
-  const bool lock_free_trackers_;
   std::vector<std::atomic<std::uint64_t>> writes_;
   std::vector<std::atomic<CacheTracker*>> tracking_;
   mutable Spinlock arena_lock_;

@@ -9,13 +9,14 @@
 // drain into the shared counters in batches.
 //
 // Exactness contract: escalation at TrackingThreshold happens on exactly
-// the same access as the unstaged path whenever a line's pre-threshold
-// writes come from one thread at a time (every deterministic test, every
-// replay, and the common monotone live stream). Each staged increment
-// checks `base + count >= threshold`, where `base` is the shared counter
-// value snapshotted when the slot was filled; crossing drains the slot and
-// escalates immediately. With concurrent pre-threshold writers the sum can
-// cross the threshold before any single thread's view does; the epoch
+// the same access as publishing every write at once would (the reference
+// side of tests/test_fastpath.cpp does that) whenever a line's
+// pre-threshold writes come from one thread at a time (every deterministic
+// test, every replay, and the common monotone live stream). Each staged
+// increment checks `base + count >= threshold`, where `base` is the shared
+// counter value snapshotted when the slot was filled; crossing drains the
+// slot and escalates immediately. With concurrent pre-threshold writers the
+// sum can cross the threshold before any single thread's view does; the epoch
 // flush (every kEpochLength staged writes per thread) bounds that delay,
 // and the drain itself re-checks both thresholds.
 //
@@ -94,22 +95,19 @@ class WriteStage {
 WriteStage& thread_write_stage();
 
 /// One-entry per-thread region cache: the region the calling thread last
-/// resolved. Runtime::find_region fills it on every miss (and staging fills
-/// it under the linear-scan ablation) and answers from it on a hit; the
-/// inline fast path in Runtime::handle_access reads it to retire three
-/// kinds of single-word access without a call:
+/// resolved. Runtime::find_region fills it on every miss and answers from
+/// it on a hit; the inline fast path in Runtime::handle_access reads it to
+/// retire three kinds of single-word access without a call:
 ///   - a write to a line whose staged slot is live — a slot occupied by
 ///     (region, line, gen) proves the line had no tracker when staged, and
 ///     every same-thread event that could give the line a tracker
 ///     (escalation, virtual-line fan-out) purges the slot first;
 ///   - a read of a line whose CacheTracking entry is null;
-///   - an unsampled access to an armed lock-free tracker
+///   - an unsampled access to an armed tracker
 ///     (CacheTracker::try_retire_unsampled).
 /// Region and tracker pointers stay valid while their runtime lives
 /// (regions are never unregistered, trackers never freed), and only runtime
-/// destruction (generation bump) wholesale-invalidates the cache. The exit
-/// flags carry the config switches each exit depends on, so the seed
-/// ablations (fast_region_lookup, lock_free_tracker off) never take them.
+/// destruction (generation bump) wholesale-invalidates the cache.
 struct FastPathCache {
   const Runtime* rt = nullptr;  ///< nullptr = invalid
   ShadowSpace* region = nullptr;
@@ -125,9 +123,9 @@ struct FastPathCache {
   std::uint32_t line_shift = 0;  ///< log2(line_size)
   std::size_t word_mask = 0;     ///< word_size - 1
   std::size_t word_size = 0;
-  bool untracked_read_exit = false;  ///< fast_region_lookup
-  bool tracked_read_exit = false;    ///< lock_free_tracker, reads recorded
-  bool tracked_write_exit = false;   ///< lock_free_tracker
+  /// Tracked reads may retire inline: off in writes-only mode, where the
+  /// slow path drops reads instead of counting them.
+  bool tracked_read_exit = false;
 };
 
 inline thread_local FastPathCache t_fastpath_cache;

@@ -29,39 +29,6 @@ enum : std::uint16_t {
   kFieldEvents = 3,
 };
 
-template <typename T>
-bool read_pod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return in.good();
-}
-
-// v1 body reader, entered after the "PRTR" magic has been consumed.
-bool load_traces_v1(std::istream& in, std::vector<ThreadTrace>* traces) {
-  std::uint32_t version = 0;
-  std::uint32_t threads = 0;
-  if (!read_pod(in, &version) || version != 1) return false;
-  if (!read_pod(in, &threads)) return false;
-  std::vector<ThreadTrace> loaded;
-  loaded.resize(threads);
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    std::uint64_t count = 0;
-    if (!read_pod(in, &count)) return false;
-    loaded[t].reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      WireEvent wire;
-      if (!read_pod(in, &wire)) return false;
-      TraceEvent ev;
-      ev.addr = static_cast<Address>(wire.addr);
-      ev.think_cycles = wire.think;
-      ev.type = wire.type == 0 ? AccessType::kRead : AccessType::kWrite;
-      ev.size = wire.size;
-      loaded[t].push_back(ev);
-    }
-  }
-  *traces = std::move(loaded);
-  return true;
-}
-
 }  // namespace
 
 std::string pack_events(const ThreadTrace& trace) {
@@ -125,15 +92,6 @@ bool save_traces_file(const std::string& path,
 
 bool load_traces(std::istream& in, std::vector<ThreadTrace>* traces) {
   traces->clear();
-
-  // Dispatch on the magic: "PRTR" selects the legacy v1 body, anything else
-  // must parse as a v2 frame stream (read_frame re-checks the magic).
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  if (!in.good()) return false;
-  if (magic == kTraceMagic) return load_traces_v1(in, traces);
-  in.seekg(-static_cast<std::streamoff>(sizeof magic), std::ios::cur);
-
   wire::Frame frame;
   if (wire::read_frame(in, &frame) != wire::FrameError::kOk ||
       frame.type != wire::FrameType::kTraceHeader) {
@@ -144,7 +102,9 @@ bool load_traces(std::istream& in, std::vector<ThreadTrace>* traces) {
   if (!threads_field) return false;
   const std::uint64_t threads = threads_field->as_u64();
 
-  std::vector<ThreadTrace> loaded(threads);
+  // The header's count is untrusted: threads are appended as their frames
+  // arrive, in the index order save_traces writes them.
+  std::vector<ThreadTrace> loaded;
   for (std::uint64_t i = 0; i < threads; ++i) {
     if (wire::read_frame(in, &frame) != wire::FrameError::kOk ||
         frame.type != wire::FrameType::kThreadTrace) {
@@ -153,10 +113,8 @@ bool load_traces(std::istream& in, std::vector<ThreadTrace>* traces) {
     const auto index = wire::FieldReader::find(frame.payload, kFieldThreadIndex);
     const auto count = wire::FieldReader::find(frame.payload, kFieldEventCount);
     const auto events = wire::FieldReader::find(frame.payload, kFieldEvents);
-    if (!index || !count || !events || index->as_u64() >= threads) {
-      return false;
-    }
-    ThreadTrace& slot = loaded[index->as_u64()];
+    if (!index || !count || !events || index->as_u64() != i) return false;
+    ThreadTrace& slot = loaded.emplace_back();
     if (!unpack_events(events->bytes, &slot)) return false;
     if (slot.size() != count->as_u64()) return false;
   }

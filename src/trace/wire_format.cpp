@@ -1,5 +1,6 @@
 #include "trace/wire_format.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <istream>
@@ -134,10 +135,23 @@ FrameError read_frame(std::istream& in, Frame* out) {
   if (version > kWireVersion || version == 0) return FrameError::kVersionSkew;
   const std::uint32_t length = get_u32(p + 8);
   const std::uint32_t crc = get_u32(p + 12);
-  std::string payload(length, '\0');
-  if (length > 0) {
-    in.read(payload.data(), static_cast<std::streamsize>(length));
-    if (static_cast<std::uint32_t>(in.gcount()) < length) {
+  // The header's length is untrusted until its bytes arrive. Size the
+  // payload at once only when the stream already holds that many bytes
+  // (in_avail is exact for in-memory streams); otherwise read in bounded
+  // chunks, so a short stream costs memory in proportion to what it holds,
+  // not to what it claims.
+  constexpr std::size_t kChunk = 64 * 1024;
+  const std::streamsize avail = in.rdbuf()->in_avail();
+  const std::size_t step =
+      avail >= 0 && static_cast<std::size_t>(avail) >= length ? length
+                                                               : kChunk;
+  std::string payload;
+  while (payload.size() < length) {
+    const std::size_t have = payload.size();
+    const std::size_t want = std::min<std::size_t>(step, length - have);
+    payload.resize(have + want);
+    in.read(payload.data() + have, static_cast<std::streamsize>(want));
+    if (static_cast<std::size_t>(in.gcount()) < want) {
       return FrameError::kTruncated;
     }
   }

@@ -20,9 +20,7 @@ constexpr LineGeometry kGeo{};  // 64-byte lines, 8-byte words
 // Line 10 covers [640, 704).
 constexpr Address kLineBase = 640;
 
-CacheTracker make_tracker(bool lock_free = true) {
-  return CacheTracker(10, kGeo, lock_free);
-}
+CacheTracker make_tracker() { return CacheTracker(10, kGeo); }
 
 TEST(CacheTracker, RecordsWordHistogram) {
   auto t = make_tracker();
@@ -113,39 +111,7 @@ TEST(CacheTracker, VirtualLineFanOut) {
   EXPECT_EQ(vl.accesses(), 1u);
 }
 
-// --- tracked-path concurrency (PR 3) --------------------------------------
-
-// Single-OS-thread workloads must be bit-identical across the lock-free and
-// spinlock modes: same invalidations, same sampled split, same word
-// histogram, access by access. This is the ablation's determinism contract.
-TEST(CacheTracker, ModesAgreeOnSingleThreadedDeterministicWorkload) {
-  auto lf = make_tracker(/*lock_free=*/true);
-  auto spin = make_tracker(/*lock_free=*/false);
-  // Mixed read/write, multiple logical threads, multiple words, partial
-  // sampling (window 10 of every 100) — all driven from one OS thread.
-  for (int i = 0; i < 5000; ++i) {
-    const ThreadId tid = static_cast<ThreadId>(i % 3);
-    const AccessType type = (i % 7 < 4) ? W : R;
-    const Address addr = kLineBase + (i % 5) * 8;
-    const auto a = lf.handle_access(addr, type, tid, 10, 100);
-    const auto b = spin.handle_access(addr, type, tid, 10, 100);
-    ASSERT_EQ(a.sampled, b.sampled) << "access " << i;
-    ASSERT_EQ(a.invalidated, b.invalidated) << "access " << i;
-  }
-  EXPECT_EQ(lf.invalidations(), spin.invalidations());
-  EXPECT_EQ(lf.total_accesses(), spin.total_accesses());
-  EXPECT_EQ(lf.sampled_accesses(), spin.sampled_accesses());
-  EXPECT_EQ(lf.sampled_reads(), spin.sampled_reads());
-  EXPECT_EQ(lf.sampled_writes(), spin.sampled_writes());
-  const auto words_lf = lf.words_snapshot();
-  const auto words_spin = spin.words_snapshot();
-  ASSERT_EQ(words_lf.size(), words_spin.size());
-  for (std::size_t w = 0; w < words_lf.size(); ++w) {
-    EXPECT_EQ(words_lf[w].reads, words_spin[w].reads) << "word " << w;
-    EXPECT_EQ(words_lf[w].writes, words_spin[w].writes) << "word " << w;
-    EXPECT_EQ(words_lf[w].owner, words_spin[w].owner) << "word " << w;
-  }
-}
+// --- tracked-path concurrency ----------------------------------------------
 
 // N threads hammer one tracked line. Whatever the interleaving, the
 // tracker's books must balance: sampled_reads + sampled_writes ==
@@ -153,9 +119,8 @@ TEST(CacheTracker, ModesAgreeOnSingleThreadedDeterministicWorkload) {
 // (every sampled access records exactly one word), invalidations never
 // exceed sampled writes, and owner states are only ever
 // kInvalidThread -> tid -> kSharedWord.
-void run_conservation(bool lock_free, std::uint64_t window,
-                      std::uint64_t interval) {
-  CacheTracker t(10, kGeo, lock_free);
+void run_conservation(std::uint64_t window, std::uint64_t interval) {
+  CacheTracker t(10, kGeo);
   constexpr std::uint32_t kThreads = 8;
   constexpr std::uint64_t kPerThread = 20000;
   std::vector<std::thread> threads;
@@ -201,16 +166,10 @@ void run_conservation(bool lock_free, std::uint64_t window,
 }
 
 TEST(CacheTracker, MultiThreadConservationLockFreeFullSampling) {
-  run_conservation(/*lock_free=*/true, 1'000'000, 1'000'000);
+  run_conservation(1'000'000, 1'000'000);
 }
 TEST(CacheTracker, MultiThreadConservationLockFreePartialSampling) {
-  run_conservation(/*lock_free=*/true, 100, 1000);
-}
-TEST(CacheTracker, MultiThreadConservationSpinlockFullSampling) {
-  run_conservation(/*lock_free=*/false, 1'000'000, 1'000'000);
-}
-TEST(CacheTracker, MultiThreadConservationSpinlockPartialSampling) {
-  run_conservation(/*lock_free=*/false, 100, 1000);
+  run_conservation(100, 1000);
 }
 
 // One word hammered by many threads ends shared; a word touched by exactly
@@ -236,11 +195,10 @@ TEST(CacheTracker, OwnerWordMonotoneUnderContention) {
 
 // Each OS thread's sampling stripe is owner-exclusive, so its clock is
 // exact: access number n of that thread is sampled iff n % interval <
-// window. From a single OS thread (one stripe) the phase *equals* the
-// seed's global-counter phase, which is the determinism property the
-// replay tests rely on.
+// window. From a single OS thread (one stripe) that is one per-line
+// counter, the rule tests/test_oracle.cpp's reference detector samples by.
 TEST(CacheTracker, StripedSamplingExactFromOneThread) {
-  auto t = make_tracker(/*lock_free=*/true);
+  auto t = make_tracker();
   int sampled = 0;
   for (int i = 0; i < 1000; ++i) {
     // Logical tids vary; the stripe is keyed off the OS thread, so the
@@ -261,7 +219,7 @@ TEST(CacheTracker, StripedSamplingExactFromOneThread) {
 // first `window` of each of its own `interval`-sized runs, so the total is
 // deterministic even under contention.
 TEST(CacheTracker, StripedSamplingExactUnderThreads) {
-  CacheTracker t(10, kGeo, /*lock_free=*/true);
+  CacheTracker t(10, kGeo);
   constexpr std::uint64_t kWindow = 10;
   constexpr std::uint64_t kInterval = 100;
   constexpr std::uint32_t kThreads = 8;
@@ -285,8 +243,8 @@ TEST(CacheTracker, StripedSamplingExactUnderThreads) {
 // Trackers created disarmed (mid-escalation) count accesses but do not burn
 // sampling-window positions until arm(); the phase starts at the first
 // post-arming access.
-void run_armed_gate(bool lock_free) {
-  CacheTracker t(10, kGeo, lock_free, /*armed=*/false);
+TEST(CacheTracker, ArmedGateDefersSamplingLockFree) {
+  CacheTracker t(10, kGeo, /*armed=*/false);
   for (int i = 0; i < 250; ++i) {
     EXPECT_FALSE(t.handle_access(kLineBase, W, 0, 10, 100).sampled);
   }
@@ -300,9 +258,6 @@ void run_armed_gate(bool lock_free) {
   EXPECT_EQ(sampled, 10);  // a fresh interval: first 10 of 100
   EXPECT_EQ(t.total_accesses(), 350u);
 }
-
-TEST(CacheTracker, ArmedGateDefersSamplingLockFree) { run_armed_gate(true); }
-TEST(CacheTracker, ArmedGateDefersSamplingSpinlock) { run_armed_gate(false); }
 
 // Virtual-line fan-out under concurrent nomination: readers iterate an
 // immutable published snapshot, so a nomination during fan-out is simply
@@ -348,22 +303,6 @@ TEST(VirtualLineTracker, CountsInvalidationsLikePhysicalLines) {
   }
   EXPECT_EQ(vl.invalidations(), 99u);
   EXPECT_EQ(vl.accesses(), 100u);
-}
-
-TEST(VirtualLineTracker, ModesAgreeSingleThreaded) {
-  VirtualLineTracker lf(128, 64, VirtualLineTracker::Kind::kShifted, 2, 128,
-                        184, /*lock_free=*/true);
-  VirtualLineTracker spin(128, 64, VirtualLineTracker::Kind::kShifted, 2, 128,
-                          184, /*lock_free=*/false);
-  for (int i = 0; i < 2000; ++i) {
-    const Address a = 128 + (i % 8) * 8;
-    const AccessType type = (i % 3 == 0) ? R : W;
-    const ThreadId tid = static_cast<ThreadId>(i % 2);
-    lf.access(a, type, tid);
-    spin.access(a, type, tid);
-  }
-  EXPECT_EQ(lf.accesses(), spin.accesses());
-  EXPECT_EQ(lf.invalidations(), spin.invalidations());
 }
 
 // ---------------------------------------------------------------------------
@@ -468,17 +407,6 @@ TEST(SyncSuppression, ClaimForHandoffTransfersOwnership) {
   EXPECT_FALSE(t.claim_for_handoff(1, 6));
 }
 
-TEST(SyncSuppression, SpinlockModeIgnoresEpochs) {
-  auto t = make_tracker(/*lock_free=*/false);
-  t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
-  auto out = t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
-  EXPECT_FALSE(out.suppressed);
-  EXPECT_EQ(t.suppressed_accesses(), 0u);
-  // The handoff claim still keeps the history honest in spinlock mode.
-  EXPECT_TRUE(t.claim_for_handoff(1, 1));
-  EXPECT_EQ(t.invalidations(), 1u);
-}
-
 TEST(SyncSuppression, ResetForReuseClearsTheSyncWord) {
   auto t = make_tracker();
   t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
@@ -525,7 +453,7 @@ TEST(SyncSuppression, InvalidationsIdenticalWithAndWithoutSuppression) {
 TEST(SyncSuppression, ConcurrentHandoffTenuresConserveCounts) {
   // TSan-facing: rotating tenures with racing claims; every delivered
   // access must be either sampled or suppressed, never both or neither.
-  auto t = std::make_unique<CacheTracker>(10, kGeo, /*lock_free=*/true);
+  auto t = std::make_unique<CacheTracker>(10, kGeo);
   constexpr int kThreads = 4;
   constexpr std::uint64_t kTenures = 200;
   constexpr std::uint64_t kBurst = 32;

@@ -109,6 +109,37 @@ TEST(EdgeCases, AccessSizeZeroTreatedAsOneByte) {
   ASSERT_NE(t, nullptr);
 }
 
+TEST(EdgeCases, WideThreadIdIsCountedNotAborted) {
+  // The history table packs 30-bit thread ids. A wider id's tracked
+  // accesses and handoff claims are counted and kept out of every history
+  // table instead of aborting the run.
+  SessionOptions o;
+  o.heap_size = 8 * 1024 * 1024;
+  o.runtime.tracking_threshold = 4;
+  o.runtime.set_sampling_rate(1.0);
+  Session session(o);
+  auto* data = static_cast<long*>(
+      session.alloc(64, session.intern_frames({"wide.c:1"})));
+  const ThreadId wide = ThreadId{1} << 30;
+  for (int i = 0; i < 1000; ++i) {
+    session.record(&data[0], AccessType::kWrite, 0, 8);
+    session.record(&data[1], AccessType::kWrite, wide, 8);
+  }
+  session.handoff(data, 8, wide);
+  // The 4th write (the wide thread's 2nd) escalates; its 998 later writes
+  // and the claim reach the tracked path and are dropped there.
+  EXPECT_EQ(session.runtime().wide_tid_accesses(), 999u);
+  auto& shadow = session.allocator().shadow();
+  const CacheTracker* track =
+      shadow.tracker(shadow.line_index(reinterpret_cast<Address>(data)));
+  ASSERT_NE(track, nullptr);
+  EXPECT_EQ(track->invalidations(), 0u);  // only thread 0 reached it
+  const std::string text = session.report_text();
+  EXPECT_NE(text.find("Wide thread ids: 999 tracked accesses ignored"),
+            std::string::npos)
+      << text;
+}
+
 TEST(EdgeCases, ReportThresholdZeroReportsEverythingTouchedByConflict) {
   SessionOptions o;
   o.heap_size = 4 * 1024 * 1024;

@@ -1,8 +1,8 @@
-// Tests for the redesigned hot path: O(1) region resolution (shadow page
-// map + per-thread cache) and thread-local write staging. The fast path is
-// on by default; every test here either checks it against the seed-behavior
-// ablation (fast_region_lookup / staged_write_counters = false) or pins a
-// concurrency property the redesign introduced.
+// Tests for the hot path: O(1) region resolution (shadow page map +
+// per-thread cache), thread-local write staging and the inline exits. Every
+// test here either checks them against a slow-path oracle — the same replay
+// with each access forced through the slow path and its write count
+// published at once — or pins a concurrency property they introduced.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,13 +30,31 @@ RuntimeConfig small_config() {
 }
 
 // --- determinism: the inline exits and staging must report exactly what
-// --- the seed per-access path reports, access for access. The seed side
-// --- also runs the spinlock tracker, so it never takes an inline exit;
-// --- replays use one OS thread, where both trackers count identically.
-// --- Reports print total_writes, so every comparison also checks the
-// --- writes counted in tracker stripes.
+// --- the slow path reports when every access takes it and publishes its
+// --- write count at once. Reports print total_writes, so every comparison
+// --- also checks the writes counted in tracker stripes.
 
 void default_config(RuntimeConfig&) {}
+
+/// The oracle side: replay_into_session's round-robin order (quantum 1),
+/// but the thread's FastPathCache is cleared before each access, so no
+/// inline exit can fire, and the write stage is flushed after it.
+void slow_path_replay(Session& session,
+                      const std::vector<ThreadTrace>& traces) {
+  Runtime& rt = session.runtime();
+  std::vector<std::size_t> cursor(traces.size(), 0);
+  for (bool progressed = true; progressed;) {
+    progressed = false;
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+      if (cursor[t] == traces[t].size()) continue;
+      const TraceEvent& ev = traces[t][cursor[t]++];
+      t_fastpath_cache = FastPathCache{};
+      rt.handle_access(ev.addr, ev.type, static_cast<ThreadId>(t), ev.size);
+      flush_staged_writes();
+      progressed = true;
+    }
+  }
+}
 
 std::string replay_report(const char* workload, bool fast,
                           void (*configure)(RuntimeConfig&) = default_config,
@@ -44,15 +62,16 @@ std::string replay_report(const char* workload, bool fast,
   SessionOptions o;
   o.heap_size = 32 * 1024 * 1024;
   configure(o.runtime);
-  o.runtime.fast_region_lookup = fast;
-  o.runtime.staged_write_counters = fast;
-  o.runtime.lock_free_tracker = fast;
   Session session(o);
   const wl::Workload* w = wl::find_workload(workload);
   EXPECT_NE(w, nullptr);
   wl::Params p;
   p.threads = 8;
-  w->run_replay(session, p);
+  if (fast) {
+    w->run_replay(session, p);
+  } else {
+    slow_path_replay(session, w->capture(session, p));
+  }
   if (unsampled_tracked != nullptr) {
     *unsampled_tracked = 0;
     session.runtime().for_each_region([&](const ShadowSpace& region) {
@@ -69,16 +88,16 @@ TEST(FastPathDeterminism, HistogramReplayMatchesSeedPath) {
   // Sessions run sequentially, so the heap maps at the same base and the
   // two report texts are comparable byte for byte.
   const std::string fast = replay_report("histogram", true);
-  const std::string seed = replay_report("histogram", false);
+  const std::string slow = replay_report("histogram", false);
   EXPECT_FALSE(fast.empty());
-  EXPECT_EQ(fast, seed);
+  EXPECT_EQ(fast, slow);
 }
 
 TEST(FastPathDeterminism, LinearRegressionReplayMatchesSeedPath) {
   const std::string fast = replay_report("linear_regression", true);
-  const std::string seed = replay_report("linear_regression", false);
+  const std::string slow = replay_report("linear_regression", false);
   EXPECT_FALSE(fast.empty());
-  EXPECT_EQ(fast, seed);
+  EXPECT_EQ(fast, slow);
 }
 
 TEST(FastPathDeterminism, PredictionOffMatchesSeedPath) {
@@ -92,10 +111,10 @@ TEST(FastPathDeterminism, PredictionOffMatchesSeedPath) {
   std::uint64_t unsampled = 0;
   const std::string fast =
       replay_report("histogram", true, no_prediction, &unsampled);
-  const std::string seed = replay_report("histogram", false, no_prediction);
+  const std::string slow = replay_report("histogram", false, no_prediction);
   EXPECT_GT(unsampled, 0u);
   EXPECT_NE(fast.find("Finding #1"), std::string::npos);
-  EXPECT_EQ(fast, seed);
+  EXPECT_EQ(fast, slow);
 }
 
 TEST(FastPathDeterminism, WritesOnlyModeMatchesSeedPath) {
@@ -106,10 +125,10 @@ TEST(FastPathDeterminism, WritesOnlyModeMatchesSeedPath) {
   };
   const std::string fast = replay_report("linear_regression", true,
                                          writes_only);
-  const std::string seed = replay_report("linear_regression", false,
+  const std::string slow = replay_report("linear_regression", false,
                                          writes_only);
   EXPECT_FALSE(fast.empty());
-  EXPECT_EQ(fast, seed);
+  EXPECT_EQ(fast, slow);
 }
 
 TEST(FastPathDeterminism, UnsampledTrackedAccessesMatchSeedPath) {
@@ -122,9 +141,9 @@ TEST(FastPathDeterminism, UnsampledTrackedAccessesMatchSeedPath) {
   std::uint64_t unsampled = 0;
   const std::string fast =
       replay_report("pca", true, dense_sampling, &unsampled);
-  const std::string seed = replay_report("pca", false, dense_sampling);
+  const std::string slow = replay_report("pca", false, dense_sampling);
   EXPECT_GT(unsampled, 100'000u);
-  EXPECT_EQ(fast, seed);
+  EXPECT_EQ(fast, slow);
 }
 
 // --- concurrent registration: the seed read-then-store slot claim lost
@@ -314,7 +333,7 @@ TEST(FastPathStaging, MultiThreadedTrackedWritesCountExactly) {
 TEST(FastPathStaging, PredictionFiresOnTheCrossingTrackedWrite) {
   // Until the prediction decision, unsampled tracked writes must still
   // reach the shared counter the threshold check reads: the hook fires on
-  // exactly the prediction_threshold-th write, as on the seed path.
+  // exactly the prediction_threshold-th write, as on the slow path.
   RuntimeConfig cfg = small_config();
   cfg.sample_window = 1;
   cfg.sample_interval = 1000;
@@ -360,7 +379,7 @@ TEST(FastPathStaging, SyncedThreadKeepsTheSuppressionPath) {
 
 TEST(FastPathStaging, EscalationHappensOnTheCrossingAccess) {
   // Single-writer stream: the staged path must escalate on exactly the
-  // same access as the seed path — the tracking_threshold-th write.
+  // same access as the slow path — the tracking_threshold-th write.
   Runtime rt(small_config());
   auto* region =
       rt.register_region(reinterpret_cast<Address>(g_page_a), 4096);

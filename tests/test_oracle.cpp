@@ -1,11 +1,14 @@
 // Differential testing against a reference oracle.
 //
 // ReferenceDetector is a deliberately slow, obviously-correct
-// reimplementation of the Section 2.3.1 invalidation rules (no sampling, no
-// thresholds, no atomics — a direct transcription of the paper's bullet
-// list per line). Random access streams are fed to both the oracle and the
-// production Runtime (configured for full tracking); their per-line
-// invalidation counts and word histograms must match exactly.
+// reimplementation of the Section 2.3.1 invalidation rules (no thresholds,
+// no atomics — a direct transcription of the paper's bullet list per line)
+// with the seed's Section 2.4.3 sampling rule: access number n of a line is
+// recorded iff n % interval < window. Random access streams are fed to both
+// the oracle and the production Runtime (every line tracked, one OS
+// thread); their per-line access totals, sampled counts, invalidation
+// counts and word histograms must match exactly, at full and at partial
+// sampling.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -20,14 +23,20 @@ namespace {
 /// Direct transcription of the paper's rules, one state machine per line.
 class ReferenceDetector {
  public:
+  ReferenceDetector(std::uint64_t window, std::uint64_t interval)
+      : window_(window), interval_(interval) {}
+
   void access(Address addr, AccessType type, ThreadId tid) {
     LineState& st = lines_[addr / 64];
+    if (st.accesses++ % interval_ >= window_) return;  // not sampled
     // Word histogram.
     WordState& w = st.words[(addr % 64) / 8];
     if (type == AccessType::kWrite) {
       ++w.writes;
+      ++st.sampled_writes;
     } else {
       ++w.reads;
+      ++st.sampled_reads;
     }
     if (w.owner == kInvalidThread) {
       w.owner = tid;
@@ -55,6 +64,8 @@ class ReferenceDetector {
     ThreadId owner = kInvalidThread;
   };
   struct LineState {
+    std::uint64_t accesses = 0;
+    std::uint64_t sampled_reads = 0, sampled_writes = 0;
     std::uint64_t invalidations = 0;
     int entries = 0;
     ThreadId tid[2] = {kInvalidThread, kInvalidThread};
@@ -64,17 +75,11 @@ class ReferenceDetector {
   const std::map<std::size_t, LineState>& lines() const { return lines_; }
 
  private:
+  const std::uint64_t window_;
+  const std::uint64_t interval_;
   std::map<std::size_t, LineState> lines_;
 };
 
-RuntimeConfig full_tracking() {
-  RuntimeConfig cfg;
-  cfg.tracking_threshold = 1;  // escalate on the first write
-  cfg.prediction_enabled = false;
-  cfg.sample_window = 1;
-  cfg.sample_interval = 1;  // record everything
-  return cfg;
-}
 
 alignas(64) char g_buf[16 * 1024];
 
@@ -100,13 +105,18 @@ std::vector<Access> random_stream(std::uint64_t seed, int n, int threads,
   return out;
 }
 
-class OracleSweep : public ::testing::TestWithParam<std::uint64_t> {};
+void expect_runtime_matches_reference(std::uint64_t seed,
+                                      std::uint64_t window,
+                                      std::uint64_t interval) {
+  const auto stream = random_stream(seed, 30000, 6, 12);
 
-TEST_P(OracleSweep, RuntimeMatchesReferenceExactly) {
-  const auto stream = random_stream(GetParam(), 30000, 6, 12);
-
-  ReferenceDetector oracle;
-  Runtime rt(full_tracking());
+  ReferenceDetector oracle(window, interval);
+  RuntimeConfig cfg;
+  cfg.tracking_threshold = 1;
+  cfg.prediction_enabled = false;
+  cfg.sample_window = window;
+  cfg.sample_interval = interval;
+  Runtime rt(cfg);
   auto* region = rt.register_region(reinterpret_cast<Address>(g_buf),
                                     sizeof(g_buf));
   // Caveat: with tracking_threshold = 1 the runtime's first write per line
@@ -127,6 +137,9 @@ TEST_P(OracleSweep, RuntimeMatchesReferenceExactly) {
         region->line_index(static_cast<Address>(line * 64));
     CacheTracker* t = region->tracker(idx);
     ASSERT_NE(t, nullptr) << "line " << line;
+    EXPECT_EQ(t->total_accesses(), ref.accesses) << "line " << line;
+    EXPECT_EQ(t->sampled_reads(), ref.sampled_reads) << "line " << line;
+    EXPECT_EQ(t->sampled_writes(), ref.sampled_writes) << "line " << line;
     EXPECT_EQ(t->invalidations(), ref.invalidations) << "line " << line;
     const auto words = t->words_snapshot();
     for (int w = 0; w < 8; ++w) {
@@ -138,6 +151,18 @@ TEST_P(OracleSweep, RuntimeMatchesReferenceExactly) {
           << "line " << line << " word " << w;
     }
   }
+}
+
+class OracleSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(OracleSweep, RuntimeMatchesReferenceExactly) {
+  expect_runtime_matches_reference(GetParam(), 1, 1);  // record everything
+}
+
+// Most accesses fall outside the window, so the inline tracked exit and
+// the slow path's sampling clock both have to agree with `n % interval`.
+TEST_P(OracleSweep, RuntimeMatchesReferenceAtPartialSampling) {
+  expect_runtime_matches_reference(GetParam(), 7, 50);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleSweep,

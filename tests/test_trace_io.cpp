@@ -65,16 +65,6 @@ TEST(TraceIo, RejectsTruncatedStream) {
   EXPECT_FALSE(load_traces(cut, &loaded));
 }
 
-TEST(TraceIo, RejectsWrongVersion) {
-  std::stringstream buf;
-  const std::uint32_t magic = kTraceMagic;
-  const std::uint32_t bad_version = kTraceVersion + 1;
-  buf.write(reinterpret_cast<const char*>(&magic), 4);
-  buf.write(reinterpret_cast<const char*>(&bad_version), 4);
-  std::vector<ThreadTrace> loaded;
-  EXPECT_FALSE(load_traces(buf, &loaded));
-}
-
 // The current writer emits the v2 frame stream; saved traces must start at
 // a verifiable frame boundary, not the legacy preamble.
 TEST(TraceIo, SavesVersion2FrameStream) {
@@ -93,31 +83,58 @@ TEST(TraceIo, SavesVersion2FrameStream) {
   EXPECT_EQ(frame.type, wire::FrameType::kThreadTrace);
 }
 
-// A legacy v1 file (raw "PRTR" preamble, no frames) still loads.
-TEST(TraceIo, ReadsLegacyV1Files) {
-  const std::vector<ThreadTrace> traces{make_trace(9, 0x3000),
-                                        make_trace(4, 0x5000)};
+// The pre-frame v1 layout (raw "PRTR" preamble) is no longer read: it
+// fails the frame magic check like any other foreign bytes.
+TEST(TraceIo, RejectsLegacyV1Files) {
+  const ThreadTrace trace = make_trace(9, 0x3000);
   std::stringstream buf;
-  const std::uint32_t magic = kTraceMagic;
-  const std::uint32_t version = 1;
-  const std::uint32_t threads = static_cast<std::uint32_t>(traces.size());
-  buf.write(reinterpret_cast<const char*>(&magic), 4);
-  buf.write(reinterpret_cast<const char*>(&version), 4);
-  buf.write(reinterpret_cast<const char*>(&threads), 4);
-  for (const ThreadTrace& t : traces) {
-    const std::uint64_t count = t.size();
-    buf.write(reinterpret_cast<const char*>(&count), 8);
-    const std::string packed = pack_events(t);
-    buf.write(packed.data(), static_cast<std::streamsize>(packed.size()));
-  }
+  const std::uint32_t v1_header[] = {0x50525452u /* "PRTR" */, 1, 1};
+  buf.write(reinterpret_cast<const char*>(v1_header), sizeof v1_header);
+  const std::uint64_t count = trace.size();
+  buf.write(reinterpret_cast<const char*>(&count), 8);
+  const std::string packed = pack_events(trace);
+  buf.write(packed.data(), static_cast<std::streamsize>(packed.size()));
 
+  std::vector<ThreadTrace> loaded{make_trace(3, 0)};
+  EXPECT_FALSE(load_traces(buf, &loaded));
+  EXPECT_TRUE(loaded.empty());
+}
+
+// A header frame's thread count is untrusted until thread frames back it:
+// a claim of 2^40 threads followed by end of stream is a clean rejection,
+// not an allocation sized by the claim.
+TEST(TraceIo, RejectsHeaderClaimingMoreThreadsThanFrames) {
+  std::string header;
+  wire::FieldWriter hw(&header);
+  hw.u64(1, std::uint64_t{1} << 40);  // thread count
+  hw.u64(2, 0);                       // total events
+  const std::string hframe =
+      wire::encode_frame(wire::FrameType::kTraceHeader, header);
+  std::stringstream buf(hframe);
   std::vector<ThreadTrace> loaded;
-  ASSERT_TRUE(load_traces(buf, &loaded));
-  ASSERT_EQ(loaded.size(), 2u);
-  ASSERT_EQ(loaded[0].size(), 9u);
-  EXPECT_EQ(loaded[0][3].addr, traces[0][3].addr);
-  EXPECT_EQ(loaded[0][3].type, traces[0][3].type);
-  EXPECT_EQ(loaded[1][2].think_cycles, traces[1][2].think_cycles);
+  EXPECT_FALSE(load_traces(buf, &loaded));
+  EXPECT_TRUE(loaded.empty());
+}
+
+// Thread frames must arrive in index order, as save_traces writes them.
+TEST(TraceIo, RejectsThreadFramesOutOfOrder) {
+  std::string header;
+  wire::FieldWriter hw(&header);
+  hw.u64(1, 2);  // thread count
+  hw.u64(2, 2);  // total events
+  std::string bytes = wire::encode_frame(wire::FrameType::kTraceHeader, header);
+  for (std::uint64_t index : {1, 0}) {
+    std::string body;
+    wire::FieldWriter bw(&body);
+    bw.u64(1, index);
+    bw.u64(2, 1);
+    bw.bytes(3, pack_events(make_trace(1, 0x1000)));
+    bytes += wire::encode_frame(wire::FrameType::kThreadTrace, body);
+  }
+  std::stringstream buf(bytes);
+  std::vector<ThreadTrace> loaded;
+  EXPECT_FALSE(load_traces(buf, &loaded));
+  EXPECT_TRUE(loaded.empty());
 }
 
 // Frame-level version skew (a future framing revision) is rejected up

@@ -4,13 +4,61 @@
 // and the tagged-field layer's unknown-field forward compatibility.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 
 #include "collect/transport.hpp"
 #include "trace/wire_format.hpp"
 
+// Largest single allocation allowed while an AllocationCap is alive (0 =
+// none): the replaced global operator new refuses anything bigger, so a
+// test can show a decoder never sizes a buffer by a length it has not read.
+namespace {
+std::atomic<std::size_t> g_alloc_cap{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  const std::size_t cap = g_alloc_cap.load(std::memory_order_relaxed);
+  if (cap != 0 && n > cap) throw std::bad_alloc();
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Every pointer reaching these came from the malloc-based new above; GCC
+// cannot see that once standard new-expressions are inlined, and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace pred {
 namespace {
+
+struct AllocationCap {
+  explicit AllocationCap(std::size_t bytes) { g_alloc_cap.store(bytes); }
+  ~AllocationCap() { g_alloc_cap.store(0); }
+};
+
+/// Hands out its bytes one at a time and never reports more available, the
+/// way a pipe might, so read_frame cannot size a payload up front.
+class TrickleBuf : public std::streambuf {
+ public:
+  explicit TrickleBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (next_ == bytes_.size()) return traits_type::eof();
+    char* p = bytes_.data() + next_++;
+    setg(p, p, p + 1);
+    return traits_type::to_int_type(*p);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t next_ = 0;
+};
 
 using wire::Field;
 using wire::FieldReader;
@@ -110,6 +158,26 @@ TEST(WireFormat, ReadFrameFromStream) {
   EXPECT_EQ(frame.type, FrameType::kGoodbye);
   EXPECT_EQ(frame.payload, "bb");
   EXPECT_EQ(wire::read_frame(in, &frame), FrameError::kTruncated);
+}
+
+TEST(WireFormat, ReadFrameNeverAllocatesAnUnreadLength) {
+  // A 16-byte header claiming a 4 GiB payload, then end of stream: the
+  // reader must report truncation having allocated one bounded chunk.
+  std::string header = wire::encode_frame(FrameType::kThreadTrace, "");
+  for (int i = 8; i < 12; ++i) header[i] = '\xff';  // length field
+  std::stringstream in(header);
+  Frame frame;
+  {
+    AllocationCap cap(1 << 20);
+    EXPECT_EQ(wire::read_frame(in, &frame), FrameError::kTruncated);
+  }
+  // A real payload spanning several chunks still reads back whole.
+  std::string big(300 * 1024 + 7, 'x');
+  big[123456] = 'y';
+  TrickleBuf trickle(wire::encode_frame(FrameType::kThreadTrace, big));
+  std::istream big_in(&trickle);
+  ASSERT_EQ(wire::read_frame(big_in, &frame), FrameError::kOk);
+  EXPECT_EQ(frame.payload, big);
 }
 
 TEST(WireFormat, FieldRoundTripAndLookup) {
