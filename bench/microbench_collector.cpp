@@ -6,9 +6,8 @@
 //   per-frame cost the collector pays before merging.
 //
 // Phase B — ingest: pre-encoded frames from 32 simulated clients fed
-//   through Collector::ingest_frame from 4 threads, with 1 shard (fully
-//   serialized) vs 8 shards. The ratio shows how much of the ingest path
-//   the shard locks actually cover.
+//   through Collector::ingest_frame from 4 threads. Decoding runs outside
+//   the collector's mutex, the join inside it.
 //
 // Phase C — rollup: folding a populated collector (64 clients) into the
 //   fleet view, i.e. the cost of each periodic report in `serve`.
@@ -115,9 +114,9 @@ CodecRates bench_codec(std::uint64_t iters) {
   return r;
 }
 
-// Frames/sec through ingest_frame with the given shard count, kIngestThreads
-// feeders striding over one shared pre-encoded frame set.
-double bench_ingest(std::size_t shards, std::uint64_t frames_total) {
+// Frames/sec through ingest_frame, kIngestThreads feeders striding over one
+// shared pre-encoded frame set.
+double bench_ingest(std::uint64_t frames_total) {
   std::vector<std::string> frames;
   frames.reserve(1024);
   for (std::size_t c = 0; c < kClients; ++c) {
@@ -127,7 +126,7 @@ double bench_ingest(std::size_t shards, std::uint64_t frames_total) {
     }
   }
 
-  pred::Collector collector({shards, 16});
+  pred::Collector collector;
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   for (std::uint32_t t = 0; t < kIngestThreads; ++t) {
@@ -150,7 +149,7 @@ double bench_ingest(std::size_t shards, std::uint64_t frames_total) {
 }
 
 double bench_rollup(std::uint64_t iters) {
-  pred::Collector collector({8, 16});
+  pred::Collector collector;
   for (std::size_t c = 0; c < 64; ++c) {
     for (std::uint64_t seq = 1; seq <= 4; ++seq) {
       collector.ingest(100 + c, 5000 + c, make_snapshot(c, seq));
@@ -194,12 +193,9 @@ int main(int argc, char** argv) {
   std::printf("  %-28s %15.0f snapshots/sec\n", "encode", codec.encodes_per_sec);
   std::printf("  %-28s %15.0f snapshots/sec\n", "decode", codec.decodes_per_sec);
 
-  const double ingest_1 = bench_ingest(1, frames);
-  const double ingest_8 = bench_ingest(8, frames);
+  const double ingest = bench_ingest(frames);
   std::printf("\nphase B: concurrent ingest\n");
-  std::printf("  %-28s %15.0f frames/sec\n", "1 shard (serialized)", ingest_1);
-  std::printf("  %-28s %15.0f frames/sec  (%.2fx)\n", "8 shards", ingest_8,
-              ingest_1 > 0.0 ? ingest_8 / ingest_1 : 0.0);
+  std::printf("  %-28s %15.0f frames/sec\n", "ingest_frame()", ingest);
 
   const double rollups = bench_rollup(frames / 100);
   std::printf("\nphase C: fleet rollup (64 clients)\n");
@@ -210,8 +206,7 @@ int main(int argc, char** argv) {
     json.add("frame_bytes", static_cast<double>(codec.frame_bytes));
     json.add("encode_per_sec", codec.encodes_per_sec);
     json.add("decode_per_sec", codec.decodes_per_sec);
-    json.add("ingest_1shard_fps", ingest_1);
-    json.add("ingest_8shard_fps", ingest_8);
+    json.add("ingest_fps", ingest);
     json.add("rollup_per_sec", rollups);
     if (!json.write_file(json_path)) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
 #include <set>
+
+#include "common/format.hpp"
 
 namespace pred {
 
@@ -21,18 +21,6 @@ const char* to_string(FixKind kind) {
 }
 
 namespace {
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
 
 /// A maximal run of consecutive touched words owned by one thread.
 struct OwnerSegment {
@@ -110,8 +98,8 @@ FixSuggestion advise_one(const ObjectFinding& f,
     fix.kind = FixKind::kReduceWriteSharing;
     fix.prescription =
         "this is true sharing (one word written by several threads): no "
-        "layout change helps — shard the counter per thread or batch "
-        "updates locally";
+        "layout change helps — give each thread its own copy of the "
+        "counter or batch updates locally";
     fix.rationale = "a shared hot word carries the invalidations";
     return fix;
   }

@@ -1,65 +1,10 @@
 #include "collect/collector.hpp"
 
-#include <functional>
-#include <thread>
-
-#include "common/cacheline.hpp"
 #include "repair/plan_codec.hpp"
 #include "trace/snapshot_codec.hpp"
 #include "trace/wire_format.hpp"
 
 namespace pred {
-
-namespace {
-
-/// splitmix64 finalizer: line starts are multiples of the line size, so a
-/// modulo shard pick without mixing would land everything in a few shards.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::size_t default_shards() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : (hw > 64 ? 64 : hw);
-}
-
-}  // namespace
-
-/// One ingest shard: a mutex and its fragment of the fleet maps. Padded so
-/// concurrently-locked shards never share a host cache line — the collector
-/// should not itself false-share.
-struct Collector::Shard {
-  alignas(kCacheLineSize) mutable std::mutex mu;
-  std::map<std::uint64_t, ClientRec> clients;
-  std::map<std::pair<std::uint64_t, Address>, LineRec> lines;
-  std::map<std::pair<std::uint64_t, std::string>, SiteRec> sites;
-};
-
-Collector::Collector(CollectorConfig config) : config_(config) {
-  std::size_t n = config_.shards == 0 ? default_shards() : config_.shards;
-  if (n > 64) n = 64;
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-Collector::~Collector() = default;
-
-std::size_t Collector::shard_of_uid(std::uint64_t uid) const {
-  return mix64(uid) % shards_.size();
-}
-
-std::size_t Collector::shard_of_line(Address line) const {
-  return mix64(static_cast<std::uint64_t>(line)) % shards_.size();
-}
-
-std::size_t Collector::shard_of_site(const std::string& key) const {
-  return mix64(std::hash<std::string>{}(key)) % shards_.size();
-}
 
 bool Collector::ingest_frame(std::string_view frame_bytes) {
   wire::Frame frame;
@@ -67,20 +12,22 @@ bool Collector::ingest_frame(std::string_view frame_bytes) {
   const wire::FrameError err =
       wire::parse_frame(frame_bytes, &frame, &consumed);
   if (err != wire::FrameError::kOk) {
-    std::lock_guard<std::mutex> lk(stats_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     ++stats_.frames_rejected;
     return false;
   }
   return ingest_frame(frame);
 }
 
+// Payloads are decoded before the lock is taken: only the join and the
+// counters need it.
 bool Collector::ingest_frame(const wire::Frame& frame) {
   switch (frame.type) {
     case wire::FrameType::kSnapshot: {
       DecodedSnapshot decoded;
       if (!SnapshotCodec::decode(frame.payload, &decoded)) break;
-      ingest(decoded.client.uid, decoded.client.pid, decoded.snapshot);
-      std::lock_guard<std::mutex> lk(stats_mu_);
+      std::lock_guard<std::mutex> lk(mu_);
+      state_.absorb(decoded.client.uid, decoded.client.pid, decoded.snapshot);
       ++stats_.frames_ingested;
       ++stats_.snapshots_ingested;
       return true;
@@ -88,7 +35,7 @@ bool Collector::ingest_frame(const wire::Frame& frame) {
     case wire::FrameType::kHello: {
       ClientId client;
       if (!SnapshotCodec::decode_client(frame.payload, &client)) break;
-      std::lock_guard<std::mutex> lk(stats_mu_);
+      std::lock_guard<std::mutex> lk(mu_);
       ++stats_.frames_ingested;
       ++stats_.hellos;
       return true;
@@ -96,7 +43,7 @@ bool Collector::ingest_frame(const wire::Frame& frame) {
     case wire::FrameType::kGoodbye: {
       ClientId client;
       if (!SnapshotCodec::decode_client(frame.payload, &client)) break;
-      std::lock_guard<std::mutex> lk(stats_mu_);
+      std::lock_guard<std::mutex> lk(mu_);
       ++stats_.frames_ingested;
       ++stats_.goodbyes;
       return true;
@@ -104,11 +51,8 @@ bool Collector::ingest_frame(const wire::Frame& frame) {
     case wire::FrameType::kRepairPlan: {
       repair::RepairPlan plan;
       if (!repair::decode_plan_payload(frame.payload, &plan)) break;
-      {
-        std::lock_guard<std::mutex> lk(plan_mu_);
-        repair::merge_plans(merged_plan_, plan);
-      }
-      std::lock_guard<std::mutex> lk(stats_mu_);
+      std::lock_guard<std::mutex> lk(mu_);
+      repair::merge_plans(merged_plan_, plan);
       ++stats_.frames_ingested;
       ++stats_.plans_ingested;
       return true;
@@ -116,74 +60,34 @@ bool Collector::ingest_frame(const wire::Frame& frame) {
     default:
       break;  // trace frames etc. have no business on a snapshot transport
   }
-  std::lock_guard<std::mutex> lk(stats_mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   ++stats_.frames_rejected;
   return false;
 }
 
 void Collector::ingest(std::uint64_t client_uid, std::uint64_t client_pid,
                        const MonitorSnapshot& snap) {
-  const SnapshotRecords records = decompose(client_uid, client_pid, snap);
-
-  // Route each record to its shard and join it under that shard's lock —
-  // the identical newest-wins rule FleetState::absorb applies, just
-  // partitioned by key hash. Locks are taken one shard at a time, never
-  // nested, so concurrent ingests only contend when their keys collide.
-  {
-    Shard& s = *shards_[shard_of_uid(client_uid)];
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto [it, inserted] = s.clients.try_emplace(client_uid, records.client);
-    if (!inserted &&
-        compare_snapshots(records.client.latest, it->second.latest) > 0) {
-      it->second = records.client;
-    }
-  }
-  for (const auto& [line, rec] : records.lines) {
-    Shard& s = *shards_[shard_of_line(line)];
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto [it, inserted] = s.lines.try_emplace({client_uid, line}, rec);
-    if (!inserted && compare_line_recs(rec, it->second) > 0) {
-      it->second = rec;
-    }
-  }
-  for (const auto& [key, rec] : records.sites) {
-    Shard& s = *shards_[shard_of_site(key)];
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto [it, inserted] = s.sites.try_emplace({client_uid, key}, rec);
-    if (!inserted && compare_site_recs(rec, it->second) > 0) {
-      it->second = rec;
-    }
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  state_.absorb(client_uid, client_pid, snap);
 }
 
 FleetState Collector::state() const {
-  // Fold the shard fragments. Each fragment covers a disjoint key set, so
-  // this is a disjoint union — still phrased as a join for uniformity.
-  FleetState folded;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->mu);
-    FleetState fragment;
-    for (const auto& [uid, rec] : shard->clients) {
-      fragment.clients_[uid] = rec;
-    }
-    for (const auto& [key, rec] : shard->lines) fragment.lines_[key] = rec;
-    for (const auto& [key, rec] : shard->sites) fragment.sites_[key] = rec;
-    folded.merge(fragment);
-  }
-  return folded;
+  std::lock_guard<std::mutex> lk(mu_);
+  return state_;
 }
 
 FleetRollup Collector::rollup() const {
-  return state().rollup(config_.top_k);
+  std::lock_guard<std::mutex> lk(mu_);
+  return state_.rollup(top_k_);
 }
 
 repair::RepairPlan Collector::merged_plan() const {
-  std::lock_guard<std::mutex> lk(plan_mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   return merged_plan_;
 }
 
 Collector::Stats Collector::stats() const {
-  std::lock_guard<std::mutex> lk(stats_mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   return stats_;
 }
 

@@ -8,34 +8,28 @@
 //                            │  corrupt frames rejected and counted
 //                            ▼
 //                     SnapshotCodec::decode
-//                            │  decompose() into per-client / per-line /
-//                            │  per-site records (snapshot_merge.hpp)
+//                            │
 //                            ▼
-//            ┌─ shard 0 ─┬─ shard 1 ─┬─ … ─┬─ shard S-1 ─┐
-//            │ lines,    │ lines,    │     │ lines,      │  records routed
-//            │ sites,    │ sites,    │     │ sites,      │  by key hash;
-//            │ clients   │ clients   │     │ clients     │  one mutex per
-//            └───────────┴───────────┴─────┴─────────────┘  shard
+//                     FleetState::absorb under the collector's mutex
+//                            │  per-client / per-line / per-site
+//                            │  newest-wins join (snapshot_merge.hpp)
+//                            ▼
+//                     rollup(): [exact, exact+dropped] fleet view
 //
-// Sharding is by *key hash* (line address, site key, client uid), so two
-// frames touching disjoint lines ingest fully in parallel and ingest
-// throughput scales with cores. Because each shard applies the same
-// pointwise newest-wins join as the sequential FleetState oracle, and the
-// join is commutative/associative/idempotent, any interleaving of
-// concurrent ingests converges to the oracle's state exactly —
-// tests/test_collector.cpp stresses this with 64 simulated clients.
-//
-// rollup() folds all shards under their locks into the conservative
-// [exact, exact+dropped] fleet view (see snapshot_merge.hpp for the bound
-// semantics).
+// One mutex guards the fleet state, the merged plan and the stats. Frames
+// are decoded before the lock is taken, so concurrent ingests serialize
+// only on the join itself. The join is commutative, associative and
+// idempotent, so any interleaving of concurrent ingests converges to the
+// state a sequential FleetState fold of the same frames reaches —
+// tests/test_collector.cpp checks this with 64 simulated clients on 8
+// threads.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "monitor/snapshot_merge.hpp"
 #include "repair/plan.hpp"
@@ -43,23 +37,13 @@
 
 namespace pred {
 
-struct CollectorConfig {
-  /// Ingest shards. 0 picks the hardware concurrency, clamped to [1, 64].
-  std::size_t shards = 0;
-  /// Hot lines retained in the rollup.
-  std::size_t top_k = 16;
-};
-
 class Collector {
  public:
-  explicit Collector(CollectorConfig config = {});
-  ~Collector();
+  /// `top_k`: hot lines retained in the rollup.
+  explicit Collector(std::size_t top_k = 16) : top_k_(top_k) {}
 
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
-
-  std::size_t num_shards() const { return shards_.size(); }
-  const CollectorConfig& config() const { return config_; }
 
   /// Ingests one complete wire frame (header + payload), as produced by
   /// Session::publish() / hello_frame() / goodbye_frame(). Returns false
@@ -71,19 +55,18 @@ class Collector {
   /// transport read loops use this to avoid re-parsing).
   bool ingest_frame(const wire::Frame& frame);
 
-  /// Ingests an already-decoded snapshot (the loopback fast path and the
-  /// oracle tests use this).
+  /// Ingests an already-decoded snapshot (the oracle tests and
+  /// microbench_collector's rollup phase use this).
   void ingest(std::uint64_t client_uid, std::uint64_t client_pid,
               const MonitorSnapshot& snap);
 
-  /// Folds every shard into the fleet rollup. Safe concurrently with
-  /// ingest (shards lock one at a time; the result is some join-order of
-  /// frames ingested so far, which the algebra makes well-defined).
+  /// The fleet rollup of every frame ingested so far. Safe concurrently
+  /// with ingest.
   FleetRollup rollup() const;
   std::string rollup_text() const { return format_rollup(rollup()); }
 
-  /// The collector's state as a sequential FleetState (shard fold) — lets
-  /// tests compare against an oracle with operator==.
+  /// A copy of the fleet state — lets tests compare against an oracle fold
+  /// with operator==.
   FleetState state() const;
 
   /// Union of every plan ingested so far (kRepairPlan frames), merged per
@@ -102,20 +85,11 @@ class Collector {
   Stats stats() const;
 
  private:
-  struct Shard;
+  const std::size_t top_k_;
 
-  std::size_t shard_of_uid(std::uint64_t uid) const;
-  std::size_t shard_of_line(Address line) const;
-  std::size_t shard_of_site(const std::string& key) const;
-
-  CollectorConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Plans are low-rate control-plane data: one mutex, no sharding.
-  mutable std::mutex plan_mu_;
+  mutable std::mutex mu_;  ///< guards everything below
+  FleetState state_;
   repair::RepairPlan merged_plan_;
-
-  mutable std::mutex stats_mu_;
   Stats stats_;
 };
 

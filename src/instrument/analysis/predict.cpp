@@ -1,10 +1,10 @@
 #include "instrument/analysis/predict.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <utility>
 
+#include "common/format.hpp"
 #include "instrument/analysis/callgraph.hpp"
 #include "instrument/analysis/cfg.hpp"
 #include "instrument/analysis/constants.hpp"
@@ -620,34 +620,30 @@ std::vector<RoleSpec> default_roles(const Module& module) {
 
 std::string format_static_report(const StaticFsReport& report) {
   std::string out;
-  char buf[256];
-  auto emit = [&](const char* fmt, auto... args) {
-    std::snprintf(buf, sizeof(buf), fmt, args...);
-    out += buf;
-  };
-
   std::uint64_t conflicts = 0;
   for (const PredictedLine& l : report.lines) {
     if (!l.latent) ++conflicts;
   }
-  emit("static prediction: %zu role(s), %zu region(s), %llu conflict "
-       "line(s), %llu latent\n",
-       report.footprints.size(), report.region_extent.size(),
-       static_cast<unsigned long long>(conflicts),
-       static_cast<unsigned long long>(report.lines.size() - conflicts));
+  append_fmt(out,
+             "static prediction: %zu role(s), %zu region(s), %llu conflict "
+             "line(s), %llu latent\n",
+             report.footprints.size(), report.region_extent.size(),
+             static_cast<unsigned long long>(conflicts),
+             static_cast<unsigned long long>(report.lines.size() - conflicts));
   for (const RoleFootprint& fp : report.footprints) {
-    emit("  role %u -> %s (region %u): %zu interval(s), weight %llu, "
-         "opaque %llu, confined %llu, segments %llu\n",
-         fp.role, fp.function.c_str(), fp.region, fp.intervals.size(),
-         static_cast<unsigned long long>(fp.resolved_weight),
-         static_cast<unsigned long long>(fp.opaque_sites),
-         static_cast<unsigned long long>(fp.confined_skipped),
-         static_cast<unsigned long long>(fp.segments));
+    append_fmt(out,
+               "  role %u -> %s (region %u): %zu interval(s), weight %llu, "
+               "opaque %llu, confined %llu, segments %llu\n",
+               fp.role, fp.function.c_str(), fp.region, fp.intervals.size(),
+               static_cast<unsigned long long>(fp.resolved_weight),
+               static_cast<unsigned long long>(fp.opaque_sites),
+               static_cast<unsigned long long>(fp.confined_skipped),
+               static_cast<unsigned long long>(fp.segments));
   }
   for (std::size_t g = 0; g < report.region_extent.size(); ++g) {
-    emit("  region %zu: extent %llu B, slot stride %llu B\n", g,
-         static_cast<unsigned long long>(report.region_extent[g]),
-         static_cast<unsigned long long>(report.region_slot_stride[g]));
+    append_fmt(out, "  region %zu: extent %llu B, slot stride %llu B\n", g,
+               static_cast<unsigned long long>(report.region_extent[g]),
+               static_cast<unsigned long long>(report.region_slot_stride[g]));
   }
   if (report.lines.empty()) {
     out += "  no conflicts predicted\n";
@@ -658,16 +654,19 @@ std::string format_static_report(const StaticFsReport& report) {
                        : l.false_sharing                 ? "false sharing"
                        : l.true_sharing                  ? "true sharing"
                                                          : "contention";
-    emit("  region %u line %lld @%uB: score %.0f [%s%s] ww %llu wr %llu\n",
-         l.region, static_cast<long long>(l.line_index), l.line_size, l.score,
-         kind, l.latent ? ", latent" : "",
-         static_cast<unsigned long long>(l.ww_weight),
-         static_cast<unsigned long long>(l.wr_weight));
+    append_fmt(out,
+               "  region %u line %lld @%uB: score %.0f [%s%s] ww %llu wr "
+               "%llu\n",
+               l.region, static_cast<long long>(l.line_index), l.line_size,
+               l.score, kind, l.latent ? ", latent" : "",
+               static_cast<unsigned long long>(l.ww_weight),
+               static_cast<unsigned long long>(l.wr_weight));
     for (const RoleSpan& s : l.spans) {
-      emit("    role %u bytes [%u,%u) writes %llu reads %llu%s\n", s.role,
-           s.lo, s.hi, static_cast<unsigned long long>(s.write_weight),
-           static_cast<unsigned long long>(s.read_weight),
-           s.handed_off_only ? " (handed off)" : "");
+      append_fmt(out, "    role %u bytes [%u,%u) writes %llu reads %llu%s\n",
+                 s.role, s.lo, s.hi,
+                 static_cast<unsigned long long>(s.write_weight),
+                 static_cast<unsigned long long>(s.read_weight),
+                 s.handed_off_only ? " (handed off)" : "");
     }
   }
   return out;

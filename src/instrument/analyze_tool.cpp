@@ -1,11 +1,9 @@
 #include "instrument/analyze_tool.hpp"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/format.hpp"
 #include "instrument/analysis/callgraph.hpp"
 #include "instrument/analysis/cfg.hpp"
 #include "instrument/analysis/constants.hpp"
@@ -19,15 +17,6 @@
 
 namespace pred::ir {
 namespace {
-
-void append_fmt(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  *out += buf;
-}
 
 /// Everything the report needs, computed once and shared by the text and
 /// JSON emitters so the two can never drift.
@@ -43,7 +32,7 @@ struct AnalyzeData {
 void emit_text(const AnalyzeOptions& opt, const AnalyzeData& d,
                std::string* out) {
   const Module& module = *d.module;
-  append_fmt(out, "%s: %zu function(s)\n", opt.path.c_str(),
+  append_fmt(*out, "%s: %zu function(s)\n", opt.path.c_str(),
              module.functions.size());
   for (const Function& fn : module.functions) {
     const Cfg cfg(fn);
@@ -54,14 +43,14 @@ void emit_text(const AnalyzeOptions& opt, const AnalyzeData& d,
     for (const auto& l : loops) {
       max_depth = std::max<std::size_t>(max_depth, l.depth);
     }
-    append_fmt(out,
+    append_fmt(*out,
                "\nfunc %s: %zu blocks (%zu reachable), dom tree height %zu, "
                "%zu loop(s) (max depth %zu), %zu constant fact(s)\n",
                fn.name.c_str(), cfg.num_blocks(), cfg.num_reachable(),
                static_cast<std::size_t>(dom.tree_height()), loops.size(),
                max_depth, static_cast<std::size_t>(consts.facts));
     for (const auto& l : loops) {
-      append_fmt(out,
+      append_fmt(*out,
                  "  loop @ bb%u: %zu block(s), depth %u, %zu latch(es), %s\n",
                  l.header, l.blocks.size(), l.depth, l.latches.size(),
                  l.preheader == NaturalLoop::kNone
@@ -75,58 +64,58 @@ void emit_text(const AnalyzeOptions& opt, const AnalyzeData& d,
   for (std::uint32_t fi = 0; fi < cg.num_functions(); ++fi) {
     if (cg.in_cycle(fi)) ++recursive;
   }
-  append_fmt(out,
+  append_fmt(*out,
              "\ncall graph: %llu call site(s), %zu SCC(s), %zu recursive "
              "function(s)\n",
              static_cast<unsigned long long>(cg.num_call_sites()),
              cg.num_sccs(), recursive);
   for (std::uint32_t fi = 0; fi < cg.num_functions(); ++fi) {
     if (cg.callees(fi).empty()) continue;
-    append_fmt(out, "  %s ->", module.functions[fi].name.c_str());
+    append_fmt(*out, "  %s ->", module.functions[fi].name.c_str());
     for (const std::uint32_t c : cg.callees(fi)) {
-      append_fmt(out, " %s", module.functions[c].name.c_str());
+      append_fmt(*out, " %s", module.functions[c].name.c_str());
     }
-    append_fmt(out, "%s\n", cg.in_cycle(fi) ? "  [cycle]" : "");
+    append_fmt(*out, "%s\n", cg.in_cycle(fi) ? "  [cycle]" : "");
   }
 
-  append_fmt(out, "\ncallee access summaries:\n");
+  append_fmt(*out, "\ncallee access summaries:\n");
   for (std::size_t fi = 0; fi < module.functions.size(); ++fi) {
     const AccessSummary& s = d.summaries.per_function[fi];
     if (s.exact) {
-      append_fmt(out,
+      append_fmt(*out,
                  "  %-16s exact: %zu entr%s, %llu access(es)/invocation%s\n",
                  module.functions[fi].name.c_str(), s.entries.size(),
                  s.entries.size() == 1 ? "y" : "ies",
                  static_cast<unsigned long long>(s.total_accesses()),
                  s.syncs ? ", syncs" : "");
     } else {
-      append_fmt(out, "  %-16s unsummarizable (T)\n",
+      append_fmt(*out, "  %-16s unsummarizable (T)\n",
                  module.functions[fi].name.c_str());
     }
   }
 
-  append_fmt(out, "\ninstrumentation ledger (baseline -> pruned):\n");
-  append_fmt(out, "  candidate accesses   %8llu\n",
+  append_fmt(*out, "\ninstrumentation ledger (baseline -> pruned):\n");
+  append_fmt(*out, "  candidate accesses   %8llu\n",
              static_cast<unsigned long long>(d.s0.candidate_accesses));
-  append_fmt(out, "  intrinsic sites      %8llu\n",
+  append_fmt(*out, "  intrinsic sites      %8llu\n",
              static_cast<unsigned long long>(d.s0.intrinsic_accesses));
-  append_fmt(out, "  instrumented         %8llu -> %llu\n",
+  append_fmt(*out, "  instrumented         %8llu -> %llu\n",
              static_cast<unsigned long long>(d.s0.instrumented_accesses),
              static_cast<unsigned long long>(d.s1.instrumented_accesses));
-  append_fmt(out, "  per-block duplicates %8llu\n",
+  append_fmt(*out, "  per-block duplicates %8llu\n",
              static_cast<unsigned long long>(d.s0.skipped_duplicates));
-  append_fmt(out, "  loop batched         %8llu (reports inserted %llu)\n",
+  append_fmt(*out, "  loop batched         %8llu (reports inserted %llu)\n",
              static_cast<unsigned long long>(d.s1.loop_batched),
              static_cast<unsigned long long>(d.s1.reports_inserted));
-  append_fmt(out, "  chain merged         %8llu\n",
+  append_fmt(*out, "  chain merged         %8llu\n",
              static_cast<unsigned long long>(d.s1.dominance_merged));
-  append_fmt(out, "  calls batched        %8llu (bare clones %llu)\n",
+  append_fmt(*out, "  calls batched        %8llu (bare clones %llu)\n",
              static_cast<unsigned long long>(d.s1.call_batched),
              static_cast<unsigned long long>(d.s1.bare_clones));
-  append_fmt(out, "  sync scoped          %8llu\n",
+  append_fmt(*out, "  sync scoped          %8llu\n",
              static_cast<unsigned long long>(d.s1.sync_scoped_skipped));
   if (d.s0.instrumented_accesses > 0) {
-    append_fmt(out, "  static site reduction %.1f%%\n",
+    append_fmt(*out, "  static site reduction %.1f%%\n",
                100.0 *
                    static_cast<double>(d.s0.instrumented_accesses -
                                        d.s1.instrumented_accesses) /
@@ -317,40 +306,35 @@ void emit_json(const AnalyzeOptions& opt, const AnalyzeData& d,
   *out += '\n';
 }
 
+const Flag<AnalyzeOptions> kAnalyzeFlags[] = {
+    {"--json", nullptr, 1, "emit the report as one JSON document",
+     [](AnalyzeOptions& o, const char*) { o.json = true; return true; }},
+    {"--predict", nullptr, 1,
+     "also run the static false-sharing predictor (thread roles = "
+     "call-graph roots)",
+     [](AnalyzeOptions& o, const char*) { o.predict = true; return true; }},
+    {"--line-size", "N", 1,
+     "cache-line size for --predict, a power of two (default 64; latent "
+     "conflicts reported at 2N)",
+     [](AnalyzeOptions& o, const char* s) {
+       std::size_t v = 0;
+       if (!parse_uint(s, &v, 1) || (v & (v - 1)) != 0) return false;
+       o.line_size = v;
+       return true;
+     }},
+};
+
 }  // namespace
+
+std::span<const Flag<AnalyzeOptions>> analyze_flags() { return kAnalyzeFlags; }
 
 bool parse_analyze_args(const std::vector<std::string>& args,
                         AnalyzeOptions* opt, std::string* err) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--json") {
-      opt->json = true;
-    } else if (a == "--predict") {
-      opt->predict = true;
-    } else if (a == "--line-size") {
-      if (i + 1 >= args.size()) {
-        *err = "analyze: --line-size needs a value";
-        return false;
-      }
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(args[++i].c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || v == 0 || (v & (v - 1)) != 0) {
-        *err = "analyze: --line-size needs a power-of-two byte count";
-        return false;
-      }
-      opt->line_size = static_cast<std::size_t>(v);
-    } else if (!a.empty() && a[0] == '-') {
-      *err = "analyze: unknown argument '" + a + "'";
-      return false;
-    } else if (opt->path.empty()) {
-      opt->path = a;
-    } else {
-      *err = "analyze: unexpected extra argument '" + a + "'";
-      return false;
-    }
+  if (!parse_flags(args, kAnalyzeFlags, 1, *opt, &opt->path, err)) {
+    return false;
   }
   if (opt->path.empty()) {
-    *err = "analyze: missing <module.pir> path";
+    *err = "missing <module.pir> path";
     return false;
   }
   return true;

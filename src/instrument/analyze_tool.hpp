@@ -5,8 +5,11 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "common/flags.hpp"
 
 namespace pred::ir {
 
@@ -17,9 +20,13 @@ struct AnalyzeOptions {
   std::size_t line_size = 64;  ///< base geometry for --predict
 };
 
-/// Parses everything AFTER the `analyze` subcommand word. Unknown flags, a
-/// missing path, a duplicate path, or a malformed --line-size fail with a
-/// one-line diagnostic in *err (the caller prints usage). Accepted:
+/// The analyze flags (for `predator-cli analyze --help`).
+std::span<const Flag<AnalyzeOptions>> analyze_flags();
+
+/// Parses everything AFTER the `analyze` subcommand word with the shared
+/// flag parser (common/flags.hpp). Unknown flags, a missing path, a
+/// duplicate path, or a malformed --line-size fail with a one-line
+/// diagnostic in *err. Accepted:
 ///   <module.pir> [--json] [--predict] [--line-size N]
 bool parse_analyze_args(const std::vector<std::string>& args,
                         AnalyzeOptions* opt, std::string* err);

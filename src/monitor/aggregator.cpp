@@ -8,9 +8,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 
+#include "common/format.hpp"
 #include "runtime/runtime.hpp"
 
 namespace pred {
@@ -271,22 +270,6 @@ MonitorSnapshot Monitor::snapshot() {
   drain_all_locked();
   return build_snapshot_locked();
 }
-
-namespace {
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
-
-}  // namespace
 
 std::string format_snapshot(const MonitorSnapshot& snap) {
   std::string out;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <unordered_map>
+
+#include "common/format.hpp"
 
 namespace pred {
 
@@ -58,8 +58,8 @@ int compare_vectors(const std::vector<T>& a, const std::vector<T>& b,
   return 0;
 }
 
-}  // namespace
-
+/// Deterministic total order over snapshots: sequence, then every scalar,
+/// then the entry vectors lexicographically. Returns <0, 0, >0.
 int compare_snapshots(const MonitorSnapshot& a, const MonitorSnapshot& b) {
   if (int c = cmp(a.sequence, b.sequence)) return c;
   if (int c = cmp(a.events_seen, b.events_seen)) return c;
@@ -80,16 +80,9 @@ int compare_snapshots(const MonitorSnapshot& a, const MonitorSnapshot& b) {
   return compare_vectors(a.rings, b.rings, compare_ring_entries);
 }
 
-int compare_line_recs(const LineRec& a, const LineRec& b) {
-  if (int c = cmp(a.sequence, b.sequence)) return c;
-  return compare_line_entries(a.entry, b.entry);
-}
-
-int compare_site_recs(const SiteRec& a, const SiteRec& b) {
-  if (int c = cmp(a.sequence, b.sequence)) return c;
-  return compare_site_entries(a.entry, b.entry);
-}
-
+/// Stable per-client key of a callsite rollup entry ("c:<id>" for interned
+/// callsites, "g:<label>" for globals) — id spaces are per-process, so the
+/// key is only ever compared within one client.
 std::string site_key(const MonitorSnapshot::CallsiteEntry& ce) {
   if (ce.callsite != kNoCallsite) {
     return "c:" + std::to_string(ce.callsite);
@@ -97,105 +90,65 @@ std::string site_key(const MonitorSnapshot::CallsiteEntry& ce) {
   return "g:" + ce.label;
 }
 
-SnapshotRecords decompose(std::uint64_t client_uid, std::uint64_t client_pid,
-                          const MonitorSnapshot& snap) {
-  SnapshotRecords rec;
-  rec.client_uid = client_uid;
-  rec.client.pid = client_pid;
-  rec.client.latest = snap;
-  rec.lines.reserve(snap.top_lines.size());
-  for (const auto& le : snap.top_lines) {
-    rec.lines.emplace_back(le.line_start, LineRec{snap.sequence, le});
-  }
-  rec.sites.reserve(snap.callsites.size());
-  for (const auto& ce : snap.callsites) {
-    rec.sites.emplace_back(site_key(ce), SiteRec{snap.sequence, ce});
-  }
-  return rec;
+int compare_recs(const ClientRec& a, const ClientRec& b) {
+  if (int c = compare_snapshots(a.latest, b.latest)) return c;
+  return cmp(a.pid, b.pid);
 }
+int compare_recs(const LineRec& a, const LineRec& b) {
+  if (int c = cmp(a.sequence, b.sequence)) return c;
+  return compare_line_entries(a.entry, b.entry);
+}
+int compare_recs(const SiteRec& a, const SiteRec& b) {
+  if (int c = cmp(a.sequence, b.sequence)) return c;
+  return compare_site_entries(a.entry, b.entry);
+}
+
+/// The join on one key: the record that sorts last under its total order
+/// wins, so the result is independent of arrival order and repetition.
+template <typename Map, typename Rec>
+void join(Map& map, const typename Map::key_type& key, const Rec& rec) {
+  auto [it, inserted] = map.try_emplace(key, rec);
+  if (!inserted && compare_recs(rec, it->second) > 0) it->second = rec;
+}
+
+template <typename Map>
+bool same_recs(const Map& a, const Map& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             compare_recs(x.second, y.second) == 0;
+                    });
+}
+
+}  // namespace
 
 void FleetState::absorb(std::uint64_t client_uid, std::uint64_t client_pid,
                         const MonitorSnapshot& snap) {
-  absorb(decompose(client_uid, client_pid, snap));
-}
-
-void FleetState::absorb(const SnapshotRecords& records) {
-  auto [it, inserted] = clients_.try_emplace(records.client_uid,
-                                             records.client);
-  if (!inserted &&
-      compare_snapshots(records.client.latest, it->second.latest) > 0) {
-    it->second = records.client;
+  join(clients_, client_uid, ClientRec{client_pid, snap});
+  for (const auto& le : snap.top_lines) {
+    join(lines_, {client_uid, le.line_start}, LineRec{snap.sequence, le});
   }
-  for (const auto& [line, rec] : records.lines) {
-    auto [lit, fresh] =
-        lines_.try_emplace({records.client_uid, line}, rec);
-    if (!fresh && compare_line_recs(rec, lit->second) > 0) lit->second = rec;
-  }
-  for (const auto& [key, rec] : records.sites) {
-    auto [sit, fresh] = sites_.try_emplace({records.client_uid, key}, rec);
-    if (!fresh && compare_site_recs(rec, sit->second) > 0) sit->second = rec;
+  for (const auto& ce : snap.callsites) {
+    join(sites_, {client_uid, site_key(ce)}, SiteRec{snap.sequence, ce});
   }
 }
 
 void FleetState::merge(const FleetState& other) {
-  for (const auto& [uid, rec] : other.clients_) {
-    auto [it, inserted] = clients_.try_emplace(uid, rec);
-    if (!inserted && compare_snapshots(rec.latest, it->second.latest) > 0) {
-      it->second = rec;
-    }
-  }
-  for (const auto& [key, rec] : other.lines_) {
-    auto [it, inserted] = lines_.try_emplace(key, rec);
-    if (!inserted && compare_line_recs(rec, it->second) > 0) it->second = rec;
-  }
-  for (const auto& [key, rec] : other.sites_) {
-    auto [it, inserted] = sites_.try_emplace(key, rec);
-    if (!inserted && compare_site_recs(rec, it->second) > 0) it->second = rec;
-  }
+  for (const auto& [uid, rec] : other.clients_) join(clients_, uid, rec);
+  for (const auto& [key, rec] : other.lines_) join(lines_, key, rec);
+  for (const auto& [key, rec] : other.sites_) join(sites_, key, rec);
 }
 
 bool FleetState::operator==(const FleetState& other) const {
-  if (clients_.size() != other.clients_.size() ||
-      lines_.size() != other.lines_.size() ||
-      sites_.size() != other.sites_.size()) {
-    return false;
-  }
-  for (auto it = clients_.begin(), jt = other.clients_.begin();
-       it != clients_.end(); ++it, ++jt) {
-    if (it->first != jt->first || it->second.pid != jt->second.pid ||
-        compare_snapshots(it->second.latest, jt->second.latest) != 0) {
-      return false;
-    }
-  }
-  for (auto it = lines_.begin(), jt = other.lines_.begin();
-       it != lines_.end(); ++it, ++jt) {
-    if (it->first != jt->first ||
-        compare_line_recs(it->second, jt->second) != 0) {
-      return false;
-    }
-  }
-  for (auto it = sites_.begin(), jt = other.sites_.begin();
-       it != sites_.end(); ++it, ++jt) {
-    if (it->first != jt->first ||
-        compare_site_recs(it->second, jt->second) != 0) {
-      return false;
-    }
-  }
-  return true;
+  return same_recs(clients_, other.clients_) &&
+         same_recs(lines_, other.lines_) && same_recs(sites_, other.sites_);
 }
 
 FleetRollup FleetState::rollup(std::size_t top_k) const {
-  return build_rollup(clients_, lines_, sites_, top_k);
-}
-
-FleetRollup build_rollup(
-    const std::map<std::uint64_t, ClientRec>& clients,
-    const std::map<std::pair<std::uint64_t, Address>, LineRec>& lines,
-    const std::map<std::pair<std::uint64_t, std::string>, SiteRec>& sites,
-    std::size_t top_k) {
   FleetRollup out;
-  out.clients = clients.size();
-  for (const auto& [uid, rec] : clients) {
+  out.clients = clients_.size();
+  for (const auto& [uid, rec] : clients_) {
     (void)uid;
     out.events_seen += rec.latest.events_seen;
     out.events_dropped += rec.latest.events_dropped;
@@ -211,14 +164,14 @@ FleetRollup build_rollup(
   out.invalidations_upper = out.invalidations + out.events_dropped;
   out.samples_upper = out.samples + out.events_dropped;
 
-  out.top_lines.reserve(lines.size());
-  for (const auto& [key, rec] : lines) {
+  out.top_lines.reserve(lines_.size());
+  for (const auto& [key, rec] : lines_) {
     FleetRollup::Line l;
     l.client_uid = key.first;
-    const auto cit = clients.find(key.first);
-    l.client_pid = cit != clients.end() ? cit->second.pid : 0;
+    const auto cit = clients_.find(key.first);
+    l.client_pid = cit != clients_.end() ? cit->second.pid : 0;
     const std::uint64_t client_dropped =
-        cit != clients.end() ? cit->second.latest.events_dropped : 0;
+        cit != clients_.end() ? cit->second.latest.events_dropped : 0;
     l.line_start = rec.entry.line_start;
     l.invalidations = rec.entry.invalidations;
     l.invalidations_upper = rec.entry.invalidations + client_dropped;
@@ -248,7 +201,7 @@ FleetRollup build_rollup(
   // survives process boundaries. Unlabeled entries pool under "(unnamed)".
   std::unordered_map<std::string, FleetRollup::Site> by_label;
   std::unordered_map<std::string, std::uint64_t> last_client;
-  for (const auto& [key, rec] : sites) {
+  for (const auto& [key, rec] : sites_) {
     const std::string label =
         rec.entry.label.empty() ? "(unnamed)" : rec.entry.label;
     FleetRollup::Site& site = by_label[label];
@@ -278,22 +231,6 @@ FleetRollup build_rollup(
             });
   return out;
 }
-
-namespace {
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
-
-}  // namespace
 
 std::string format_rollup(const FleetRollup& r) {
   std::string out;

@@ -13,10 +13,10 @@
 // joined pointwise under a deterministic total order (sequence first, then
 // full content as the tie-break). Join is commutative, associative, and
 // idempotent — re-delivered frames, reordered transports, and arbitrary
-// merge trees all converge to the same state, which is what lets the
-// sharded collector (src/collect/) ingest in parallel and still match a
-// sequential oracle fold bit-for-bit. tests/test_collector.cpp proves the
-// algebra laws over randomized snapshot sets.
+// merge trees all converge to the same state, so the collector
+// (src/collect/) may ingest frames in whatever order they arrive.
+// tests/test_collector.cpp proves the algebra laws over randomized
+// snapshot sets.
 //
 // Drop reconciliation: rings shed events visibly (`events_dropped`), and a
 // shed event could have been an invalidation or sample anywhere, so the
@@ -42,12 +42,8 @@
 namespace pred {
 
 // ---------------------------------------------------------------------------
-// Records and their total orders
+// Records
 // ---------------------------------------------------------------------------
-
-/// Deterministic total order over snapshots: sequence, then every scalar,
-/// then the entry vectors lexicographically. Returns <0, 0, >0.
-int compare_snapshots(const MonitorSnapshot& a, const MonitorSnapshot& b);
 
 /// One client's newest whole-snapshot scalars (top_lines/callsites kept for
 /// rollup label resolution; the per-key maps below are authoritative for
@@ -67,30 +63,8 @@ struct SiteRec {
   MonitorSnapshot::CallsiteEntry entry;
 };
 
-int compare_line_recs(const LineRec& a, const LineRec& b);
-int compare_site_recs(const SiteRec& a, const SiteRec& b);
-
-/// Stable per-client key of a callsite rollup entry ("c:<id>" for interned
-/// callsites, "g:<label>" for globals) — id spaces are per-process, so the
-/// key is only ever compared within one client.
-std::string site_key(const MonitorSnapshot::CallsiteEntry& ce);
-
-/// A snapshot decomposed into the records the join operates on. The
-/// sharded collector routes `lines`/`sites` to shards by key hash; the
-/// sequential oracle absorbs them directly — both through the exact same
-/// join rules, which is the agreement argument.
-struct SnapshotRecords {
-  std::uint64_t client_uid = 0;
-  ClientRec client;
-  std::vector<std::pair<Address, LineRec>> lines;
-  std::vector<std::pair<std::string, SiteRec>> sites;
-};
-
-SnapshotRecords decompose(std::uint64_t client_uid, std::uint64_t client_pid,
-                          const MonitorSnapshot& snap);
-
 // ---------------------------------------------------------------------------
-// Fleet state (the sequential / oracle implementation of the join)
+// Fleet state
 // ---------------------------------------------------------------------------
 
 /// The fleet-wide rollup served to operators: exact counts plus
@@ -142,40 +116,27 @@ struct FleetRollup {
 
 std::string format_rollup(const FleetRollup& rollup);
 
-/// Sequential fleet state: the reference implementation of the join. The
-/// collector's sharded state must agree with this exactly for any
-/// interleaving of the same frames.
+/// The fleet state: the three newest-wins maps described at the top of
+/// this file. Not thread-safe; the Collector guards its one instance with
+/// a mutex.
 class FleetState {
  public:
   /// Joins one snapshot into the state.
   void absorb(std::uint64_t client_uid, std::uint64_t client_pid,
               const MonitorSnapshot& snap);
-  void absorb(const SnapshotRecords& records);
 
   /// Joins another fleet state (e.g. a sub-collector's) into this one.
   void merge(const FleetState& other);
 
   FleetRollup rollup(std::size_t top_k) const;
 
-  std::size_t num_clients() const { return clients_.size(); }
-
-  /// Structural equality (used by the algebra-law and shard-consistency
-  /// tests).
+  /// Structural equality (used by the algebra-law and collector tests).
   bool operator==(const FleetState& other) const;
 
  private:
-  friend class Collector;
   std::map<std::uint64_t, ClientRec> clients_;
   std::map<std::pair<std::uint64_t, Address>, LineRec> lines_;
   std::map<std::pair<std::uint64_t, std::string>, SiteRec> sites_;
 };
-
-/// Fold lines/sites/clients maps into a rollup — shared by FleetState and
-/// the sharded Collector (which passes its shards' map fragments).
-FleetRollup build_rollup(
-    const std::map<std::uint64_t, ClientRec>& clients,
-    const std::map<std::pair<std::uint64_t, Address>, LineRec>& lines,
-    const std::map<std::pair<std::uint64_t, std::string>, SiteRec>& sites,
-    std::size_t top_k);
 
 }  // namespace pred

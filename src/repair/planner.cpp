@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
+
+#include "common/format.hpp"
 
 namespace pred::repair {
 
@@ -41,18 +41,6 @@ std::vector<OffsetEvidence> gather_evidence(const ObjectFinding& f,
             });
   if (ev.size() > options.max_evidence) ev.resize(options.max_evidence);
   return ev;
-}
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
 }
 
 }  // namespace

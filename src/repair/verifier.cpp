@@ -2,11 +2,11 @@
 
 #include <chrono>
 #include <cinttypes>
-#include <cstdio>
 #include <memory>
 #include <utility>
 
 #include "advice/fix_advisor.hpp"
+#include "common/format.hpp"
 #include "repair/planner.hpp"
 #include "sim/executor.hpp"
 #include "workloads/workload.hpp"
@@ -188,29 +188,25 @@ RepairOutcome run_static_repair_loop(const RepairTarget& target,
 
 std::string format_outcome(const RepairOutcome& outcome,
                            double drop_threshold) {
-  char buf[512];
   std::string text;
-  std::snprintf(buf, sizeof buf,
-                "sites planned:            %zu\n"
-                "baseline invalidations:   %" PRIu64 "\n"
-                "repaired invalidations:   %" PRIu64 "\n"
-                "invalidation drop:        %.1f%% (need >= %.1f%%)\n"
-                "surviving site findings:  %zu\n"
-                "checksums:                %" PRIu64 " -> %" PRIu64 " (%s)\n"
-                "phases (ms):              detect %.2f, plan %.2f, "
-                "apply %.2f, verify %.2f\n",
-                outcome.plan.entries.size(), outcome.baseline_invalidations,
-                outcome.repaired_invalidations, 100.0 * outcome.drop_pct(),
-                100.0 * drop_threshold, outcome.repaired_site_findings,
-                outcome.baseline_checksum, outcome.repaired_checksum,
-                outcome.checksums_match() ? "identical" : "DIVERGED",
-                outcome.detect_ms, outcome.plan_ms, outcome.apply_ms,
-                outcome.verify_ms);
-  text += buf;
-  std::snprintf(buf, sizeof buf, "verdict: %s\n",
-                outcome.repaired(drop_threshold) ? "REPAIRED"
-                                                 : "NOT REPAIRED");
-  text += buf;
+  append_fmt(text,
+             "sites planned:            %zu\n"
+             "baseline invalidations:   %" PRIu64 "\n"
+             "repaired invalidations:   %" PRIu64 "\n"
+             "invalidation drop:        %.1f%% (need >= %.1f%%)\n"
+             "surviving site findings:  %zu\n"
+             "checksums:                %" PRIu64 " -> %" PRIu64 " (%s)\n"
+             "phases (ms):              detect %.2f, plan %.2f, "
+             "apply %.2f, verify %.2f\n"
+             "verdict: %s\n",
+             outcome.plan.entries.size(), outcome.baseline_invalidations,
+             outcome.repaired_invalidations, 100.0 * outcome.drop_pct(),
+             100.0 * drop_threshold, outcome.repaired_site_findings,
+             outcome.baseline_checksum, outcome.repaired_checksum,
+             outcome.checksums_match() ? "identical" : "DIVERGED",
+             outcome.detect_ms, outcome.plan_ms, outcome.apply_ms,
+             outcome.verify_ms,
+             outcome.repaired(drop_threshold) ? "REPAIRED" : "NOT REPAIRED");
   return text;
 }
 

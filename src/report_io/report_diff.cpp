@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <map>
 
+#include "common/format.hpp"
+
 namespace pred {
 
 const char* to_string(DiffStatus status) {
@@ -137,21 +139,16 @@ std::string format_diff(const ReportDiff& diff) {
     return "No false sharing findings on either side.\n";
   }
   std::string out;
-  char buf[512];
   for (const FindingDiff& e : diff.entries) {
-    std::snprintf(buf, sizeof(buf),
-                  "[%-9s] %-60s  impact %" PRIu64 " -> %" PRIu64 "%s\n",
-                  to_string(e.status), e.identity.c_str(), e.impact_before,
-                  e.impact_after,
-                  e.was_observed && !e.now_observed && e.impact_after > 0
-                      ? "  (now latent only)"
-                      : "");
-    out += buf;
+    append_fmt(out, "[%-9s] %-60s  impact %" PRIu64 " -> %" PRIu64 "%s\n",
+               to_string(e.status), e.identity.c_str(), e.impact_before,
+               e.impact_after,
+               e.was_observed && !e.now_observed && e.impact_after > 0
+                   ? "  (now latent only)"
+                   : "");
   }
-  std::snprintf(buf, sizeof(buf),
-                "summary: %zu fixed, %zu new, %zu regressed\n", diff.fixed,
-                diff.fresh, diff.regressed);
-  out += buf;
+  append_fmt(out, "summary: %zu fixed, %zu new, %zu regressed\n", diff.fixed,
+             diff.fresh, diff.regressed);
   return out;
 }
 

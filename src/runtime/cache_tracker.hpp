@@ -150,37 +150,28 @@ class alignas(kCacheLineSize) CacheTracker {
   };
 
   /// Records one access that already passed the runtime's fast path.
-  AccessOutcome handle_access(Address addr, AccessType type, ThreadId tid,
-                              std::uint64_t sample_window,
-                              std::uint64_t sample_interval) {
-    if (!armed_.load(std::memory_order_acquire)) [[unlikely]] {
-      // The line is still being escalated: count, but keep the sampling
-      // phase untouched (the pre-PR3 behavior burned window positions on
-      // accesses that arrived mid-escalation).
-      unarmed_accesses_.fetch_add(1, std::memory_order_relaxed);
-      return {};
-    }
-    return sample_and_record(addr, type, tid, sample_window, sample_interval);
-  }
-
-  /// Sync-aware variant (RuntimeConfig::sync_suppression): consults the
-  /// packed ownership word first. A fast hit needs three loads and no RMW:
-  /// the ownership word must name (tid, tid's current epoch) — i.e. this
-  /// thread claimed the line and has not synchronized since — and the
-  /// history automaton must be exactly {tid, W}, the state in which any
-  /// further access by tid is a provable no-op. The epoch/ownership word is
-  /// the *policy* gate (threads that never sync have epoch 0 and never
-  /// match, so sync-free workloads keep bit-identical PR 3 sampling
-  /// fidelity; a sync event rotates the epoch and forces one full-path
-  /// access per line to refresh sampling); the history confirmation is the
-  /// *soundness* gate (invalidation counts stay exact under every
-  /// interleaving — see PackedHistoryTable::owned_write_by). Suppressed
-  /// accesses are still counted, in owner-exclusive stripe counters, so
-  /// total_accesses() stays exact.
+  /// Accesses that arrive while the line is still being escalated are
+  /// counted but leave the sampling phase untouched.
+  ///
+  /// `epoch` is the thread's sync epoch under
+  /// RuntimeConfig::sync_suppression, 0 without it. A non-zero epoch
+  /// consults the packed ownership word first. A fast hit needs three
+  /// loads and no RMW: the ownership word must name (tid, tid's current
+  /// epoch) — i.e. this thread claimed the line and has not synchronized
+  /// since — and the history automaton must be exactly {tid, W}, the state
+  /// in which any further access by tid is a provable no-op. The
+  /// epoch/ownership word is the *policy* gate (threads that never sync
+  /// have epoch 0 and never match, so sync-free workloads keep
+  /// bit-identical sampling fidelity; a sync event rotates the epoch and
+  /// forces one full-path access per line to refresh sampling); the history
+  /// confirmation is the *soundness* gate (invalidation counts stay exact
+  /// under every interleaving — see PackedHistoryTable::owned_write_by).
+  /// Suppressed accesses are still counted, in owner-exclusive stripe
+  /// counters, so total_accesses() stays exact.
   AccessOutcome handle_access(Address addr, AccessType type, ThreadId tid,
                               std::uint64_t sample_window,
                               std::uint64_t sample_interval,
-                              std::uint32_t epoch) {
+                              std::uint32_t epoch = 0) {
     if (!armed_.load(std::memory_order_acquire)) [[unlikely]] {
       unarmed_accesses_.fetch_add(1, std::memory_order_relaxed);
       return {};

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
+
+#include "common/format.hpp"
 
 namespace pred {
 
@@ -234,18 +234,6 @@ Report build_report(const Runtime& rt) {
 }
 
 namespace {
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
 
 const char* vl_kind_name(VirtualLineTracker::Kind k) {
   return k == VirtualLineTracker::Kind::kDoubleLine ? "double line size"

@@ -193,12 +193,12 @@ void Runtime::handle_access_one_word(ShadowSpace& region, Address addr,
   // Sync-aware suppression applies only while no virtual line covers this
   // line: prediction verification (Section 3.4) is fed by sampled-access
   // fan-out, which suppressed accesses would starve.
+  const bool suppress =
+      config_.sync_suppression && !track->has_virtual_lines();
   const auto outcome =
-      config_.sync_suppression && !track->has_virtual_lines()
-          ? track->handle_access(addr, type, tid, config_.sample_window,
-                                 config_.sample_interval, thread_epoch(tid))
-          : track->handle_access(addr, type, tid, config_.sample_window,
-                                 config_.sample_interval);
+      track->handle_access(addr, type, tid, config_.sample_window,
+                           config_.sample_interval,
+                           suppress ? thread_epoch(tid) : 0);
   if (outcome.sampled) {
     if (track->has_virtual_lines()) {
       track->update_virtual_lines(addr, type, tid);

@@ -163,6 +163,26 @@ TEST_F(ReportBuildTest, GlobalObjectsReportTheirName) {
   EXPECT_NE(text.find("global_counters"), std::string::npos);
 }
 
+TEST_F(ReportBuildTest, LongGlobalNameIsPrintedWhole) {
+  // Longer than any fixed formatting buffer: the name must survive whole,
+  // keep its newline, and leave the next section on a line of its own.
+  ObjectInfo obj;
+  obj.start = addr(192);
+  obj.size = 64;
+  obj.name = std::string(600, 'g');
+  obj.is_global = true;
+  rt_.objects().add(obj);
+  for (int i = 0; i < 200; ++i) {
+    rt_.handle_access(addr(192), W, 0);
+    rt_.handle_access(addr(200), W, 1);
+  }
+  const std::string text = format_report(build_report(rt_), rt_.callsites());
+  EXPECT_NE(text.find("\nGlobal name: " + obj.name +
+                      "\nWord level information:\n"),
+            std::string::npos)
+      << text;
+}
+
 TEST_F(ReportBuildTest, FindingsAreRankedByInvalidations) {
   // Object A: mild ping-pong. Object B: severe ping-pong.
   for (int i = 0; i < 60; ++i) {

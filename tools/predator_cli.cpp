@@ -1,45 +1,18 @@
 // predator-cli: command-line driver for the PREDATOR library.
 //
-// Runs any registered workload under the detector with configurable
-// thresholds, prediction, sampling, placement, and fixes; prints the report
-// as text or JSON (optionally with fix-advisor prescriptions); can persist
-// and reuse trace files; and can act as a CI gate (nonzero exit when false
-// sharing is found).
+// The default run replays a registered workload under the detector and
+// prints its report (text or JSON, optionally with fix prescriptions, a
+// NUMA topology verdict or a before/after diff), and can act as a CI gate.
+// The other commands: `monitor` (live run with rolling snapshots), `serve`
+// and `fleet` (fleet collector, src/collect/), `repair` (the closed
+// detect -> plan -> apply -> verify loop, src/repair/) and `analyze`
+// (static analysis of a textual IR module).
 //
-// The `monitor` subcommand instead runs the workload live (real threads)
-// with the session's monitor attached and prints rolling snapshot telemetry
-// while it executes, then the final report.
-//
-// The `analyze` subcommand parses a textual IR module and prints, per
-// function, the static-analysis view (CFG, dominators, natural loops,
-// constant facts) plus what the instrumentation pruning passes would do to
-// it: baseline selective instrumentation vs. loop batching + chain merging.
-//
-// The fleet-aggregation subcommands (src/collect/): `serve` runs a
-// collector daemon on a unix socket; `--emit-to` makes any run or monitor
-// invocation stream its snapshots to such a collector; `fleet` is the
-// one-command demo — it forks N workload processes, each publishing over
-// its own socketpair into an in-process collector, and prints the
-// fleet-wide hot-line/callsite rollup with [exact, exact+dropped] bounds.
-//
-// The `repair` subcommand (src/repair/) closes the loop on a planted
-// false-sharing target: detect, compile a RepairPlan, apply it (allocator
-// padding or IR rewrite), re-run, and prove the invalidations dropped while
-// the workload's checksum stayed bit-identical. Exit 0 iff the repair is
-// proven. `--emit-to` runs also stream their compiled plan to the
-// collector, which `serve --emit-plan` persists merged.
-//
-//   predator-cli --list
-//   predator-cli --workload histogram --threads 8 --advise
-//   predator-cli --workload linear_regression --offset 24 --json
-//   predator-cli --workload mysql --no-prediction --fail-on-findings
-//   predator-cli --workload boost --save-trace /tmp/boost.trace
-//   predator-cli monitor histogram --repeat 50 --interval-ms 250
-//   predator-cli analyze examples/ir/hammer.pir
-//   predator-cli serve --socket /tmp/pred.sock --expect 4
-//   predator-cli --workload histogram --emit-to /tmp/pred.sock
-//   predator-cli fleet histogram --clients 16 --json
-//   predator-cli repair counter_pool --plan-out /tmp/pool.plan
+// Each command is a row of kCommands and each flag a row of kFlags that
+// names the commands it applies to. The shared parser (common/flags.hpp)
+// rejects a flag given to any other command, and `predator-cli --help` /
+// `predator-cli COMMAND --help` print the same tables. Worked examples are
+// in docs/usage.md.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -59,6 +32,8 @@
 #include "advice/fix_advisor.hpp"
 #include "collect/collector.hpp"
 #include "collect/transport.hpp"
+#include "common/flags.hpp"
+#include "common/format.hpp"
 #include "instrument/analyze_tool.hpp"
 #include "repair/plan_codec.hpp"
 #include "repair/planner.hpp"
@@ -76,8 +51,21 @@ using namespace pred;
 
 namespace {
 
+using Args = std::vector<std::string>;
+
+// One scope bit per command that parses kFlags.
+enum : unsigned {
+  kRun = 1u << 0,  // the default run
+  kMonitor = 1u << 1,
+  kServe = 1u << 2,
+  kFleet = 1u << 3,
+  kRepair = 1u << 4,
+};
+// The commands that run a workload in a Session configured by the flags.
+constexpr unsigned kSessions = kRun | kMonitor | kFleet;
+
 struct CliOptions {
-  std::string workload;
+  std::string workload;  ///< --workload, or the NAME / TARGET operand
   std::string save_trace;
   std::string plan_file;  ///< repair plan applied to this run's allocator
   wl::Params params;
@@ -86,25 +74,19 @@ struct CliOptions {
   bool json = false;
   bool advise_fixes = false;
   bool fail_on_findings = false;
-  bool no_prediction = false;
   bool diff_fix = false;
   std::size_t replay_quantum = 1;
-  // `monitor` subcommand state.
-  bool monitor_mode = false;
-  std::uint64_t monitor_interval_ms = 200;
-  std::uint64_t monitor_repeat = 1;
+  /// monitor: snapshot print period (0: 200 ms); serve: rolling rollup
+  /// period (0: off).
+  std::uint64_t interval_ms = 0;
+  std::uint64_t monitor_repeat = 1;  ///< monitor runs / fleet snapshots
   // Fleet aggregation (serve / --emit-to / fleet).
   std::string emit_to;  ///< unix socket of a `serve` collector
-  bool serve_mode = false;
   std::string socket_path;
   std::uint64_t serve_expect = 0;  ///< exit after N goodbyes (0: until killed)
-  std::uint64_t serve_interval_ms = 0;  ///< rolling rollup period (0: off)
-  std::uint64_t shards = 0;        ///< collector shards (0: hw concurrency)
-  std::uint64_t top_k = 16;
-  bool fleet_mode = false;
+  std::size_t top_k = 16;
   std::uint64_t fleet_clients = 4;
-  // `repair` subcommand state.
-  bool repair_mode = false;
+  // `repair` state.
   bool repair_static = false;  ///< compile the plan statically (no profiling)
   std::string plan_out;   ///< repair: persist the compiled plan frame file
   std::string emit_plan;  ///< serve: persist the merged fleet plan at exit
@@ -114,278 +96,201 @@ struct CliOptions {
   NumaConfig topology;
 };
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s --workload NAME [options]\n"
-      "       %s monitor NAME [--interval-ms N] [--repeat N] [options]\n"
-      "       %s analyze FILE.pir [--json] [--predict] [--line-size N]\n"
-      "       %s serve --socket PATH [--expect N] [options]\n"
-      "       %s fleet NAME [--clients N] [options]\n"
-      "       %s repair [TARGET] [--plan-out FILE] [options]\n"
-      "       %s --list\n\n"
-      "workload selection:\n"
-      "  --list                 list available workloads and exit\n"
-      "  --workload NAME        workload to analyze (required otherwise)\n"
-      "  --threads N            logical threads (default 8)\n"
-      "  --scale N              work multiplier (default 1)\n"
-      "  --offset BYTES         placement offset for offset-sensitive "
-      "kernels\n"
-      "  --fix MASK             bitmask of sites to fix (site i -> bit i)\n\n"
-      "detector configuration:\n"
-      "  --no-prediction        run as PREDATOR-NP (observed-only)\n"
-      "  --sampling RATE        sampling rate in (0,1], default 0.01\n"
-      "  --tracking-threshold N writes before detailed tracking "
-      "(default 100)\n"
-      "  --report-threshold N   invalidations before reporting "
-      "(default 100)\n"
-      "  --quantum N            replay interleaving quantum (default 1)\n\n"
-      "topology simulation:\n"
-      "  --topology SxC         also replay the trace through the two-level\n"
-      "                         NUMA simulator with S sockets x C cores per\n"
-      "                         socket (e.g. 2x4, 4x16) and print hot lines\n"
-      "                         with remote-traffic attribution\n"
-      "  --remote-factor F      cross-socket latency multiplier (default 3)\n"
-      "  --placement MODE       core numbering: compact | scatter\n"
-      "                         (default compact; scatter puts neighbor\n"
-      "                         threads on alternating sockets)\n"
-      "  --llc-line N           per-socket LLC line size (default 64; a\n"
-      "                         larger value models a coarser directory\n"
-      "                         grain that also kills sibling lines)\n\n"
-      "output:\n"
-      "  --json                 print the report as JSON\n"
-      "  --advise               append fix-advisor prescriptions\n"
-      "  --save-trace FILE      also save the captured trace\n"
-      "  --plan FILE            install a saved repair plan (a frame file\n"
-      "                         from repair --plan-out or serve\n"
-      "                         --emit-plan) into this run's allocator, so\n"
-      "                         the workload executes on the repaired\n"
-      "                         layout\n"
-      "  --fail-on-findings     exit 2 when false sharing is reported\n"
-      "  --diff-fix             also run the fixed variant and print the\n"
-      "                         before/after report diff\n\n"
-      "monitor subcommand (live run with rolling telemetry):\n"
-      "  --interval-ms N        snapshot print period (default 200)\n"
-      "  --repeat N             run the workload N times (default 1) to\n"
-      "                         lengthen the observable window\n\n"
-      "analyze subcommand (static analysis of a textual IR module):\n"
-      "  prints per-function CFG/dominator/loop/constant statistics and\n"
-      "  the baseline vs. fully-pruned instrumentation ledger\n"
-      "  --json                 emit the same data as one JSON document\n"
-      "  --predict              also run the static false-sharing predictor\n"
-      "                         (thread roles = call-graph root functions)\n"
-      "  --line-size N          base cache-line geometry for --predict\n"
-      "                         (default 64; latent conflicts reported at\n"
-      "                         2N)\n\n"
-      "fleet aggregation:\n"
-      "  serve --socket PATH    run a collector daemon on a unix socket\n"
-      "    --expect N           exit once N clients said goodbye\n"
-      "    --shards N           ingest shards (default: hw concurrency)\n"
-      "    --top-k N            hot lines kept in the rollup (default 16)\n"
-      "    --interval-ms N      also print a rolling rollup every N ms\n"
-      "  --emit-to PATH         stream this run's snapshots to a collector\n"
-      "                         (works with the default and monitor modes)\n"
-      "  fleet NAME             fork N workload processes into an\n"
-      "    --clients N          in-process collector and print the\n"
-      "                         fleet-wide rollup (default 4 clients;\n"
-      "                         --repeat snapshots per client)\n"
-      "    --emit-plan FILE     serve: persist the merged fleet repair\n"
-      "                         plan as a frame file at exit\n\n"
-      "repair subcommand (closed loop: detect -> plan -> apply -> verify):\n"
-      "  repair                 with no TARGET: list the planted targets\n"
-      "  repair TARGET          run the loop; exit 0 iff the repair is\n"
-      "                         proven (invalidation drop >= 90%% on the\n"
-      "                         planned sites, no surviving finding, and a\n"
-      "                         bit-identical workload checksum)\n"
-      "  --plan-out FILE        persist the compiled plan as a frame file\n"
-      "  --static               compile the plan from the static predictor\n"
-      "                         (no profiling run informs it); the runs\n"
-      "                         that follow only measure the drop\n"
-      "  (--threads/--scale/--quantum/--json apply)\n",
-      argv0, argv0, argv0, argv0, argv0, argv0, argv0);
-}
-
-bool parse_u64(const char* s, std::uint64_t* out) {
+/// A decimal number with nothing after it.
+bool parse_double(const char* s, double* out) {
   char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  *out = v;
-  return true;
+  *out = std::strtod(s, &end);
+  return end != s && *end == '\0';
 }
 
-bool parse_args(int argc, char** argv, CliOptions* opt) {
-  int first = 1;
-  if (argc > 1 && std::strcmp(argv[1], "monitor") == 0) {
-    opt->monitor_mode = true;
-    first = 2;
-  } else if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-    opt->serve_mode = true;
-    first = 2;
-  } else if (argc > 1 && std::strcmp(argv[1], "fleet") == 0) {
-    opt->fleet_mode = true;
-    first = 2;
-  } else if (argc > 1 && std::strcmp(argv[1], "repair") == 0) {
-    opt->repair_mode = true;
-    first = 2;
+const Flag<CliOptions> kFlags[] = {
+    // Workload selection.
+    {"--list", nullptr, kRun, "list the available workloads and exit",
+     [](CliOptions& o, const char*) { o.list = true; return true; }},
+    {"--workload", "NAME", kRun, "workload to run (see --list)",
+     [](CliOptions& o, const char* s) { o.workload = s; return true; }},
+    {"--threads", "N", kSessions | kRepair, "logical threads, 1-64 (default 8)",
+     [](CliOptions& o, const char* s) {
+       return parse_uint(s, &o.params.threads, 1, 64);
+     }},
+    {"--scale", "N", kSessions | kRepair, "work multiplier (default 1)",
+     [](CliOptions& o, const char* s) {
+       return parse_uint(s, &o.params.scale, 1);
+     }},
+    {"--offset", "BYTES", kSessions,
+     "placement offset for offset-sensitive kernels, 0-127",
+     [](CliOptions& o, const char* s) {
+       return parse_uint(s, &o.params.offset, 0, 127);
+     }},
+    {"--fix", "MASK", kSessions, "bitmask of sites to fix (site i -> bit i)",
+     [](CliOptions& o, const char* s) {
+       return parse_uint(s, &o.params.fix_mask, 0, UINT32_MAX);
+     }},
+    // Detector configuration.
+    {"--no-prediction", nullptr, kSessions,
+     "run as PREDATOR-NP (observed sharing only)",
+     [](CliOptions& o, const char*) {
+       o.session.runtime.prediction_enabled = false;
+       return true;
+     }},
+    {"--sampling", "RATE", kSessions, "sampling rate in (0,1] (default 0.01)",
+     [](CliOptions& o, const char* s) {
+       double rate = 0.0;
+       if (!parse_double(s, &rate) || rate <= 0.0 || rate > 1.0) return false;
+       o.session.runtime.set_sampling_rate(rate);
+       return true;
+     }},
+    {"--tracking-threshold", "N", kSessions,
+     "writes before a line is tracked (default 100)",
+     [](CliOptions& o, const char* s) {
+       RuntimeConfig& rt = o.session.runtime;
+       if (!parse_uint(s, &rt.tracking_threshold, 1)) return false;
+       rt.prediction_threshold =
+           std::max(rt.prediction_threshold, rt.tracking_threshold);
+       return true;
+     }},
+    {"--report-threshold", "N", kSessions,
+     "invalidations before a line is reported (default 100)",
+     [](CliOptions& o, const char* s) {
+       return parse_uint(s, &o.session.runtime.report_invalidation_threshold);
+     }},
+    {"--quantum", "N", kRun | kFleet | kRepair,
+     "replay interleaving quantum (default 1)",
+     [](CliOptions& o, const char* s) {
+       return parse_uint(s, &o.replay_quantum, 1);
+     }},
+    // Topology simulation.
+    {"--topology", "SxC", kRun,
+     "also replay the trace through the NUMA simulator with S sockets x C "
+     "cores per socket (e.g. 2x4) and print hot lines with remote-traffic "
+     "attribution",
+     [](CliOptions& o, const char* s) {
+       unsigned sockets = 0, cores = 0;
+       if (std::sscanf(s, "%ux%u", &sockets, &cores) != 2 || sockets < 1 ||
+           sockets > 16 || cores < 1 ||
+           std::uint64_t{sockets} * cores > NumaCacheSim::kMaxCores) {
+         return false;
+       }
+       o.topology_set = true;
+       o.topology.sockets = sockets;
+       o.topology.cores_per_socket = cores;
+       return true;
+     }},
+    {"--remote-factor", "F", kRun,
+     "cross-socket latency multiplier, >= 1 (default 3)",
+     [](CliOptions& o, const char* s) {
+       double f = 0.0;
+       if (!parse_double(s, &f) || f < 1.0) return false;
+       o.topology.remote_factor = f;
+       return true;
+     }},
+    {"--placement", "MODE", kRun,
+     "core numbering: compact (default) | scatter (neighbour threads on "
+     "alternating sockets)",
+     [](CliOptions& o, const char* s) {
+       if (std::strcmp(s, "compact") == 0) {
+         o.topology.placement = NumaPlacement::kCompact;
+       } else if (std::strcmp(s, "scatter") == 0) {
+         o.topology.placement = NumaPlacement::kScatter;
+       } else {
+         return false;
+       }
+       return true;
+     }},
+    {"--llc-line", "N", kRun,
+     "per-socket LLC line size, a multiple of 64 (default 64; larger models "
+     "a coarser directory grain)",
+     [](CliOptions& o, const char* s) {
+       std::size_t v = 0;
+       if (!parse_uint(s, &v, 64) || v % 64 != 0) return false;
+       o.topology.llc_line_size = v;
+       return true;
+     }},
+    // Output.
+    {"--json", nullptr, kRun | kServe | kFleet | kRepair, "print JSON",
+     [](CliOptions& o, const char*) { o.json = true; return true; }},
+    {"--advise", nullptr, kRun, "append fix-advisor prescriptions",
+     [](CliOptions& o, const char*) { o.advise_fixes = true; return true; }},
+    {"--save-trace", "FILE", kRun, "also save the captured trace",
+     [](CliOptions& o, const char* s) { o.save_trace = s; return true; }},
+    {"--plan", "FILE", kRun,
+     "install a saved repair plan (from repair --plan-out or serve "
+     "--emit-plan) before the workload allocates",
+     [](CliOptions& o, const char* s) { o.plan_file = s; return true; }},
+    {"--fail-on-findings", nullptr, kRun | kMonitor,
+     "exit 2 when false sharing is reported",
+     [](CliOptions& o, const char*) {
+       o.fail_on_findings = true;
+       return true;
+     }},
+    {"--diff-fix", nullptr, kRun,
+     "also run the fixed variant and print the before/after report diff",
+     [](CliOptions& o, const char*) { o.diff_fix = true; return true; }},
+    // Live monitoring and fleet aggregation.
+    {"--interval-ms", "N", kMonitor | kServe,
+     "monitor: snapshot print period (default 200); serve: also print a "
+     "rollup after N quiet ms",
+     [](CliOptions& o, const char* s) {
+       return parse_uint(s, &o.interval_ms, 1, INT32_MAX);
+     }},
+    {"--repeat", "N", kMonitor | kFleet,
+     "monitor: run the workload N times; fleet: snapshots per client "
+     "(default 1)",
+     [](CliOptions& o, const char* s) {
+       return parse_uint(s, &o.monitor_repeat, 1);
+     }},
+    {"--emit-to", "PATH", kRun | kMonitor,
+     "stream this run's snapshots to a `serve` collector",
+     [](CliOptions& o, const char* s) { o.emit_to = s; return true; }},
+    {"--socket", "PATH", kServe, "unix socket to listen on (required)",
+     [](CliOptions& o, const char* s) { o.socket_path = s; return true; }},
+    {"--expect", "N", kServe,
+     "exit once N clients said goodbye (default: run until killed)",
+     [](CliOptions& o, const char* s) {
+       return parse_uint(s, &o.serve_expect);
+     }},
+    {"--top-k", "N", kServe | kFleet,
+     "hot lines kept in the rollup (default 16)",
+     [](CliOptions& o, const char* s) { return parse_uint(s, &o.top_k, 1); }},
+    {"--clients", "N", kFleet, "client processes to fork, 1-256 (default 4)",
+     [](CliOptions& o, const char* s) {
+       return parse_uint(s, &o.fleet_clients, 1, 256);
+     }},
+    {"--emit-plan", "FILE", kServe,
+     "persist the merged fleet repair plan as a frame file at exit",
+     [](CliOptions& o, const char* s) { o.emit_plan = s; return true; }},
+    // Repair.
+    {"--plan-out", "FILE", kRepair, "persist the compiled plan as a frame file",
+     [](CliOptions& o, const char* s) { o.plan_out = s; return true; }},
+    {"--static", nullptr, kRepair,
+     "compile the plan from the static predictor; the runs that follow "
+     "only measure the drop",
+     [](CliOptions& o, const char*) { o.repair_static = true; return true; }},
+};
+
+// Reports a command-line mistake for command `name` ("" for the default
+// run); returns the exit code for it.
+int usage_error(const char* name, const std::string& what) {
+  const std::string cmd = *name != '\0' ? std::string(" ") + name : "";
+  std::fprintf(stderr, "predator-cli%s: %s\nsee `predator-cli%s --help`\n",
+               cmd.c_str(), what.c_str(), cmd.c_str());
+  return 1;
+}
+
+// The workload `opt` names for command `name`; null, with a diagnostic,
+// when it names none or an unknown one.
+const wl::Workload* named_workload(const CliOptions& opt, const char* name) {
+  if (opt.workload.empty()) {
+    usage_error(name, *name != '\0' ? "missing workload NAME"
+                                    : "missing --workload NAME");
+    return nullptr;
   }
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    std::uint64_t v = 0;
-    if (arg == "--list") {
-      opt->list = true;
-    } else if (arg == "--workload") {
-      const char* s = next("--workload");
-      if (!s) return false;
-      opt->workload = s;
-    } else if (arg == "--threads") {
-      const char* s = next("--threads");
-      if (!s || !parse_u64(s, &v) || v == 0 || v > 64) return false;
-      opt->params.threads = static_cast<std::uint32_t>(v);
-    } else if (arg == "--scale") {
-      const char* s = next("--scale");
-      if (!s || !parse_u64(s, &v) || v == 0) return false;
-      opt->params.scale = v;
-    } else if (arg == "--offset") {
-      const char* s = next("--offset");
-      if (!s || !parse_u64(s, &v) || v >= 128) return false;
-      opt->params.offset = v;
-    } else if (arg == "--fix") {
-      const char* s = next("--fix");
-      if (!s || !parse_u64(s, &v)) return false;
-      opt->params.fix_mask = static_cast<std::uint32_t>(v);
-    } else if (arg == "--no-prediction") {
-      opt->no_prediction = true;
-    } else if (arg == "--sampling") {
-      const char* s = next("--sampling");
-      if (!s) return false;
-      const double rate = std::atof(s);
-      if (rate <= 0.0 || rate > 1.0) return false;
-      opt->session.runtime.set_sampling_rate(rate);
-    } else if (arg == "--tracking-threshold") {
-      const char* s = next("--tracking-threshold");
-      if (!s || !parse_u64(s, &v) || v == 0) return false;
-      opt->session.runtime.tracking_threshold = v;
-      if (opt->session.runtime.prediction_threshold < v) {
-        opt->session.runtime.prediction_threshold = v;
-      }
-    } else if (arg == "--report-threshold") {
-      const char* s = next("--report-threshold");
-      if (!s || !parse_u64(s, &v)) return false;
-      opt->session.runtime.report_invalidation_threshold = v;
-    } else if (arg == "--quantum") {
-      const char* s = next("--quantum");
-      if (!s || !parse_u64(s, &v) || v == 0) return false;
-      opt->replay_quantum = v;
-    } else if (arg == "--topology") {
-      const char* s = next("--topology");
-      unsigned sockets = 0, cores = 0;
-      if (!s || std::sscanf(s, "%ux%u", &sockets, &cores) != 2 ||
-          sockets < 1 || sockets > 16 || cores < 1 ||
-          sockets * cores > NumaCacheSim::kMaxCores) {
-        std::fprintf(stderr, "bad --topology (want SxC, e.g. 2x4)\n");
-        return false;
-      }
-      opt->topology_set = true;
-      opt->topology.sockets = sockets;
-      opt->topology.cores_per_socket = cores;
-    } else if (arg == "--remote-factor") {
-      const char* s = next("--remote-factor");
-      if (!s) return false;
-      const double f = std::atof(s);
-      if (f < 1.0) return false;
-      opt->topology.remote_factor = f;
-    } else if (arg == "--placement") {
-      const char* s = next("--placement");
-      if (!s) return false;
-      if (std::strcmp(s, "compact") == 0) {
-        opt->topology.placement = NumaPlacement::kCompact;
-      } else if (std::strcmp(s, "scatter") == 0) {
-        opt->topology.placement = NumaPlacement::kScatter;
-      } else {
-        std::fprintf(stderr, "bad --placement (compact | scatter)\n");
-        return false;
-      }
-    } else if (arg == "--llc-line") {
-      const char* s = next("--llc-line");
-      if (!s || !parse_u64(s, &v) || v < 64 || v % 64 != 0) return false;
-      opt->topology.llc_line_size = v;
-    } else if (arg == "--json") {
-      opt->json = true;
-    } else if (arg == "--advise") {
-      opt->advise_fixes = true;
-    } else if (arg == "--save-trace") {
-      const char* s = next("--save-trace");
-      if (!s) return false;
-      opt->save_trace = s;
-    } else if (arg == "--plan") {
-      const char* s = next("--plan");
-      if (!s) return false;
-      opt->plan_file = s;
-    } else if (arg == "--fail-on-findings") {
-      opt->fail_on_findings = true;
-    } else if (arg == "--diff-fix") {
-      opt->diff_fix = true;
-    } else if (arg == "--interval-ms") {
-      const char* s = next("--interval-ms");
-      if (!s || !parse_u64(s, &v) || v == 0) return false;
-      opt->monitor_interval_ms = v;
-      opt->serve_interval_ms = v;
-    } else if (arg == "--repeat") {
-      const char* s = next("--repeat");
-      if (!s || !parse_u64(s, &v) || v == 0) return false;
-      opt->monitor_repeat = v;
-    } else if (arg == "--emit-to") {
-      const char* s = next("--emit-to");
-      if (!s) return false;
-      opt->emit_to = s;
-    } else if (arg == "--socket") {
-      const char* s = next("--socket");
-      if (!s) return false;
-      opt->socket_path = s;
-    } else if (arg == "--expect") {
-      const char* s = next("--expect");
-      if (!s || !parse_u64(s, &v)) return false;
-      opt->serve_expect = v;
-    } else if (arg == "--shards") {
-      const char* s = next("--shards");
-      if (!s || !parse_u64(s, &v) || v > 64) return false;
-      opt->shards = v;
-    } else if (arg == "--top-k") {
-      const char* s = next("--top-k");
-      if (!s || !parse_u64(s, &v) || v == 0) return false;
-      opt->top_k = v;
-    } else if (arg == "--clients") {
-      const char* s = next("--clients");
-      if (!s || !parse_u64(s, &v) || v == 0 || v > 256) return false;
-      opt->fleet_clients = v;
-    } else if (arg == "--plan-out") {
-      const char* s = next("--plan-out");
-      if (!s) return false;
-      opt->plan_out = s;
-    } else if (arg == "--static" && opt->repair_mode) {
-      opt->repair_static = true;
-    } else if (arg == "--emit-plan") {
-      const char* s = next("--emit-plan");
-      if (!s) return false;
-      opt->emit_plan = s;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      std::exit(0);
-    } else if ((opt->monitor_mode || opt->fleet_mode || opt->repair_mode) &&
-               arg.rfind("--", 0) != 0 && opt->workload.empty()) {
-      opt->workload = arg;  // `monitor NAME` / `fleet NAME` positional
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
+  const wl::Workload* w = wl::find_workload(opt.workload);
+  if (w == nullptr) {
+    std::fprintf(stderr, "unknown workload '%s' (try --list)\n",
+                 opt.workload.c_str());
   }
-  return true;
+  return w;
 }
 
 // --topology: replay the same captured traces through the two-level NUMA
@@ -529,7 +434,9 @@ std::unique_ptr<FdSink> open_emit_sink(const std::string& path,
 // the final report. Demonstrates that snapshots are served while mutators
 // run — the printing happens from the main thread with no pauses. With
 // --emit-to, every printed snapshot is also published to the collector.
-int run_monitor(const CliOptions& opt, const wl::Workload* w) {
+int run_monitor(const CliOptions& opt) {
+  const wl::Workload* w = named_workload(opt, "monitor");
+  if (w == nullptr) return 1;
   Session session(opt.session);
   session.monitor().start();
 
@@ -547,7 +454,8 @@ int run_monitor(const CliOptions& opt, const wl::Workload* w) {
     done.store(true, std::memory_order_release);
   });
 
-  const auto interval = std::chrono::milliseconds(opt.monitor_interval_ms);
+  const auto interval =
+      std::chrono::milliseconds(opt.interval_ms != 0 ? opt.interval_ms : 200);
   while (!done.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(interval);
     std::printf("%s\n", session.monitor().snapshot_text().c_str());
@@ -622,61 +530,65 @@ void print_rollup(const Collector& collector, bool json) {
   std::fflush(stdout);
 }
 
-// `serve` subcommand: collector daemon on a unix socket. Single-threaded
-// poll loop (the Collector itself is what's thread-safe; the daemon needs
-// no threads). With --expect N it exits once N clients said goodbye and
-// every connection drained; otherwise it runs until killed.
-int run_serve(const CliOptions& opt) {
-  const int lfd = listen_unix(opt.socket_path);
-  if (lfd < 0) {
-    std::fprintf(stderr, "cannot listen on %s\n", opt.socket_path.c_str());
-    return 1;
-  }
-  Collector collector({static_cast<std::size_t>(opt.shards),
-                       static_cast<std::size_t>(opt.top_k)});
-  std::fprintf(stderr, "collector: listening on %s (%zu shard(s))\n",
-               opt.socket_path.c_str(), collector.num_shards());
-
-  std::vector<ClientConn> conns;
-  const bool periodic = opt.serve_interval_ms != 0;
+// The collector loop `serve` and `fleet` share: ingests every readable
+// connection, accepts new ones on `listen_fd` (-1: none), and prints a
+// rollup after every `opt.interval_ms` without traffic (0: never). Returns
+// once no connection is open and none is due: `fleet` has no listener, so
+// that is when every client hung up; `serve` waits for --expect goodbyes
+// (none given: it runs until killed).
+void collect(Collector& collector, int listen_fd, std::vector<ClientConn> conns,
+             const CliOptions& opt) {
   for (;;) {
-    std::vector<pollfd> pfds;
-    pfds.push_back({lfd, POLLIN, 0});
-    for (const ClientConn& c : conns) {
-      if (c.open) pfds.push_back({c.fd, POLLIN, 0});
+    if (conns.empty() &&
+        (listen_fd < 0 || (opt.serve_expect != 0 &&
+                           collector.stats().goodbyes >= opt.serve_expect))) {
+      return;
     }
-    const int timeout =
-        periodic ? static_cast<int>(opt.serve_interval_ms) : -1;
+    std::vector<pollfd> pfds;
+    for (const ClientConn& c : conns) pfds.push_back({c.fd, POLLIN, 0});
+    if (listen_fd >= 0) pfds.push_back({listen_fd, POLLIN, 0});
+    const int timeout = opt.interval_ms != 0 ? static_cast<int>(opt.interval_ms)
+                                             : -1;
     const int ready = ::poll(pfds.data(), pfds.size(), timeout);
-    if (ready < 0 && errno != EINTR) break;
+    if (ready < 0 && errno != EINTR) return;
+    if (ready == 0) print_rollup(collector, opt.json);
+    if (ready <= 0) continue;
 
-    if (ready > 0 && (pfds[0].revents & POLLIN) != 0) {
-      const int cfd = ::accept(lfd, nullptr, nullptr);
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+        drain_conn(collector, conns[i]);
+      }
+    }
+    conns.erase(std::remove_if(conns.begin(), conns.end(),
+                               [](const ClientConn& c) { return !c.open; }),
+                conns.end());
+    if (listen_fd >= 0 && (pfds.back().revents & POLLIN) != 0) {
+      const int cfd = ::accept(listen_fd, nullptr, nullptr);
       if (cfd >= 0) {
         ClientConn conn;
         conn.fd = cfd;
         conns.push_back(std::move(conn));
       }
     }
-    std::size_t pi = 1;
-    for (ClientConn& c : conns) {
-      if (!c.open) continue;
-      if (pi < pfds.size() && pfds[pi].fd == c.fd &&
-          (pfds[pi].revents & (POLLIN | POLLHUP)) != 0) {
-        drain_conn(collector, c);
-      }
-      ++pi;
-    }
-    conns.erase(std::remove_if(conns.begin(), conns.end(),
-                               [](const ClientConn& c) { return !c.open; }),
-                conns.end());
-
-    if (ready == 0 && periodic) print_rollup(collector, opt.json);
-    if (opt.serve_expect != 0 &&
-        collector.stats().goodbyes >= opt.serve_expect && conns.empty()) {
-      break;
-    }
   }
+}
+
+// `serve` subcommand: collector daemon on a unix socket. With --expect N
+// it exits once N clients said goodbye and every connection drained;
+// otherwise it runs until killed.
+int run_serve(const CliOptions& opt) {
+  if (opt.socket_path.empty()) {
+    return usage_error("serve", "missing --socket PATH");
+  }
+  const int lfd = listen_unix(opt.socket_path);
+  if (lfd < 0) {
+    std::fprintf(stderr, "cannot listen on %s\n", opt.socket_path.c_str());
+    return 1;
+  }
+  Collector collector(opt.top_k);
+  std::fprintf(stderr, "collector: listening on %s\n",
+               opt.socket_path.c_str());
+  collect(collector, lfd, {}, opt);
   ::close(lfd);
   ::unlink(opt.socket_path.c_str());
 
@@ -729,9 +641,9 @@ int run_serve(const CliOptions& opt) {
 // processes, each streaming snapshots over its own socketpair, drains them
 // all into an in-process collector, and prints the fleet rollup. Children
 // replay captured traces, so the demo is deterministic even on one core.
-int run_fleet(const CliOptions& opt, const wl::Workload* w) {
-  Collector collector({static_cast<std::size_t>(opt.shards),
-                       static_cast<std::size_t>(opt.top_k)});
+int run_fleet(const CliOptions& opt) {
+  const wl::Workload* w = named_workload(opt, "fleet");
+  if (w == nullptr) return 1;
   std::vector<ClientConn> conns;
   std::vector<pid_t> pids;
 
@@ -763,24 +675,8 @@ int run_fleet(const CliOptions& opt, const wl::Workload* w) {
   }
 
   // Drain every socketpair until all children closed their end.
-  std::size_t open = conns.size();
-  while (open > 0) {
-    std::vector<pollfd> pfds;
-    for (const ClientConn& c : conns) {
-      if (c.open) pfds.push_back({c.fd, POLLIN, 0});
-    }
-    const int ready = ::poll(pfds.data(), pfds.size(), -1);
-    if (ready < 0 && errno != EINTR) break;
-    std::size_t pi = 0;
-    for (ClientConn& c : conns) {
-      if (!c.open) continue;
-      if ((pfds[pi].revents & (POLLIN | POLLHUP)) != 0) {
-        drain_conn(collector, c);
-        if (!c.open) --open;
-      }
-      ++pi;
-    }
-  }
+  Collector collector(opt.top_k);
+  collect(collector, -1, std::move(conns), opt);
 
   int failed = 0;
   for (const pid_t pid : pids) {
@@ -816,7 +712,7 @@ int list_repair_targets() {
 // the verdict. Exit 0 iff the repair is proven (drop >= threshold, no
 // surviving finding on the planned sites, bit-identical checksum).
 int run_repair(const CliOptions& opt) {
-  if (opt.workload.empty() || opt.list) return list_repair_targets();
+  if (opt.workload.empty()) return list_repair_targets();
   const repair::RepairTarget* target =
       repair::find_repair_target(opt.workload);
   if (target == nullptr) {
@@ -886,65 +782,12 @@ int run_repair(const CliOptions& opt) {
   return proven ? 0 : 2;
 }
 
-// `analyze` subcommand: delegates to the shared analyze tool (also the
-// library entry point the tests drive), which prints the per-function
-// CFG/dominator/loop/constant view, the call graph and access summaries,
-// and the module-wide instrumentation ledger -- plus the static
-// false-sharing prediction report under --predict, or everything as one
-// JSON document under --json.
-int run_analyze_cmd(const char* argv0, const std::vector<std::string>& args) {
-  ir::AnalyzeOptions aopt;
-  std::string err;
-  if (!ir::parse_analyze_args(args, &aopt, &err)) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    usage(argv0);
-    return 1;
-  }
-  std::string out;
-  const int rc = ir::run_analyze(aopt, &out, &err);
-  if (!out.empty()) std::fputs(out.c_str(), stdout);
-  if (!err.empty()) std::fprintf(stderr, "%s\n", err.c_str());
-  return rc;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "analyze") == 0) {
-    return run_analyze_cmd(argv[0],
-                           std::vector<std::string>(argv + 2, argv + argc));
-  }
-  CliOptions opt;
-  opt.session.heap_size = 64 * 1024 * 1024;
-  if (!parse_args(argc, argv, &opt)) {
-    usage(argv[0]);
-    return 1;
-  }
-  if (opt.repair_mode) return run_repair(opt);
+// The default run: capture the workload's trace, replay it into the
+// detector, print the report.
+int run_default(const CliOptions& opt) {
   if (opt.list) return list_workloads();
-  // A dead collector must surface as a failed send, not a fatal SIGPIPE.
-  std::signal(SIGPIPE, SIG_IGN);
-  if (opt.serve_mode) {
-    if (opt.socket_path.empty()) {
-      usage(argv[0]);
-      return 1;
-    }
-    return run_serve(opt);
-  }
-  if (opt.workload.empty()) {
-    usage(argv[0]);
-    return 1;
-  }
-  const wl::Workload* w = wl::find_workload(opt.workload);
-  if (w == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s' (try --list)\n",
-                 opt.workload.c_str());
-    return 1;
-  }
-
-  opt.session.runtime.prediction_enabled = !opt.no_prediction;
-  if (opt.monitor_mode) return run_monitor(opt, w);
-  if (opt.fleet_mode) return run_fleet(opt, w);
+  const wl::Workload* w = named_workload(opt, "");
+  if (w == nullptr) return 1;
   Session session(opt.session);
 
   // --plan: the saved plan must be live in the allocator before the
@@ -1049,4 +892,109 @@ int main(int argc, char** argv) {
     return 2;
   }
   return 0;
+}
+
+struct Command {
+  const char* name;     ///< argv[1]; "" for the default run
+  const char* operand;  ///< placeholder of the positional, null if none
+  unsigned scope;       ///< its bit in kFlags; 0: parses its own flags
+  const char* summary;
+  int (*run)(const Command& cmd, const Args& args);
+};
+
+// `analyze`: delegates to the shared analyze tool (also the library entry
+// point the tests drive), which parses its own flags with the same parser.
+int run_analyze_cmd(const Command& cmd, const Args& args) {
+  ir::AnalyzeOptions aopt;
+  std::string err;
+  if (!ir::parse_analyze_args(args, &aopt, &err)) {
+    return usage_error(cmd.name, err);
+  }
+  std::string out;
+  const int rc = ir::run_analyze(aopt, &out, &err);
+  if (!out.empty()) std::fputs(out.c_str(), stdout);
+  if (!err.empty()) std::fprintf(stderr, "%s\n", err.c_str());
+  return rc;
+}
+
+// Parses kFlags for `cmd`, then runs `Body` on the options.
+template <int (*Body)(const CliOptions&)>
+int with_flags(const Command& cmd, const Args& args) {
+  CliOptions opt;
+  opt.session.heap_size = 64 * 1024 * 1024;
+  std::string err;
+  if (!parse_flags(args, kFlags, cmd.scope, opt,
+                   cmd.operand != nullptr ? &opt.workload : nullptr, &err)) {
+    return usage_error(cmd.name, err);
+  }
+  return Body(opt);
+}
+
+const Command kCommands[] = {
+    {"", nullptr, kRun,
+     "replay --workload NAME under the detector and print its report",
+     with_flags<run_default>},
+    {"monitor", "NAME", kMonitor,
+     "run NAME live on real threads, print rolling snapshots, then the "
+     "report",
+     with_flags<run_monitor>},
+    {"serve", nullptr, kServe, "run a fleet collector on a unix socket",
+     with_flags<run_serve>},
+    {"fleet", "NAME", kFleet,
+     "fork client processes replaying NAME into one collector and print "
+     "the fleet rollup",
+     with_flags<run_fleet>},
+    {"repair", "[TARGET]", kRepair,
+     "detect, plan, apply and verify a repair of a planted target; exit 0 "
+     "iff proven (no TARGET: list them)",
+     with_flags<run_repair>},
+    {"analyze", "FILE.pir", 0,
+     "static analysis of an IR module: CFG, loops, call graph, "
+     "instrumentation ledger",
+     run_analyze_cmd},
+};
+
+void print_help(const Command& cmd) {
+  const bool top = *cmd.name == '\0';
+  std::string out =
+      std::string("usage: predator-cli ") + (top ? "[COMMAND]" : cmd.name);
+  if (cmd.operand != nullptr) out += std::string(" ") + cmd.operand;
+  out += " [flags]\n";
+  if (top) {
+    out += "\ncommands:\n";
+    for (const Command& c : kCommands) {
+      std::string head = *c.name != '\0' ? c.name : "(none)";
+      if (c.operand != nullptr) head += std::string(" ") + c.operand;
+      append_fmt(out, "  %-24s%s\n", head.c_str(), c.summary);
+    }
+    out += "\nflags of the default run (`predator-cli COMMAND --help` lists "
+           "each command's own):\n";
+  } else {
+    append_fmt(out, "%s\n\nflags:\n", cmd.summary);
+  }
+  out += cmd.scope != 0
+             ? flag_help<CliOptions>(kFlags, cmd.scope)
+             : flag_help<ir::AnalyzeOptions>(ir::analyze_flags(), ~0u);
+  std::fputs(out.c_str(), stdout);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Command* cmd = &kCommands[0];
+  for (const Command& c : kCommands) {
+    if (argc > 1 && *c.name != '\0' && std::strcmp(argv[1], c.name) == 0) {
+      cmd = &c;
+    }
+  }
+  const Args args(argv + (cmd == &kCommands[0] ? 1 : 2), argv + argc);
+  if (std::find_if(args.begin(), args.end(), [](const std::string& a) {
+        return a == "--help" || a == "-h";
+      }) != args.end()) {
+    print_help(*cmd);
+    return 0;
+  }
+  // A dead collector must surface as a failed send, not a fatal SIGPIPE.
+  std::signal(SIGPIPE, SIG_IGN);
+  return cmd->run(*cmd, args);
 }
