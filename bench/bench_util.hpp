@@ -1,7 +1,10 @@
 // Shared helpers for the table/figure reproduction benches.
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <ctime>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,6 +71,27 @@ inline double modeled_seconds(const wl::Workload& w, const wl::Params& p) {
 inline double improvement_pct(double buggy_seconds, double fixed_seconds) {
   if (fixed_seconds <= 0) return 0.0;
   return (buggy_seconds - fixed_seconds) / fixed_seconds * 100.0;
+}
+
+/// The calling thread's CPU time. A loop timed in it does not count the
+/// time the host spent descheduling the thread for other work.
+inline double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// This process's resident set size in bytes (/proc/self/statm), or 0
+/// where /proc is unavailable.
+inline std::size_t resident_bytes() {
+  unsigned long pages = 0;
+  unsigned long resident = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  if (std::fscanf(f, "%lu %lu", &pages, &resident) != 2) resident = 0;
+  std::fclose(f);
+  return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
 }
 
 inline void print_rule(char c = '-', int width = 96) {

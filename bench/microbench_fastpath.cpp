@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,12 +54,6 @@ pred::AccessType access_type(Pattern pattern, std::uint64_t i) {
                                         : pred::AccessType::kRead;
 }
 
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
 /// One pass of `accesses_per_thread` accesses per thread; returns the
 /// aggregate accesses per second. Each thread times its loop in its own
 /// CPU time, so a thread the host deschedules for other work does not
@@ -74,14 +67,14 @@ double run_pass(pred::Session& session, const std::vector<long*>& blocks,
     threads.emplace_back([&, t] {
       pred::ScopedThread guard(session, t);
       long* block = blocks[t];
-      const double start = thread_cpu_seconds();
+      const double start = pred::bench::thread_cpu_seconds();
       for (std::uint64_t i = 0; i < accesses_per_thread; ++i) {
         // Round-robin over the thread's 8 disjoint lines (8 longs per line).
         session.record(&block[(i % kLinesPerThread) * 8],
                        access_type(pattern, i), t, 8);
       }
       rates[t] = static_cast<double>(accesses_per_thread) /
-                 (thread_cpu_seconds() - start);
+                 (pred::bench::thread_cpu_seconds() - start);
     });
   }
   for (auto& th : threads) th.join();

@@ -1,10 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the runtime's hot paths: the
 // Figure 1 HandleAccess fast path, escalated-line detail tracking, the
 // sampling fast-out, allocator throughput, and the two-entry history table.
-// These quantify the per-access costs behind Figure 7's overheads.
+// These quantify the per-access costs behind Figure 7's overheads. Two
+// further rows time the fixed costs around a run: session construction
+// (heap and shadow reservation) and report building.
 #include <benchmark/benchmark.h>
 
 #include "alloc/predator_allocator.hpp"
+#include "api/predator.hpp"
 #include "runtime/history_table.hpp"
 #include "runtime/runtime.hpp"
 
@@ -91,6 +94,39 @@ void BM_AllocateFreeSmall(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AllocateFreeSmall);
+
+// A session with the default 256 MB heap: maps the heap and its 64 MiB of
+// shadow side arrays, which stay unresident until lines are touched.
+void BM_SessionConstruct(benchmark::State& state) {
+  for (auto _ : state) {
+    Session session;
+    benchmark::DoNotOptimize(&session);
+  }
+}
+BENCHMARK(BM_SessionConstruct)->Unit(benchmark::kMicrosecond);
+
+// build_report on a 256 MB heap with 32 escalated lines, one falsely
+// shared object each: the walk visits the trackers, not the region's four
+// million lines.
+void BM_BuildReport(benchmark::State& state) {
+  Session session;
+  const CallsiteId cs = session.intern_frames({"bench.c:report"});
+  for (int obj = 0; obj < 32; ++obj) {
+    auto* words = static_cast<long*>(session.alloc(64, cs));
+    // Two threads write their own words in turn: escalates the line and
+    // fills its history with invalidations.
+    for (int i = 0; i < 4000; ++i) {
+      session.record(&words[i % 2], AccessType::kWrite,
+                     static_cast<ThreadId>(i % 2), 8);
+    }
+  }
+  state.counters["trackers"] = static_cast<double>(
+      session.allocator().shadow().tracker_count());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.report());
+  }
+}
+BENCHMARK(BM_BuildReport)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pred

@@ -22,6 +22,9 @@
 //              claim_for_handoff then retires a same-owner write burst.
 //              `handoff_speedup_tN` = epoch-passing (suppressed) over the
 //              PR 3 signature (full detail path): the suppression WIN.
+//              Each thread times its tenures in its own CPU time, and each
+//              mode keeps the best of three passes, so a pass a shared
+//              host slowed down does not decide the ratio.
 //   multiline  two threads alternate on each of T/2 lines with epochs
 //              flowing but ownership never settling, so nearly every
 //              access takes the suppression check and falls through.
@@ -30,6 +33,7 @@
 //              the failed check is eating throughput).
 //
 // Usage: microbench_tracked [writes_per_thread] [--json FILE]
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -148,6 +152,8 @@ double run_mode(std::uint32_t nthreads, std::uint64_t writes_per_thread) {
 // detail path. Threads drift, so a laggard's stale tenure gets trampled by
 // the next claimant exactly as a real contended lock handoff would — the
 // fast path re-confirms ownership per access, never mis-suppresses.
+// Returns the aggregate accesses/s: the sum of the threads' rates, each
+// timed in the thread's own CPU time.
 double run_handoff(bool sync_mode, std::uint32_t nthreads,
                    std::uint64_t bursts_per_thread) {
   constexpr std::uint64_t kBurst = 64;
@@ -160,12 +166,13 @@ double run_handoff(bool sync_mode, std::uint32_t nthreads,
   const std::uint64_t window = g_window;
   const std::uint64_t interval = g_interval;
 
-  const auto start = std::chrono::steady_clock::now();
+  std::vector<double> rates(nthreads, 0.0);
   std::vector<std::thread> threads;
   for (std::uint32_t t = 0; t < nthreads; ++t) {
-    threads.emplace_back([&trackers, t, nthreads, bursts_per_thread, window,
-                          interval, sync_mode] {
+    threads.emplace_back([&trackers, &rates, t, nthreads, bursts_per_thread,
+                          window, interval, sync_mode] {
       const pred::Address word = kLineBase + (t % 8) * 8;
+      const double start = pred::bench::thread_cpu_seconds();
       for (std::uint64_t r = 0; r < bursts_per_thread; ++r) {
         pred::CacheTracker& track = *trackers[(t + r) % nthreads];
         // Epoch 0 is reserved ("this thread never synced"), so tenures
@@ -182,11 +189,11 @@ double run_handoff(bool sync_mode, std::uint32_t nthreads,
           }
         }
       }
+      rates[t] = static_cast<double>(bursts_per_thread * kBurst) /
+                 (pred::bench::thread_cpu_seconds() - start);
     });
   }
   for (auto& th : threads) th.join();
-  const auto end = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(end - start).count();
 
   // Conservation: every delivered write is either sampled or suppressed,
   // whatever the interleaving (claims themselves deliver no access).
@@ -205,7 +212,21 @@ double run_handoff(bool sync_mode, std::uint32_t nthreads,
                  sampled, suppressed, total);
     std::exit(1);
   }
-  return static_cast<double>(total) / secs;
+  double rate = 0.0;
+  for (double r : rates) rate += r;
+  return rate;
+}
+
+// One warm-up pass, then the best of three measured passes.
+double best_handoff(bool sync_mode, std::uint32_t nthreads,
+                    std::uint64_t bursts_per_thread) {
+  run_handoff(sync_mode, nthreads,
+              bursts_per_thread / 8 > 0 ? bursts_per_thread / 8 : 1);
+  double best = 0.0;
+  for (int pass = 0; pass < 3; ++pass) {
+    best = std::max(best, run_handoff(sync_mode, nthreads, bursts_per_thread));
+  }
+  return best;
 }
 
 // Phase 3: fall-through cost. Two threads alternate writes on each line
@@ -317,10 +338,8 @@ int main(int argc, char** argv) {
   std::printf("%8s %18s %18s %9s\n", "threads", "base aps", "sync aps",
               "speedup");
   for (std::uint32_t t : kThreadCounts) {
-    run_handoff(false, t, bursts / 8 > 0 ? bursts / 8 : 1);
-    const double base = run_handoff(false, t, bursts);
-    run_handoff(true, t, bursts / 8 > 0 ? bursts / 8 : 1);
-    const double sync = run_handoff(true, t, bursts);
+    const double base = best_handoff(false, t, bursts);
+    const double sync = best_handoff(true, t, bursts);
     const double speedup = sync / base;
     std::printf("%8u %18.0f %18.0f %8.2fx\n", t, base, sync, speedup);
     char key[40];

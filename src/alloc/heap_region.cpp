@@ -1,9 +1,5 @@
 #include "alloc/heap_region.hpp"
 
-#include <sys/mman.h>
-
-#include "common/check.hpp"
-
 namespace pred {
 
 namespace {
@@ -15,27 +11,18 @@ constexpr std::uintptr_t kHeapHint = 0x4000000000ull;
 }  // namespace
 
 HeapRegion::HeapRegion(std::size_t size, std::size_t line_size)
-    : size_(size), line_size_(line_size) {
-  PRED_CHECK(size > 0);
-  void* p = ::mmap(reinterpret_cast<void*>(kHeapHint), size,
-                   PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  PRED_CHECK(p != MAP_FAILED);
-  base_ = reinterpret_cast<Address>(p);
+    : mapping_(size, reinterpret_cast<void*>(kHeapHint)),
+      line_size_(line_size) {
   // Keep the base line-aligned regardless of what the kernel returned.
-  const Address aligned = round_up(base_, line_size_);
-  cursor_.store(aligned - base_, std::memory_order_relaxed);
-}
-
-HeapRegion::~HeapRegion() {
-  if (base_) ::munmap(reinterpret_cast<void*>(base_), size_);
+  cursor_.store(round_up(base(), line_size_) - base(),
+                std::memory_order_relaxed);
 }
 
 Address HeapRegion::allocate_span(std::size_t bytes) {
   const std::size_t want = round_up(bytes, line_size_);
   std::size_t offset = cursor_.fetch_add(want, std::memory_order_relaxed);
-  if (offset + want > size_) return 0;  // exhausted
-  return base_ + offset;
+  if (offset + want > size()) return 0;  // exhausted
+  return base() + offset;
 }
 
 }  // namespace pred

@@ -8,25 +8,24 @@
 #include <atomic>
 #include <cstddef>
 
+#include "common/anon_mapping.hpp"
 #include "common/cacheline.hpp"
 
 namespace pred {
 
 class HeapRegion {
  public:
-  /// Reserves `size` bytes of anonymous memory (default 256 MB). The mapping
-  /// is lazily committed by the OS, so large reservations are cheap until
-  /// touched.
+  /// Reserves `size` bytes of demand-zero memory (default 256 MB): large
+  /// reservations are cheap until touched.
   explicit HeapRegion(std::size_t size = 256 * 1024 * 1024,
                       std::size_t line_size = 64);
-  ~HeapRegion();
 
   HeapRegion(const HeapRegion&) = delete;
   HeapRegion& operator=(const HeapRegion&) = delete;
 
-  Address base() const { return base_; }
-  std::size_t size() const { return size_; }
-  bool contains(Address a) const { return a >= base_ && a < base_ + size_; }
+  Address base() const { return reinterpret_cast<Address>(mapping_.data()); }
+  std::size_t size() const { return mapping_.size(); }
+  bool contains(Address a) const { return a >= base() && a < base() + size(); }
 
   /// Carves a line-aligned span of at least `bytes` bytes. Returns 0 when
   /// the region is exhausted.
@@ -38,8 +37,7 @@ class HeapRegion {
   }
 
  private:
-  Address base_ = 0;
-  std::size_t size_ = 0;
+  AnonMapping mapping_;
   std::size_t line_size_ = 64;
   std::atomic<std::size_t> cursor_{0};
 };

@@ -46,22 +46,31 @@
 namespace pred {
 
 namespace detail {
+inline constexpr std::uint32_t kNoStripeToken = 0xffffffffu;
+/// The calling OS thread's stripe token, kNoStripeToken until its first
+/// tracked access. Constant-initialized, so the hot path is a TLS load +
+/// compare with no thread_local initialization guard.
+inline thread_local std::uint32_t t_stripe_token = kNoStripeToken;
+
+/// Gives the calling thread a token and stores it in t_stripe_token. The
+/// thread takes the most recently released token from a process-wide free
+/// list, or a new one when the list is empty, and returns it to the list
+/// when it exits; ownership passes through the list's mutex, so the next
+/// holder sees every stripe update the last one made. A thread whose token
+/// was already returned (an access from a thread_local destructor that runs
+/// after the release) gets a new token that is never returned.
+std::uint32_t acquire_stripe_token();
+
 /// Small dense token identifying the calling OS thread, used to index its
-/// private sampling stripe. Tokens are handed out on first use in thread
-/// creation order and never reused, so a stripe has exactly one writer for
-/// its whole life; deterministic single-OS-thread tests always use one
-/// stripe, so a replay samples exactly like one `n % interval < window`
-/// counter per line.
-inline std::atomic<std::uint32_t> next_stripe_token{0};
+/// private sampling stripe. Token values are bounded by the peak number of
+/// threads alive at once, not by threads-ever, and so is every tracker's
+/// stripe directory. A stripe has one writer at a time: the thread holding
+/// its token. A thread keeps its token for life, so a deterministic
+/// single-OS-thread replay uses one stripe and samples exactly like one
+/// `n % interval < window` counter per line.
 inline std::uint32_t stripe_token() {
-  constexpr std::uint32_t kUnassigned = 0xffffffffu;
-  // Constant-initialized, so the hot path is a TLS load + compare with no
-  // thread_local initialization guard.
-  thread_local std::uint32_t token = kUnassigned;
-  if (token == kUnassigned) [[unlikely]] {
-    token = next_stripe_token.fetch_add(1, std::memory_order_relaxed);
-    PRED_CHECK(token != kUnassigned);
-  }
+  const std::uint32_t token = t_stripe_token;
+  if (token == kNoStripeToken) [[unlikely]] return acquire_stripe_token();
   return token;
 }
 }  // namespace detail
@@ -72,8 +81,8 @@ inline std::uint32_t stripe_token() {
 /// (the interval need not be a power of two, so the modulo was a hardware
 /// divide on every tracked access).
 ///
-/// Owner-exclusive: tick() is only ever called by the one OS thread that
-/// owns the enclosing stripe, so both fields advance with relaxed
+/// Owner-exclusive: tick() is only ever called by the OS thread that
+/// currently owns the enclosing stripe, so both fields advance with relaxed
 /// load/store pairs — no RMW. The fields stay atomic because *readers*
 /// (accessors, reports, reset_for_reuse) are cross-thread; a reset racing
 /// the owner is detected by the resync branch below, which starts a fresh
@@ -383,10 +392,11 @@ class alignas(kCacheLineSize) CacheTracker {
   }
 
  private:
-  /// One per-thread sampling stripe: a host-line-padded block owned
-  /// exclusively by one OS thread (stripe tokens are never reused), so
-  /// every update is a relaxed load/store pair — cross-thread readers see
-  /// atomic snapshots, and owner increments can never be lost.
+  /// One per-thread sampling stripe: a host-line-padded block owned by the
+  /// one OS thread that holds its token, so every update is a relaxed
+  /// load/store pair — cross-thread readers see atomic snapshots, and owner
+  /// increments can never be lost. When the owner exits, the next thread to
+  /// take the token inherits the stripe, clock and counts included.
   struct alignas(kCacheLineSize) Stripe {
     SampleClock clock;
     std::atomic<std::uint64_t> sampled_reads{0};
@@ -488,7 +498,7 @@ class alignas(kCacheLineSize) CacheTracker {
   std::array<AtomicWordAccess, kMaxWords> atomic_words_{};
   mutable Spinlock stripe_lock_;  ///< serializes stripe registration only
   std::atomic<const std::vector<Stripe*>*> stripe_dir_{nullptr};
-  std::deque<Stripe> stripes_;  ///< stable addresses; one per OS thread
+  std::deque<Stripe> stripes_;  ///< stable addresses; one per token
   std::vector<std::unique_ptr<std::vector<Stripe*>>> dir_published_;
 
   /// Packed sync-aware ownership word:

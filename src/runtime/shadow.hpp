@@ -7,13 +7,19 @@
 //                   in the tracker's per-thread stripes instead, and
 //                   writes_count() adds the two,
 //   CacheTracking — per-line pointers to lazily allocated CacheTrackers.
+// Both arrays are demand-zero mappings (common/anon_mapping.hpp): a line's
+// slots start as the kernel's zero page, the initial value of a counter and
+// of an absent tracker, so the arrays take resident memory only for the
+// pages of lines the program touches.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/anon_mapping.hpp"
 #include "common/cacheline.hpp"
 #include "common/check.hpp"
 #include "common/spinlock.hpp"
@@ -28,12 +34,16 @@ class ShadowSpace {
         geometry_(geometry),
         num_lines_((base + size - base_ + geometry.line_size - 1) /
                    geometry.line_size),
-        writes_(num_lines_),
-        tracking_(num_lines_) {
+        writes_map_(num_lines_ * sizeof(std::atomic<std::uint64_t>)),
+        tracking_map_(num_lines_ * sizeof(std::atomic<CacheTracker*>)),
+        writes_(static_cast<std::atomic<std::uint64_t>*>(writes_map_.data())),
+        tracking_(
+            static_cast<std::atomic<CacheTracker*>*>(tracking_map_.data())) {
     PRED_CHECK(size > 0);
-    for (auto& w : writes_) w.store(0, std::memory_order_relaxed);
-    for (auto& t : tracking_) t.store(nullptr, std::memory_order_relaxed);
   }
+
+  ShadowSpace(const ShadowSpace&) = delete;
+  ShadowSpace& operator=(const ShadowSpace&) = delete;
 
   bool contains(Address a) const { return a >= base_ && a < end(); }
 
@@ -66,37 +76,47 @@ class ShadowSpace {
   }
   /// The CacheTracking array itself, indexed by line (the inline fast path
   /// caches it per thread).
-  const std::atomic<CacheTracker*>* trackers() const {
-    return tracking_.data();
-  }
+  const std::atomic<CacheTracker*>* trackers() const { return tracking_; }
 
-  /// Allocates (or returns the existing) tracker for a line. Mirrors the
-  /// allocCacheTrack + ATOMIC_CAS sequence of Figure 1. `armed = false`
-  /// creates the tracker with its sampling clock gated; the caller arms it
-  /// once escalation bookkeeping completes (Runtime::ensure_tracked_line).
+  /// Allocates (or returns the existing) tracker for a line: the
+  /// allocCacheTrack step of Figure 1. The tracker is published into its
+  /// CacheTracking slot and into the arena under one lock (the paper's
+  /// ATOMIC_CAS race is decided there), so for_each_tracker never misses a
+  /// tracker an access can already reach. `armed = false` creates the
+  /// tracker with its sampling clock gated; the caller arms it once
+  /// escalation bookkeeping completes (Runtime::ensure_tracked_line).
   CacheTracker* ensure_tracker(std::size_t idx, bool armed = true) {
-    CacheTracker* existing = tracking_[idx].load(std::memory_order_acquire);
-    if (existing) return existing;
+    if (CacheTracker* existing = tracker(idx)) return existing;
     auto fresh = std::make_unique<CacheTracker>(idx, geometry_, armed);
-    CacheTracker* raw = fresh.get();
-    CacheTracker* expected = nullptr;
-    if (tracking_[idx].compare_exchange_strong(expected, raw,
-                                               std::memory_order_acq_rel)) {
-      std::lock_guard<Spinlock> g(arena_lock_);
-      arena_.push_back(std::move(fresh));
-      return raw;
+    std::lock_guard<Spinlock> g(arena_lock_);
+    if (CacheTracker* existing =
+            tracking_[idx].load(std::memory_order_relaxed)) {
+      return existing;  // another thread won the race; ours is freed here
     }
-    return expected;  // another thread won the race; ours is freed here
+    CacheTracker* raw = fresh.get();
+    arena_.push_back(std::move(fresh));
+    tracking_[idx].store(raw, std::memory_order_release);
+    return raw;
   }
 
-  /// Invokes fn(line_index, tracker) for every escalated line.
+  /// Invokes fn(line_index, tracker) for every line escalated when the
+  /// walk begins, in ascending line order. Walks the arena, not the
+  /// CacheTracking array, so the cost is per tracker however large the
+  /// region is, and no untouched shadow page gets mapped. fn runs outside
+  /// the arena lock.
   template <typename F>
   void for_each_tracker(F&& fn) const {
-    for (std::size_t i = 0; i < num_lines_; ++i) {
-      if (CacheTracker* t = tracking_[i].load(std::memory_order_acquire)) {
-        fn(i, t);
-      }
+    std::vector<CacheTracker*> escalated;
+    {
+      std::lock_guard<Spinlock> g(arena_lock_);
+      escalated.reserve(arena_.size());
+      for (const auto& t : arena_) escalated.push_back(t.get());
     }
+    std::sort(escalated.begin(), escalated.end(),
+              [](const CacheTracker* a, const CacheTracker* b) {
+                return a->line_index() < b->line_index();
+              });
+    for (CacheTracker* t : escalated) fn(t->line_index(), t);
   }
 
   std::size_t tracker_count() const {
@@ -105,8 +125,9 @@ class ShadowSpace {
   }
 
   /// Bytes of shadow metadata attributable to this region (the two side
-  /// arrays plus allocated trackers, including the trackers' lazily-grown
-  /// per-thread sampling stripes). Feeds the Figure 8/9 accounting.
+  /// arrays' whole reservation, touched or not, plus allocated trackers,
+  /// including the trackers' lazily-grown per-thread sampling stripes).
+  /// Feeds the Figure 8/9 accounting.
   std::size_t metadata_bytes() const {
     std::size_t bytes = num_lines_ * (sizeof(std::atomic<std::uint64_t>) +
                                       sizeof(std::atomic<CacheTracker*>));
@@ -119,9 +140,17 @@ class ShadowSpace {
   const Address base_;
   const LineGeometry geometry_;
   const std::size_t num_lines_;
-  std::vector<std::atomic<std::uint64_t>> writes_;
-  std::vector<std::atomic<CacheTracker*>> tracking_;
-  mutable Spinlock arena_lock_;
+  // The zero page holds each slot's initial value: an all-zero atomic is a
+  // 0 count and a null tracker.
+  static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
+                sizeof(std::atomic<std::uint64_t>) == sizeof(std::uint64_t));
+  static_assert(std::atomic<CacheTracker*>::is_always_lock_free &&
+                sizeof(std::atomic<CacheTracker*>) == sizeof(CacheTracker*));
+  const AnonMapping writes_map_;
+  const AnonMapping tracking_map_;
+  std::atomic<std::uint64_t>* const writes_;
+  std::atomic<CacheTracker*>* const tracking_;
+  mutable Spinlock arena_lock_;  ///< publishes trackers (slot + arena)
   std::vector<std::unique_ptr<CacheTracker>> arena_;
 };
 

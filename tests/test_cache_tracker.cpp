@@ -259,6 +259,114 @@ TEST(CacheTracker, ArmedGateDefersSamplingLockFree) {
   EXPECT_EQ(t.total_accesses(), 350u);
 }
 
+// ---------------------------------------------------------------------------
+// Stripe tokens recycled at thread exit
+// ---------------------------------------------------------------------------
+
+// A thread returns its stripe token when it exits and the next new thread
+// takes it, so a tracker touched by thousands of short-lived threads keeps a
+// stripe directory sized by the threads alive at once, not threads-ever.
+TEST(CacheTracker, StripeMetadataBoundedUnderThreadChurn) {
+  CacheTracker t(10, kGeo);
+  constexpr int kThreads = 2000;
+  constexpr std::uint64_t kPerThread = 100;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([&t] {
+      for (std::uint64_t k = 0; k < kPerThread; ++k) {
+        t.handle_access(kLineBase, W, 0, 10, 100);
+      }
+    }).join();
+  }
+  EXPECT_LT(t.metadata_bytes(), 16u * 1024);
+  EXPECT_EQ(t.total_accesses(), kThreads * kPerThread);
+}
+
+// Waves of concurrent threads, joined between waves: every wave takes the
+// tokens the last one released and inherits their stripes, clocks
+// included. Each thread's run is a whole number of intervals, so however
+// the tokens were dealt out, exactly `window` of every `interval` accesses
+// are sampled and the rest are counted only.
+TEST(CacheTracker, RecycledStripesBalanceAcrossThreadWaves) {
+  CacheTracker t(10, kGeo);
+  constexpr int kWaves = 50;
+  constexpr std::uint32_t kThreads = 8;
+  constexpr std::uint64_t kPerThread = 1000;
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::thread> threads;
+    for (std::uint32_t id = 0; id < kThreads; ++id) {
+      threads.emplace_back([&t, id] {
+        for (std::uint64_t k = 0; k < kPerThread; ++k) {
+          t.handle_access(kLineBase + 8 * id, k % 3 == 0 ? R : W, id, 10,
+                          100);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  const std::uint64_t total = kWaves * kThreads * kPerThread;
+  EXPECT_EQ(t.total_accesses(), total);
+  EXPECT_EQ(t.sampled_accesses(), total / 10);
+  EXPECT_LT(t.metadata_bytes(), 16u * 1024);
+}
+
+// Records accesses from a thread_local destructor. Constructed before the
+// thread's first tracked access, so it is destroyed after the thread's
+// stripe token went back to the free list.
+struct ExitTimeAccesses {
+  CacheTracker* tracker = nullptr;
+  std::atomic<bool>* released = nullptr;
+  std::atomic<bool>* successor_holds_token = nullptr;
+  std::uint32_t* token = nullptr;
+
+  ExitTimeAccesses() = default;
+  ExitTimeAccesses(const ExitTimeAccesses&) = delete;
+  ExitTimeAccesses& operator=(const ExitTimeAccesses&) = delete;
+  ~ExitTimeAccesses() {
+    if (tracker == nullptr) return;
+    released->store(true);
+    while (!successor_holds_token->load()) std::this_thread::yield();
+    *token = detail::stripe_token();
+    for (int k = 0; k < 1000; ++k) {
+      tracker->handle_access(kLineBase, W, 0, 10, 100);
+    }
+  }
+};
+
+// An access after the release must take a fresh token, never the one it
+// returned: by then the next thread holds that token, and two writers on
+// one stripe would lose counts.
+TEST(CacheTracker, ExitTimeAccessNeverReusesTheReleasedToken) {
+  CacheTracker t(10, kGeo);
+  std::atomic<bool> released{false};
+  std::atomic<bool> successor_holds_token{false};
+  std::uint32_t first_token = 0;
+  std::uint32_t successor_token = 0;
+  std::uint32_t exit_time_token = 0;
+  std::thread successor([&] {
+    while (!released.load()) std::this_thread::yield();
+    successor_token = detail::stripe_token();
+    successor_holds_token.store(true);
+    for (int k = 0; k < 1000; ++k) {
+      t.handle_access(kLineBase + 8, W, 1, 10, 100);
+    }
+  });
+  std::thread first([&] {
+    thread_local ExitTimeAccesses late;
+    late.tracker = &t;
+    late.released = &released;
+    late.successor_holds_token = &successor_holds_token;
+    late.token = &exit_time_token;
+    for (int k = 0; k < 1000; ++k) t.handle_access(kLineBase, W, 0, 10, 100);
+    first_token = detail::stripe_token();
+  });
+  first.join();
+  successor.join();
+  EXPECT_EQ(successor_token, first_token);  // the released token, recycled
+  EXPECT_NE(exit_time_token, first_token);
+  EXPECT_EQ(t.total_accesses(), 3000u);
+  EXPECT_EQ(t.sampled_accesses(), 300u);
+}
+
 // Virtual-line fan-out under concurrent nomination: readers iterate an
 // immutable published snapshot, so a nomination during fan-out is simply
 // picked up by the next sampled access.

@@ -3,10 +3,14 @@
 // escalation for prediction, the prediction hook firing, multi-region
 // dispatch, and word-splitting of unaligned accesses.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <thread>
+#include <vector>
 
+#include "api/predator.hpp"
 #include "runtime/runtime.hpp"
 
 namespace pred {
@@ -53,6 +57,40 @@ TEST(ShadowSpace, MetadataBytesGrowWithTrackers) {
   s.ensure_tracker(0);
   s.ensure_tracker(1);
   EXPECT_EQ(s.metadata_bytes(), before + 2 * sizeof(CacheTracker));
+}
+
+TEST(ShadowSpace, ForEachTrackerVisitsEscalatedLinesInLineOrder) {
+  ShadowSpace s(0x10000, 1024 * 64, kDefaultGeometry);
+  for (std::size_t idx : {900, 3, 512}) s.ensure_tracker(idx);
+  std::vector<std::size_t> seen;
+  s.for_each_tracker([&](std::size_t idx, CacheTracker* t) {
+    EXPECT_EQ(t, s.tracker(idx));
+    seen.push_back(idx);
+  });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{3, 512, 900}));
+}
+
+// Resident set size of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  unsigned long pages = 0;
+  unsigned long resident = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  if (std::fscanf(f, "%lu %lu", &pages, &resident) != 2) resident = 0;
+  std::fclose(f);
+  return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// The shadow side arrays are demand-zero: a session over the default
+// 256 MB heap reserves 64 MiB of them but makes none of it resident until
+// the program touches lines.
+TEST(ShadowSpace, SessionShadowIsNotResidentUntilTouched) {
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  Session session{SessionOptions{}};
+  ASSERT_EQ(session.allocator().region().size(), 256u * 1024 * 1024);
+  const std::size_t after = resident_bytes();
+  EXPECT_LT(after > before ? after - before : 0, 8u * 1024 * 1024);
 }
 
 TEST(Runtime, IgnoresUntrackedAddresses) {
