@@ -32,6 +32,20 @@
 //              FALL-THROUGH COST (≈1.0 means the check is free; below 1.0
 //              the failed check is eating throughput).
 //
+// A last phase measures virtual-line fan-out, the step that forwards each
+// sampled access to the virtual lines verifying a predicted placement:
+//
+//   fanout     two adjacent tracked lines, thread t writing its own 8-byte
+//              slot (line t % 2, word t / 2), covered by the virtual lines
+//              the predictor nominates for them: the double line and a
+//              shifted line at each word offset. Full sampling, prediction
+//              settled; each access runs the tracker, then the fan-out, as
+//              Runtime::handle_access_one_word does for a sampled access.
+//              `fanout_speedup_tN` = the per-word fan-out tables over
+//              SeedFanOut below (a pointer vector scanned with a range
+//              check per virtual line, a shared access counter per covering
+//              line, and 72-byte lines that share host lines).
+//
 // Usage: microbench_tracked [writes_per_thread] [--json FILE]
 #include <algorithm>
 #include <cinttypes>
@@ -41,16 +55,19 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/spinlock.hpp"
 #include "runtime/cache_tracker.hpp"
 #include "runtime/history_table.hpp"
+#include "runtime/virtual_line.hpp"
 #include "runtime/word_access.hpp"
 
 namespace {
@@ -289,6 +306,185 @@ double run_multiline(bool sync_mode, std::uint32_t nthreads,
   return static_cast<double>(total) / secs;
 }
 
+// Phase 4: virtual-line fan-out. SeedFanOut keeps the fan-out the runtime
+// used before per-word tables: every nomination copies the whole pointer
+// vector and keeps the copy, and every sampled access scans all of the
+// line's virtual lines, checks each range, and bumps a shared access
+// counter on each covering line.
+struct SeedVirtualLine {
+  SeedVirtualLine(pred::Address s, std::size_t n) : start(s), size(n) {}
+
+  void access(pred::Address a, pred::AccessType type, pred::ThreadId tid) {
+    if (a < start || a >= start + size) return;
+    accesses.fetch_add(1, std::memory_order_relaxed);
+    if (history.access(tid, type) == pred::HistoryOutcome::kInvalidation) {
+      invalidations.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  pred::PackedHistoryTable history;
+  std::atomic<std::uint64_t> invalidations{0};
+  std::atomic<std::uint64_t> accesses{0};
+  const pred::Address start;
+  const std::size_t size;
+  // The seed's hot pair, origin line and kind, unused here: with them a
+  // line is 72 bytes, so neighbouring lines in one deque share host lines.
+  const pred::Address hot_x = 0;
+  const pred::Address hot_y = 0;
+  const std::size_t origin_line = 0;
+  const std::uint8_t kind = 0;
+};
+static_assert(sizeof(SeedVirtualLine) == 72);
+
+class SeedFanOut {
+ public:
+  void add_virtual_line(SeedVirtualLine* vl) {
+    std::lock_guard<pred::Spinlock> g(lock_);
+    auto next = std::make_unique<std::vector<SeedVirtualLine*>>();
+    if (const auto* cur = snapshot_.load(std::memory_order_relaxed)) {
+      *next = *cur;
+    }
+    next->push_back(vl);
+    snapshot_.store(next.get(), std::memory_order_release);
+    published_.push_back(std::move(next));
+  }
+
+  void update_virtual_lines(pred::Address addr, pred::AccessType type,
+                            pred::ThreadId tid) {
+    const auto* lines = snapshot_.load(std::memory_order_acquire);
+    if (lines == nullptr) return;
+    for (SeedVirtualLine* vl : *lines) vl->access(addr, type, tid);
+  }
+
+ private:
+  pred::Spinlock lock_;
+  std::atomic<const std::vector<SeedVirtualLine*>*> snapshot_{nullptr};
+  std::vector<std::unique_ptr<std::vector<SeedVirtualLine*>>> published_;
+};
+
+/// The virtual lines the predictor nominates over lines 0 and 1: the
+/// double line [0, 128) and a shifted line at each word offset of line 0.
+std::vector<std::pair<pred::Address, std::size_t>> fanout_placements() {
+  std::vector<std::pair<pred::Address, std::size_t>> out;
+  out.emplace_back(kLineBase, 2 * kGeo.line_size);
+  for (std::size_t w = 1; w < kGeo.words_per_line(); ++w) {
+    out.emplace_back(kLineBase + w * kGeo.word_size, kGeo.line_size);
+  }
+  return out;
+}
+
+/// Thread t's slot: line t % 2, word t / 2.
+pred::Address fanout_slot(std::uint32_t t) {
+  return kLineBase + (t % 2) * kGeo.line_size + (t / 2 % 8) * kGeo.word_size;
+}
+
+/// Lines 0 and 1, tracked with prediction settled; the two fan-outs below
+/// add their virtual lines.
+struct TrackedPair {
+  std::array<std::unique_ptr<pred::CacheTracker>, 2> lines;
+  TrackedPair() {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      lines[i] = std::make_unique<pred::CacheTracker>(i, kGeo);
+      lines[i]->settle_prediction();
+    }
+  }
+  std::uint64_t sampled() const {
+    return lines[0]->sampled_accesses() + lines[1]->sampled_accesses();
+  }
+};
+
+/// The production fan-out: per-word tables inside the trackers.
+struct TableFan : TrackedPair {
+  std::deque<pred::VirtualLineTracker> vls;
+  TableFan() {
+    for (const auto& [start, size] : fanout_placements()) {
+      vls.emplace_back(start, size, pred::VirtualLineTracker::Kind::kShifted,
+                       0, start, start + size - kGeo.word_size);
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        const std::uint32_t words =
+            vls.back().covered_words(i * kGeo.line_size, kGeo);
+        if (words != 0) lines[i]->add_virtual_line(&vls.back(), words);
+      }
+    }
+  }
+  void access(std::size_t line, pred::Address addr, pred::ThreadId tid,
+              std::uint64_t window, std::uint64_t interval) {
+    pred::CacheTracker& t = *lines[line];
+    if (t.handle_access(addr, pred::AccessType::kWrite, tid, window, interval)
+            .sampled) {
+      t.update_virtual_lines(addr, pred::AccessType::kWrite, tid);
+    }
+  }
+};
+
+struct SeedFan : TrackedPair {
+  std::deque<SeedVirtualLine> vls;
+  std::array<SeedFanOut, 2> fanout;
+  SeedFan() {
+    for (const auto& [start, size] : fanout_placements()) {
+      vls.emplace_back(start, size);
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        const pred::Address line_start = i * kGeo.line_size;
+        if (start < line_start + kGeo.line_size && line_start < start + size) {
+          fanout[i].add_virtual_line(&vls.back());
+        }
+      }
+    }
+  }
+  void access(std::size_t line, pred::Address addr, pred::ThreadId tid,
+              std::uint64_t window, std::uint64_t interval) {
+    if (lines[line]
+            ->handle_access(addr, pred::AccessType::kWrite, tid, window,
+                            interval)
+            .sampled) {
+      fanout[line].update_virtual_lines(addr, pred::AccessType::kWrite, tid);
+    }
+  }
+};
+
+template <typename Fan>
+double run_fanout(std::uint32_t nthreads, std::uint64_t writes_per_thread) {
+  Fan fan;
+  const std::uint64_t window = g_window;
+  const std::uint64_t interval = g_interval;
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < nthreads; ++t) {
+    threads.emplace_back([&fan, t, writes_per_thread, window, interval] {
+      const pred::Address slot = fanout_slot(t);
+      const std::size_t line = kGeo.line_index(slot);
+      for (std::uint64_t i = 0; i < writes_per_thread; ++i) {
+        fan.access(line, slot, t, window, interval);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const auto end = std::chrono::steady_clock::now();
+  const double secs = std::chrono::duration<double>(end - start).count();
+
+  const std::uint64_t total =
+      static_cast<std::uint64_t>(nthreads) * writes_per_thread;
+  if (fan.sampled() != total) {
+    std::fprintf(stderr, "fanout conservation violated: %" PRIu64
+                 " sampled of %" PRIu64 "\n", fan.sampled(), total);
+    std::exit(1);
+  }
+  return static_cast<double>(total) / secs;
+}
+
+// One warm-up pass, then the best of three measured passes.
+template <typename Fan>
+double best_fanout(std::uint32_t nthreads, std::uint64_t writes_per_thread) {
+  run_fanout<Fan>(nthreads, writes_per_thread / 8 > 0 ? writes_per_thread / 8
+                                                      : 1);
+  double best = 0.0;
+  for (int pass = 0; pass < 3; ++pass) {
+    best = std::max(best, run_fanout<Fan>(nthreads, writes_per_thread));
+  }
+  return best;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -370,6 +566,25 @@ int main(int argc, char** argv) {
     json.add(key, sync);
     std::snprintf(key, sizeof(key), "multiline_ratio_t%u", t);
     json.add(key, ratio);
+  }
+
+  std::printf("\nvirtual-line fan-out: two tracked lines, %zu virtual "
+              "lines, %" PRIu64 " writes/thread\n\n",
+              fanout_placements().size(), writes);
+  std::printf("%8s %18s %18s %9s\n", "threads", "seed aps", "table aps",
+              "speedup");
+  for (std::uint32_t t : {1u, 2u, 4u, 8u}) {
+    const double seed = best_fanout<SeedFan>(t, writes);
+    const double table = best_fanout<TableFan>(t, writes);
+    const double speedup = table / seed;
+    std::printf("%8u %18.0f %18.0f %8.2fx\n", t, seed, table, speedup);
+    char key[40];
+    std::snprintf(key, sizeof(key), "fanout_seed_t%u_aps", t);
+    json.add(key, seed);
+    std::snprintf(key, sizeof(key), "fanout_table_t%u_aps", t);
+    json.add(key, table);
+    std::snprintf(key, sizeof(key), "fanout_speedup_t%u", t);
+    json.add(key, speedup);
   }
 
   if (!json_path.empty()) {

@@ -27,6 +27,7 @@
 // line.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -315,36 +316,58 @@ class alignas(kCacheLineSize) CacheTracker {
 
   // --- virtual line coverage (prediction verification, Section 3.4) ---
 
-  /// Registers a virtual line whose range overlaps this physical line. The
-  /// tracker does not own the virtual line; the runtime does. Publication
-  /// is RCU-style: a new immutable snapshot vector is built and swapped in,
-  /// so sampled-access fan-out reads the list without any lock. Superseded
-  /// snapshots are retired, not freed, until the tracker dies (nominations
-  /// are rare and finite, so retention is bounded).
-  void add_virtual_line(VirtualLineTracker* vl) {
+  /// Registers a virtual line that covers the words of this physical line
+  /// whose bits are set in `words` (bit k: word k). The tracker does not own
+  /// the virtual line; the runtime does. The fan-out table is append-only:
+  /// the entry is written, then the table's size is release-stored, so
+  /// sampled-access fan-out reads it without any lock. A full table is
+  /// replaced by a copy with twice the capacity; the superseded one stays
+  /// alive until the tracker dies, because readers may still hold it, so a
+  /// tracker with k virtual lines retains at most ceil(log2 k) + 1 tables
+  /// and fewer than 2k filled entries.
+  void add_virtual_line(VirtualLineTracker* vl, std::uint32_t words) {
     std::lock_guard<Spinlock> g(vl_lock_);
-    auto next = std::make_unique<std::vector<VirtualLineTracker*>>();
-    if (const auto* cur = vl_snapshot_.load(std::memory_order_relaxed)) {
-      *next = *cur;
+    FanOutTable* table =
+        fanout_published_.empty() ? nullptr : fanout_published_.back().get();
+    const std::uint32_t n =
+        table == nullptr ? 0 : table->size.load(std::memory_order_relaxed);
+    if (table == nullptr || n == table->capacity) {
+      auto next = std::make_unique<FanOutTable>(table == nullptr ? 1 : 2 * n);
+      if (table != nullptr) {
+        std::copy_n(table->entries.get(), n, next->entries.get());
+      }
+      next->size.store(n, std::memory_order_relaxed);
+      table = next.get();
+      fanout_published_.push_back(std::move(next));
+      fanout_.store(table, std::memory_order_release);
     }
-    next->push_back(vl);
-    vl_snapshot_.store(next.get(), std::memory_order_release);
-    vl_published_.push_back(std::move(next));
+    table->entries[n] = {words, vl};
+    table->size.store(n + 1, std::memory_order_release);
   }
 
   bool has_virtual_lines() const {
-    return vl_snapshot_.load(std::memory_order_acquire) != nullptr;
+    return fanout_.load(std::memory_order_acquire) != nullptr;
   }
 
-  /// Forwards a sampled access to every covering virtual line. Read-only
-  /// fan-out over the published snapshot; concurrent nominations become
-  /// visible on the next sampled access.
+  /// Forwards a sampled access to the virtual lines that cover its word;
+  /// the others are never touched. Read-only scan of the published table;
+  /// concurrent nominations become visible on the next sampled access.
   void update_virtual_lines(Address addr, AccessType type, ThreadId tid) {
-    const auto* lines = vl_snapshot_.load(std::memory_order_acquire);
-    if (lines == nullptr) return;
-    for (VirtualLineTracker* vl : *lines) {
-      vl->access(addr, type, tid);
+    const FanOutTable* table = fanout_.load(std::memory_order_acquire);
+    if (table == nullptr) return;
+    const std::uint32_t bit = std::uint32_t{1}
+                              << geometry_.word_in_line(addr);
+    const std::uint32_t n = table->size.load(std::memory_order_acquire);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const FanOutTable::Entry& e = table->entries[i];
+      if ((e.words & bit) != 0) e.vl->access(type, tid);
     }
+  }
+
+  /// Fan-out tables retained: the published one and those it superseded.
+  std::size_t fanout_tables() const {
+    std::lock_guard<Spinlock> g(vl_lock_);
+    return fanout_published_.size();
   }
 
   /// Clears the word histogram and history table so a recycled object
@@ -526,10 +549,26 @@ class alignas(kCacheLineSize) CacheTracker {
   std::atomic<bool> armed_;
   std::atomic<bool> prediction_done_{false};
 
+  /// One generation of the virtual-line fan-out: entries [0, size) never
+  /// change once size covers them.
+  struct FanOutTable {
+    struct Entry {
+      std::uint32_t words;  ///< bit k: the virtual line covers word k
+      VirtualLineTracker* vl;
+    };
+    explicit FanOutTable(std::uint32_t cap)
+        : capacity(cap), entries(std::make_unique<Entry[]>(cap)) {}
+
+    std::atomic<std::uint32_t> size{0};
+    const std::uint32_t capacity;
+    const std::unique_ptr<Entry[]> entries;
+  };
+
   mutable Spinlock vl_lock_;  ///< serializes nominations (writers only)
-  std::atomic<const std::vector<VirtualLineTracker*>*> vl_snapshot_{nullptr};
-  std::vector<std::unique_ptr<std::vector<VirtualLineTracker*>>>
-      vl_published_;
+  std::atomic<const FanOutTable*> fanout_{nullptr};  ///< the newest table
+  /// Every table published, newest last; superseded ones stay alive for
+  /// readers that may still be scanning them. Guarded by vl_lock_.
+  std::vector<std::unique_ptr<FanOutTable>> fanout_published_;
 
   const std::size_t line_index_;
   const LineGeometry geometry_;

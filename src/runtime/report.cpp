@@ -142,15 +142,14 @@ Report build_report(const Runtime& rt) {
     });
   });
 
-  for (const VirtualLineTracker& vl : rt.virtual_lines()) {
+  rt.for_each_virtual_line([&](const VirtualLineTracker& vl) {
     const std::uint64_t inv = vl.invalidations();
-    if (inv < cfg.report_invalidation_threshold) continue;
+    if (inv < cfg.report_invalidation_threshold) return;
     PredictedFinding pf;
     pf.start = vl.start();
     pf.size = vl.size();
     pf.kind = vl.kind();
     pf.invalidations = inv;
-    pf.accesses = vl.accesses();
     pf.hot_x = vl.hot_x();
     pf.hot_y = vl.hot_y();
 
@@ -159,7 +158,7 @@ Report build_report(const Runtime& rt) {
     of.predicted = true;
     of.predicted_invalidations += inv;
     of.predictions.push_back(pf);
-  }
+  });
 
   // Prediction-only findings have no hot physical line, but Figure 5 still
   // shows the object's access totals and word histogram: pull them from the

@@ -57,7 +57,6 @@ struct PredictedFinding {
   std::size_t size = 0;
   VirtualLineTracker::Kind kind = VirtualLineTracker::Kind::kShifted;
   std::uint64_t invalidations = 0;
-  std::uint64_t accesses = 0;
   Address hot_x = 0;
   Address hot_y = 0;
 };

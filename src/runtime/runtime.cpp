@@ -200,9 +200,7 @@ void Runtime::handle_access_one_word(ShadowSpace& region, Address addr,
                            config_.sample_interval,
                            suppress ? thread_epoch(tid) : 0);
   if (outcome.sampled) {
-    if (track->has_virtual_lines()) {
-      track->update_virtual_lines(addr, type, tid);
-    }
+    track->update_virtual_lines(addr, type, tid);
     // One event per sampled access: an invalidation event implies the
     // sample (the aggregator counts it for both totals).
     if (outcome.invalidated) {
@@ -372,6 +370,11 @@ VirtualLineTracker* Runtime::add_virtual_line(ShadowSpace& region,
                                               VirtualLineTracker::Kind kind,
                                               std::size_t origin_line,
                                               Address hot_x, Address hot_y) {
+  // Coverage is registered as masks of whole words (covered_words), so the
+  // range must start and end on word boundaries: the predictor word-aligns
+  // its shifted placements, and double lines are line-aligned.
+  const LineGeometry& geo = region.geometry();
+  PRED_CHECK(start % geo.word_size == 0 && size % geo.word_size == 0);
   VirtualLineTracker* vl = nullptr;
   {
     std::lock_guard<Spinlock> g(vl_lock_);
@@ -385,7 +388,8 @@ VirtualLineTracker* Runtime::add_virtual_line(ShadowSpace& region,
   const std::size_t last = region.line_index(start + size - 1);
   for (std::size_t i = first; i <= last && i < region.num_lines(); ++i) {
     ensure_tracked_line(region, i);
-    region.tracker(i)->add_virtual_line(vl);
+    region.tracker(i)->add_virtual_line(
+        vl, vl->covered_words(region.line_start(i), geo));
   }
   return vl;
 }

@@ -14,8 +14,8 @@
 //      (runtime/write_stage.hpp) and drained in batches, so the common
 //      case touches no shared cache line;
 //   4. tracked path — lock-free: per-OS-thread striped sampling clocks,
-//      CAS-packed history table, atomic word histogram, RCU virtual-line
-//      fan-out (runtime/cache_tracker.hpp).
+//      CAS-packed history table, atomic word histogram, per-word
+//      virtual-line fan-out tables (runtime/cache_tracker.hpp).
 #pragma once
 
 #include <atomic>
@@ -23,6 +23,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/cacheline.hpp"
@@ -153,8 +154,26 @@ class Runtime {
                                        std::size_t origin_line, Address hot_x,
                                        Address hot_y);
 
+  /// Every nominated virtual line. Nominations append to the deque, so
+  /// iterate it only when no prediction hook can run concurrently; a walk
+  /// during a run goes through for_each_virtual_line.
   const std::deque<VirtualLineTracker>& virtual_lines() const {
     return virtual_lines_;
+  }
+
+  /// Invokes fn(const VirtualLineTracker&) for every virtual line nominated
+  /// when the walk begins, in nomination order. The pointers are copied
+  /// under the nomination lock and fn runs outside it; deque references
+  /// stay valid while nominations append.
+  template <typename F>
+  void for_each_virtual_line(F&& fn) const {
+    std::vector<const VirtualLineTracker*> lines;
+    {
+      std::lock_guard<Spinlock> g(vl_lock_);
+      lines.reserve(virtual_lines_.size());
+      for (const VirtualLineTracker& vl : virtual_lines_) lines.push_back(&vl);
+    }
+    for (const VirtualLineTracker* vl : lines) fn(*vl);
   }
 
   // --- live monitoring (src/monitor/) ---

@@ -9,8 +9,14 @@
 // history table; the resulting invalidation count is the predicted severity.
 //
 // Concurrency: sampled-access fan-out reaches virtual lines from every
-// mutator thread at once, so the packed history table updates with a CAS
-// and the counters with relaxed fetch_adds — no serialization point.
+// mutator thread at once. Coverage is decided at registration (each
+// physical line's fan-out table holds a per-word mask, see
+// CacheTracker::add_virtual_line), so an access reaches only the lines that
+// cover its word, and a covering line writes shared memory only when its
+// history automaton changes state: a CAS on the packed table, plus a
+// relaxed fetch_add when the change is an invalidation. Each virtual line
+// occupies exactly one host line, so neighbouring lines' updates never
+// falsely share.
 #pragma once
 
 #include <atomic>
@@ -21,7 +27,7 @@
 
 namespace pred {
 
-class VirtualLineTracker {
+class alignas(kCacheLineSize) VirtualLineTracker {
  public:
   enum class Kind : std::uint8_t {
     kDoubleLine,  ///< models hardware with 2x line size (Figure 3b)
@@ -39,10 +45,25 @@ class VirtualLineTracker {
 
   bool covers(Address a) const { return a >= start_ && a < start_ + size_; }
 
-  /// Feeds one (sampled) access; counts predicted invalidations.
-  void access(Address a, AccessType type, ThreadId tid) {
-    if (!covers(a)) return;
-    accesses_.fetch_add(1, std::memory_order_relaxed);
+  /// The words of the physical line at `line_start` that this line covers:
+  /// bit k is set iff word k lies in the range. Registration computes it
+  /// once per overlapped physical line (Runtime::add_virtual_line). A mask
+  /// describes whole words, so the range must start and end on word
+  /// boundaries.
+  std::uint32_t covered_words(Address line_start,
+                              const LineGeometry& geo) const {
+    std::uint32_t words = 0;
+    for (std::size_t k = 0; k < geo.words_per_line(); ++k) {
+      if (covers(line_start + k * geo.word_size)) {
+        words |= std::uint32_t{1} << k;
+      }
+    }
+    return words;
+  }
+
+  /// Feeds one sampled access to a word this line covers; counts predicted
+  /// invalidations.
+  void access(AccessType type, ThreadId tid) {
     if (history_.access(tid, type) == HistoryOutcome::kInvalidation) {
       invalidations_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -58,14 +79,11 @@ class VirtualLineTracker {
   std::uint64_t invalidations() const {
     return invalidations_.load(std::memory_order_relaxed);
   }
-  std::uint64_t accesses() const {
-    return accesses_.load(std::memory_order_relaxed);
-  }
+  const PackedHistoryTable& history() const { return history_; }
 
  private:
   PackedHistoryTable history_;
   std::atomic<std::uint64_t> invalidations_{0};
-  std::atomic<std::uint64_t> accesses_{0};
   const Address start_;
   const std::size_t size_;
   const Address hot_x_;
@@ -73,5 +91,9 @@ class VirtualLineTracker {
   const std::size_t origin_line_;
   const Kind kind_;
 };
+
+// One host line per virtual line: the history word and the invalidation
+// counter every covering access may write sit on a line of their own.
+static_assert(sizeof(VirtualLineTracker) == kCacheLineSize);
 
 }  // namespace pred

@@ -3,12 +3,15 @@
 // virtual-line fan-out.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/prng.hpp"
 #include "runtime/cache_tracker.hpp"
+#include "runtime/runtime.hpp"
 
 namespace pred {
 namespace {
@@ -103,12 +106,14 @@ TEST(CacheTracker, VirtualLineFanOut) {
   VirtualLineTracker vl(kLineBase + 32, 64, VirtualLineTracker::Kind::kShifted,
                         10, kLineBase + 32, kLineBase + 72);
   EXPECT_FALSE(t.has_virtual_lines());
-  t.add_virtual_line(&vl);
+  t.add_virtual_line(&vl, 0xf0);  // [672, 736) covers words 4..7 of line 10
   EXPECT_TRUE(t.has_virtual_lines());
-  // Only accesses inside the virtual range reach the virtual table.
+  // Only accesses to covered words reach the virtual table: had thread 1's
+  // write arrived, it would have invalidated thread 0's entry.
   t.update_virtual_lines(kLineBase + 40, W, 0);
-  t.update_virtual_lines(kLineBase + 8, W, 1);  // outside [672, 736)
-  EXPECT_EQ(vl.accesses(), 1u);
+  t.update_virtual_lines(kLineBase + 8, W, 1);  // word 1: outside the line
+  EXPECT_EQ(vl.invalidations(), 0u);
+  EXPECT_TRUE(vl.history().owned_write_by(0));
 }
 
 // --- tracked-path concurrency ----------------------------------------------
@@ -367,9 +372,9 @@ TEST(CacheTracker, ExitTimeAccessNeverReusesTheReleasedToken) {
   EXPECT_EQ(t.sampled_accesses(), 300u);
 }
 
-// Virtual-line fan-out under concurrent nomination: readers iterate an
-// immutable published snapshot, so a nomination during fan-out is simply
-// picked up by the next sampled access.
+// Virtual-line fan-out under concurrent nomination: readers scan the
+// published table up to the size they loaded, so a nomination during
+// fan-out is simply picked up by the next sampled access.
 TEST(CacheTracker, VirtualLineSnapshotGrowsUnderFanOut) {
   auto t = make_tracker();
   std::vector<std::unique_ptr<VirtualLineTracker>> vls;
@@ -385,13 +390,147 @@ TEST(CacheTracker, VirtualLineSnapshotGrowsUnderFanOut) {
     }
   });
   for (auto& vl : vls) {
-    t.add_virtual_line(vl.get());
+    t.add_virtual_line(vl.get(), 0xff);
   }
   stop.store(true, std::memory_order_relaxed);
   fanout.join();
   t.update_virtual_lines(kLineBase + 8, W, 2);
   for (auto& vl : vls) {
-    EXPECT_GE(vl->accesses(), 1u);  // every nominated line sees the tail access
+    // Every nominated line sees the tail access.
+    EXPECT_TRUE(vl->history().owned_write_by(2));
+  }
+}
+
+// 64 nominations on one tracker while four threads fan out: the table
+// doubles from one entry to 64, so it is replaced six times, and every
+// reader keeps scanning whichever generation it loaded.
+TEST(CacheTracker, FanOutTableGrowsUnderConcurrentFanOut) {
+  auto t = make_tracker();
+  constexpr int kLines = 64;
+  constexpr int kReaders = 4;
+  std::vector<std::unique_ptr<VirtualLineTracker>> vls;
+  for (int i = 0; i < kLines; ++i) {
+    vls.push_back(std::make_unique<VirtualLineTracker>(
+        kLineBase, 64, VirtualLineTracker::Kind::kShifted, 10, kLineBase,
+        kLineBase + 56));
+  }
+  std::atomic<bool> stop{false};
+  std::array<std::atomic<std::uint64_t>, kReaders> passes{};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        t.update_virtual_lines(kLineBase + 8 * r, W, static_cast<ThreadId>(r));
+        passes[r].fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  for (auto& vl : vls) t.add_virtual_line(vl.get(), 0xff);
+  // Two more passes per reader: the second began after the last nomination,
+  // so it reached every line.
+  for (int r = 0; r < kReaders; ++r) {
+    const std::uint64_t seen = passes[r].load(std::memory_order_acquire);
+    while (passes[r].load(std::memory_order_acquire) < seen + 2) {
+      std::this_thread::yield();
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : readers) th.join();
+
+  std::vector<std::uint64_t> before;
+  for (const auto& vl : vls) before.push_back(vl->invalidations());
+  t.update_virtual_lines(kLineBase + 40, W, kReaders);  // a new thread
+  for (int i = 0; i < kLines; ++i) {
+    EXPECT_EQ(vls[i]->invalidations(), before[i] + 1) << "line " << i;
+  }
+  EXPECT_LE(t.fanout_tables(), 7u);  // ceil(log2 64) + 1
+}
+
+// The fan-out table against the definition it replaces: every sampled
+// access goes to each virtual line whose byte range covers it. Random
+// placements of the shapes the predictor nominates (a shifted line at every
+// word offset, double lines, a start clamped to the region base), fed one
+// random multi-thread stream through the Runtime at full sampling, must
+// count exactly the invalidations of reference tables fed the same stream
+// through covers(). 128-byte lines of 4-byte words use all 32 mask bits.
+void run_fanout_differential(const LineGeometry geo, std::uint64_t seed) {
+  constexpr std::size_t kLinesInRegion = 12;
+  alignas(128) static std::uint8_t buffer[kLinesInRegion * 128];
+  const Address base = reinterpret_cast<Address>(buffer);
+  RuntimeConfig cfg;
+  cfg.geometry = geo;
+  cfg.set_sampling_rate(1.0);
+  Runtime rt(cfg);
+  ShadowSpace* region =
+      rt.register_region(base, kLinesInRegion * geo.line_size);
+  ASSERT_NE(region, nullptr);
+
+  Xorshift64 rng(seed);
+  const std::size_t wpl = geo.words_per_line();
+  std::vector<VirtualLineTracker*> vls;
+  auto nominate = [&](Address start, std::size_t size,
+                      VirtualLineTracker::Kind kind) {
+    vls.push_back(rt.add_virtual_line(*region, start, size, kind, 0, start,
+                                      start + size - geo.word_size));
+  };
+  for (std::size_t w = 1; w < wpl; ++w) {
+    const std::size_t line = rng.next_below(kLinesInRegion);
+    nominate(region->line_start(line) + w * geo.word_size, geo.line_size,
+             VirtualLineTracker::Kind::kShifted);
+  }
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t pair = rng.next_below(kLinesInRegion / 2);
+    nominate(region->line_start(2 * pair), 2 * geo.line_size,
+             VirtualLineTracker::Kind::kDoubleLine);
+  }
+  // The predictor clamps a placement that would start before the region.
+  nominate(region->base(), geo.line_size, VirtualLineTracker::Kind::kShifted);
+
+  // Only lines with trackers forward accesses; every access to one of
+  // them is sampled.
+  std::vector<std::size_t> tracked;
+  for (std::size_t i = 0; i < kLinesInRegion; ++i) {
+    if (region->tracker(i) != nullptr) tracked.push_back(i);
+  }
+  struct Reference {
+    HistoryTable history;
+    std::uint64_t invalidations = 0;
+  };
+  std::vector<Reference> ref(vls.size());
+  std::uint64_t total = 0;
+  for (int n = 0; n < 20000; ++n) {
+    const std::size_t line = tracked[rng.next_below(tracked.size())];
+    const Address addr = region->line_start(line) +
+                         rng.next_below(wpl) * geo.word_size +
+                         rng.next_below(geo.word_size);
+    const AccessType type = rng.next_below(2) == 0 ? R : W;
+    const auto tid = static_cast<ThreadId>(rng.next_below(6));
+    rt.handle_access(addr, type, tid, 1);
+    for (std::size_t i = 0; i < vls.size(); ++i) {
+      if (vls[i]->covers(addr) && ref[i].history.access(tid, type) ==
+                                      HistoryOutcome::kInvalidation) {
+        ++ref[i].invalidations;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < vls.size(); ++i) {
+    EXPECT_EQ(vls[i]->invalidations(), ref[i].invalidations)
+        << "virtual line at +" << vls[i]->start() - base << " size "
+        << vls[i]->size();
+    total += ref[i].invalidations;
+  }
+  EXPECT_GT(total, 0u);
+}
+
+TEST(CacheTracker, FanOutMatchesRangeCoverage64ByteLines) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    run_fanout_differential(LineGeometry{64, 8}, seed);
+  }
+}
+
+TEST(CacheTracker, FanOutMatchesRangeCoverage128ByteLines) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    run_fanout_differential(LineGeometry{128, 4}, seed);
   }
 }
 
@@ -406,11 +545,10 @@ TEST(VirtualLineTracker, CountsInvalidationsLikePhysicalLines) {
   VirtualLineTracker vl(128, 64, VirtualLineTracker::Kind::kDoubleLine, 2,
                         128, 184);
   for (int i = 0; i < 100; ++i) {
-    vl.access(130 + (i % 2) * 50, AccessType::kWrite,
-              static_cast<ThreadId>(i % 2));
+    vl.access(AccessType::kWrite, static_cast<ThreadId>(i % 2));
   }
   EXPECT_EQ(vl.invalidations(), 99u);
-  EXPECT_EQ(vl.accesses(), 100u);
+  EXPECT_TRUE(vl.history().owned_write_by(1));  // the last write's thread
 }
 
 // ---------------------------------------------------------------------------
@@ -585,14 +723,24 @@ TEST(SyncSuppression, ConcurrentHandoffTenuresConserveCounts) {
 }
 
 TEST(VirtualLineTracker, IgnoresOutOfRange) {
-  VirtualLineTracker vl(128, 64, VirtualLineTracker::Kind::kShifted, 2, 128,
-                        184);
-  vl.access(127, W, 0);
-  vl.access(192, W, 1);
-  EXPECT_EQ(vl.accesses(), 0u);
-  vl.access(128, R, 0);
-  vl.access(191, R, 1);
-  EXPECT_EQ(vl.accesses(), 2u);
+  // A shifted line [160, 224) over physical lines 2 and 3: the runtime
+  // registers words 4..7 of line 2 and words 0..3 of line 3.
+  alignas(64) static std::uint8_t buffer[8 * 64];
+  const Address base = reinterpret_cast<Address>(buffer);
+  Runtime rt;
+  ShadowSpace* region = rt.register_region(base, sizeof(buffer));
+  VirtualLineTracker* vl =
+      rt.add_virtual_line(*region, base + 160, 64,
+                          VirtualLineTracker::Kind::kShifted, 2, base + 160,
+                          base + 216);
+  EXPECT_FALSE(vl->covers(base + 159));
+  EXPECT_FALSE(vl->covers(base + 224));
+  region->tracker(2)->update_virtual_lines(base + 159, W, 0);
+  region->tracker(3)->update_virtual_lines(base + 224, W, 1);
+  EXPECT_EQ(vl->history().size(), 0);
+  region->tracker(2)->update_virtual_lines(base + 160, R, 0);
+  region->tracker(3)->update_virtual_lines(base + 223, R, 1);
+  EXPECT_EQ(vl->history().size(), 2);
 }
 
 }  // namespace

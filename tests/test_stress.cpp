@@ -155,5 +155,39 @@ TEST(Stress, ParallelReportingWhileMutating) {
   mutator2.join();
 }
 
+// A report built mid-run while the prediction hook nominates virtual lines:
+// build_report must read the runtime's virtual lines without racing the
+// nominations that append to them.
+TEST(Stress, ReportingWhileNominatingVirtualLines) {
+  alignas(64) static std::uint8_t buffer[64 * 64];
+  const Address base = reinterpret_cast<Address>(buffer);
+  Runtime rt;
+  ShadowSpace* region = rt.register_region(base, sizeof(buffer));
+  ASSERT_NE(region, nullptr);
+  constexpr int kNominations = 2000;
+  std::atomic<bool> reporting{false};
+  std::atomic<bool> done{false};
+
+  std::thread nominator([&] {
+    while (!reporting.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < kNominations; ++i) {
+      const Address start = base + (i % 63) * 64 + (i % 8) * 8;
+      rt.add_virtual_line(*region, start, 64,
+                          VirtualLineTracker::Kind::kShifted, i % 63, start,
+                          start + 56);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  do {
+    reporting.store(true, std::memory_order_release);
+    const Report rep = build_report(rt);
+    EXPECT_TRUE(rep.findings.empty());  // nothing was accessed
+  } while (!done.load(std::memory_order_acquire));
+  nominator.join();
+  EXPECT_EQ(rt.virtual_lines().size(), std::size_t{kNominations});
+}
+
 }  // namespace
 }  // namespace pred
