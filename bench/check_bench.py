@@ -36,6 +36,14 @@ point, except the fan-out):
                        4-vCPU host (median 2.4), 1.91-2.92 over 5 runs
                        pinned to 2 CPUs; the floor asks for 1.5x.
 
+Trace codec (microbench_trace, one thread, CPU time, best of 3 passes):
+  crc_speedup          wire::crc32 (slicing-by-16) over the bench-local
+                       SeedCrc32, the byte-at-a-time table loop it
+                       replaced, on 64 MiB: 6.38-7.64 over 17 runs on a
+                       shared 4-vCPU host (median 6.85; 1.73-2.28 GB/s
+                       against 271-310 MB/s). A return to a bytewise loop
+                       reads about 1x; the floor asks for 3x.
+
 Usage: check_bench.py BENCH_fastpath.json BENCH_tracked.json [more.json ...]
 Stdlib only — CI and the local tree both have bare python3.
 """
@@ -67,6 +75,10 @@ FLOORS = {
     "fanout_speedup_t4": (
         1.5,
         "virtual-line fan-out no faster than scanning every virtual line",
+    ),
+    "crc_speedup": (
+        3.0,
+        "trace codec CRC-32 no longer folds 16 bytes per step",
     ),
     "predict_recall": (
         1.0,

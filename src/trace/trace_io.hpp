@@ -19,11 +19,24 @@
 // size u8, pad u16 }, little-endian. Unknown payload fields are skipped,
 // so newer writers can annotate traces without breaking this reader. The
 // pre-frame v1 layout (raw "PRTR" preamble) is no longer read.
+//
+// Readers accept only what save_traces writes, give or take unknown
+// fields. They reject a frame that fails its CRC; a torn field sequence;
+// a known field that repeats, has another kind, or is a u64 not 8 bytes
+// wide; a missing header or thread field; thread frames out of index
+// order; a packed event whose type is not 0 (read) or 1 (write) or whose
+// pad is not zero; an event count that disagrees with the packed events;
+// and a header total that differs from the sum of the threads' counts.
+//
+// Saving packs each thread's events straight into one reused payload
+// buffer and writes it after its frame header, so events are copied once;
+// a thread too large for the frame's u32 length makes save_traces fail.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/executor.hpp"
@@ -31,14 +44,16 @@
 namespace pred {
 
 /// Writes traces to a stream/file in the v2 frame format. Returns false on
-/// I/O failure.
+/// I/O failure, or when a thread's packed events exceed a frame's 4 GiB
+/// length limit (about 2^28 events).
 bool save_traces(std::ostream& out, const std::vector<ThreadTrace>& traces);
 bool save_traces_file(const std::string& path,
                       const std::vector<ThreadTrace>& traces);
 
 /// Reads a v2 frame stream back. Returns false on I/O failure, bad magic,
-/// version skew, frame corruption, truncation, or thread frames out of
-/// index order; `traces` is cleared first and left empty on failure.
+/// version skew, frame corruption, truncation, or any stream save_traces
+/// would not write (see above); `traces` is cleared first and left empty
+/// on failure.
 /// Memory grows only with the bytes actually read, never with a count a
 /// header merely claims.
 bool load_traces(std::istream& in, std::vector<ThreadTrace>* traces);
@@ -49,7 +64,8 @@ bool load_traces_file(const std::string& path,
 std::size_t total_events(const std::vector<ThreadTrace>& traces);
 
 /// Packs/unpacks one thread's events as the 16-byte wire records (exposed
-/// for the codec tests).
+/// for the codec tests). unpack_events rejects a length that is not a
+/// whole number of records and a record with a bad type or non-zero pad.
 std::string pack_events(const ThreadTrace& trace);
 bool unpack_events(std::string_view bytes, ThreadTrace* out);
 

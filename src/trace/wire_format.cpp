@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <istream>
+#include <ostream>
 
 namespace pred::wire {
 
@@ -20,33 +20,42 @@ const char* to_string(FrameError e) {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+// tables[0] is the bytewise table of the reflected IEEE polynomial;
+// tables[k][b] is the CRC of byte b followed by k zero bytes, so sixteen
+// lookups fold sixteen input bytes at once.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
-void put_u16(std::string* out, std::uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
+inline constexpr CrcTables kCrcTables = make_crc_tables();
+
+void store_u16(char* p, std::uint16_t v) {
+  p[0] = static_cast<char>(v & 0xff);
+  p[1] = static_cast<char>((v >> 8) & 0xff);
 }
 
-void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+void store_u32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
-void put_u64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+void store_u64(char* p, std::uint64_t v) {
+  store_u32(p, static_cast<std::uint32_t>(v));
+  store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
 std::uint16_t get_u16(const unsigned char* p) {
@@ -65,14 +74,50 @@ std::uint64_t get_u64(const unsigned char* p) {
          (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
 }
 
+/// The kFrameHeaderSize bytes that precede `payload` in its frame.
+void store_header(char* p, FrameType type, std::string_view payload) {
+  store_u32(p, kFrameMagic);
+  store_u16(p + 4, kWireVersion);
+  store_u16(p + 6, static_cast<std::uint16_t>(type));
+  store_u32(p + 8, static_cast<std::uint32_t>(payload.size()));
+  store_u32(p + 12, crc32(payload));
+}
+
+/// Appends a field's (id, kind, length) header and `len` value bytes to
+/// `out`, and returns the value bytes.
+char* append_field(std::string* out, std::uint16_t id, FieldKind kind,
+                   std::size_t len) {
+  const std::size_t at = out->size();
+  out->resize(at + 8 + len);
+  char* p = out->data() + at;
+  store_u16(p, id);
+  store_u16(p + 2, static_cast<std::uint16_t>(kind));
+  store_u32(p + 4, static_cast<std::uint32_t>(len));
+  return p + 8;
+}
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  for (; size >= 16; size -= 16, p += 16) {
+    const std::uint32_t a = get_u32(p) ^ c;
+    const std::uint32_t b = get_u32(p + 4);
+    const std::uint32_t d = get_u32(p + 8);
+    const std::uint32_t e = get_u32(p + 12);
+    c = t[15][a & 0xffu] ^ t[14][(a >> 8) & 0xffu] ^
+        t[13][(a >> 16) & 0xffu] ^ t[12][a >> 24] ^
+        t[11][b & 0xffu] ^ t[10][(b >> 8) & 0xffu] ^
+        t[9][(b >> 16) & 0xffu] ^ t[8][b >> 24] ^
+        t[7][d & 0xffu] ^ t[6][(d >> 8) & 0xffu] ^
+        t[5][(d >> 16) & 0xffu] ^ t[4][d >> 24] ^
+        t[3][e & 0xffu] ^ t[2][(e >> 8) & 0xffu] ^
+        t[1][(e >> 16) & 0xffu] ^ t[0][e >> 24];
+  }
+  for (; size > 0; --size, ++p) {
+    c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }
@@ -80,13 +125,19 @@ std::uint32_t crc32(const void* data, std::size_t size) {
 std::string encode_frame(FrameType type, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
-  put_u32(&out, kFrameMagic);
-  put_u16(&out, kWireVersion);
-  put_u16(&out, static_cast<std::uint16_t>(type));
-  put_u32(&out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(&out, crc32(payload));
+  out.resize(kFrameHeaderSize);
+  store_header(out.data(), type, payload);
   out.append(payload);
   return out;
+}
+
+bool write_frame(std::ostream& out, FrameType type, std::string_view payload) {
+  if (payload.size() > kMaxPayload) return false;
+  char header[kFrameHeaderSize];
+  store_header(header, type, payload);
+  out.write(header, sizeof header);
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  return out.good();
 }
 
 FrameError parse_frame(std::string_view bytes, Frame* out,
@@ -145,7 +196,8 @@ FrameError read_frame(std::istream& in, Frame* out) {
   const std::size_t step =
       avail >= 0 && static_cast<std::size_t>(avail) >= length ? length
                                                                : kChunk;
-  std::string payload;
+  std::string& payload = out->payload;
+  payload.clear();
   while (payload.size() < length) {
     const std::size_t have = payload.size();
     const std::size_t want = std::min<std::size_t>(step, length - have);
@@ -157,22 +209,19 @@ FrameError read_frame(std::istream& in, Frame* out) {
   }
   if (crc32(payload) != crc) return FrameError::kBadCrc;
   out->type = static_cast<FrameType>(get_u16(p + 6));
-  out->payload = std::move(payload);
   return FrameError::kOk;
 }
 
 void FieldWriter::u64(std::uint16_t id, std::uint64_t v) {
-  put_u16(out_, id);
-  put_u16(out_, static_cast<std::uint16_t>(FieldKind::kU64));
-  put_u32(out_, 8);
-  put_u64(out_, v);
+  store_u64(append_field(out_, id, FieldKind::kU64, 8), v);
 }
 
 void FieldWriter::bytes(std::uint16_t id, std::string_view v) {
-  put_u16(out_, id);
-  put_u16(out_, static_cast<std::uint16_t>(FieldKind::kBytes));
-  put_u32(out_, static_cast<std::uint32_t>(v.size()));
-  out_->append(v);
+  std::copy(v.begin(), v.end(), bytes_space(id, v.size()));
+}
+
+char* FieldWriter::bytes_space(std::uint16_t id, std::size_t len) {
+  return append_field(out_, id, FieldKind::kBytes, len);
 }
 
 std::uint64_t Field::as_u64() const {

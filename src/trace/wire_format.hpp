@@ -10,6 +10,10 @@
 //   crc32    u32   CRC-32 (IEEE 802.3) of the payload
 //   payload  length bytes
 //
+// The CRC uses the reflected IEEE polynomial 0xEDB88320 and folds sixteen
+// bytes per step (slicing-by-16 over tables built at compile time), reading
+// words little-endian, so the checksum does not depend on the host.
+//
 // A reader positioned at a frame boundary can always either consume the
 // frame or fail with a precise reason (bad magic, unsupported version,
 // truncation, payload corruption) — the regression suite in
@@ -72,13 +76,24 @@ inline std::uint32_t crc32(std::string_view bytes) {
   return crc32(bytes.data(), bytes.size());
 }
 
-/// Header + payload as a byte string, ready for a file or a pipe.
-std::string encode_frame(FrameType type, std::string_view payload);
-
 /// Fixed encoded size of the frame header preceding each payload.
 inline constexpr std::size_t kFrameHeaderSize = 16;
+/// Largest payload the header's u32 length field can describe.
+inline constexpr std::size_t kMaxPayload = UINT32_MAX;
 
-/// Reads one frame from a stream positioned at a frame boundary.
+/// Header + payload as a byte string, ready for a file or a pipe. The
+/// payload must not exceed kMaxPayload.
+std::string encode_frame(FrameType type, std::string_view payload);
+
+/// Writes the frame header, then `payload` in place, with no copy of the
+/// payload. Returns false on a stream error, and without writing a byte
+/// when the payload exceeds kMaxPayload.
+bool write_frame(std::ostream& out, FrameType type, std::string_view payload);
+
+/// Reads one frame from a stream positioned at a frame boundary. The
+/// payload is read into `out->payload`, reusing its capacity, so a caller
+/// that reads many frames into one Frame allocates once; on an error it
+/// holds unspecified bytes.
 FrameError read_frame(std::istream& in, Frame* out);
 
 /// Parses one frame out of `bytes`. On kOk, `*consumed` is the total
@@ -104,6 +119,10 @@ class FieldWriter {
   void u64(std::uint16_t id, std::uint64_t v);
   void bytes(std::uint16_t id, std::string_view v);
   void str(std::uint16_t id, std::string_view v) { bytes(id, v); }
+  /// Appends a kBytes field header for `len` bytes and returns the `len`
+  /// bytes after it for the caller to fill: a field packed in place.
+  /// `len` must not exceed kMaxPayload.
+  char* bytes_space(std::uint16_t id, std::size_t len);
 
  private:
   std::string* out_;

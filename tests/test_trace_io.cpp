@@ -1,9 +1,11 @@
-// Tests for trace persistence: round-trip fidelity, corruption rejection,
-// and the record-once / analyze-many workflow (saved traces replayed under
+// Tests for trace persistence: round-trip fidelity, the saved bytes of a
+// fixed trace, corruption rejection, canonical decoding, and the
+// record-once / analyze-many workflow (saved traces replayed under
 // different detector configurations give the same verdicts as live capture).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <sstream>
 
 #include "trace/trace_io.hpp"
@@ -23,11 +25,16 @@ ThreadTrace make_trace(std::size_t n, Address base) {
   return t;
 }
 
-TEST(TraceIo, RoundTripPreservesEverything) {
+std::vector<ThreadTrace> three_threads() {
   std::vector<ThreadTrace> traces;
   traces.push_back(make_trace(1000, 0x1000));
   traces.push_back(make_trace(17, 0x2000));
   traces.push_back({});  // empty thread is legal
+  return traces;
+}
+
+TEST(TraceIo, RoundTripPreservesEverything) {
+  const std::vector<ThreadTrace> traces = three_threads();
 
   std::stringstream buf;
   ASSERT_TRUE(save_traces(buf, traces));
@@ -45,6 +52,73 @@ TEST(TraceIo, RoundTripPreservesEverything) {
     }
   }
   EXPECT_EQ(total_events(loaded), 1017u);
+}
+
+// The format, pinned: the size and CRC-32 of the bytes the byte-at-a-time
+// writer of format v2 produced for this trace. Any drift in the frame
+// header, the fields or the packed events changes them.
+TEST(TraceIo, SavedBytesAreStable) {
+  std::stringstream buf;
+  ASSERT_TRUE(save_traces(buf, three_threads()));
+  const std::string bytes = buf.str();
+  EXPECT_EQ(bytes.size(), 16488u);
+  EXPECT_EQ(wire::crc32(bytes), 0xa6cda486u);
+}
+
+// Every stream load_traces accepts is one save_traces writes. Each payload
+// byte of each frame is set to 0x00, 0xff, 0x02, 0x80 and itself ^ 1, and
+// that frame's CRC is re-stamped, so the mutation reaches the field parser
+// and the event decoder. The stream must then fail to load, or re-save to
+// exactly the mutated bytes. No thread is empty, so a changed thread count
+// always disagrees with the header's total.
+TEST(TraceIo, AcceptedStreamsAreCanonical) {
+  std::stringstream buf;
+  ASSERT_TRUE(save_traces(buf, {make_trace(3, 0x1000), make_trace(4, 0x2000),
+                                make_trace(5, 0x3000)}));
+  const std::string clean = buf.str();
+  std::size_t frames = 0, cases = 0, accepted = 0;
+  for (std::size_t at = 0; at < clean.size(); ++frames) {
+    wire::Frame frame;
+    std::size_t consumed = 0;
+    ASSERT_EQ(wire::parse_frame(std::string_view(clean).substr(at), &frame,
+                                &consumed),
+              wire::FrameError::kOk);
+    const std::size_t begin = at + wire::kFrameHeaderSize;
+    const std::size_t len = consumed - wire::kFrameHeaderSize;
+    for (std::size_t pos = begin; pos < begin + len; ++pos) {
+      const auto byte = static_cast<unsigned char>(clean[pos]);
+      std::set<unsigned char> values{0x00, 0xff, 0x02, 0x80,
+                                     static_cast<unsigned char>(byte ^ 1)};
+      values.erase(byte);
+      for (const unsigned char v : values) {
+        std::string bytes = clean;
+        bytes[pos] = static_cast<char>(v);
+        // Re-stamp the header's crc32 field (bytes 12-15, little-endian).
+        const std::uint32_t crc = wire::crc32(bytes.data() + begin, len);
+        for (int k = 0; k < 4; ++k) {
+          bytes[at + 12 + k] = static_cast<char>(crc >> (8 * k));
+        }
+        ++cases;
+        std::stringstream in(bytes);
+        std::vector<ThreadTrace> loaded;
+        if (!load_traces(in, &loaded)) {
+          EXPECT_TRUE(loaded.empty());
+          continue;
+        }
+        ++accepted;
+        std::stringstream out;
+        ASSERT_TRUE(save_traces(out, loaded));
+        EXPECT_EQ(out.str(), bytes)
+            << "payload byte " << pos - begin << " of frame " << frames
+            << " set to " << static_cast<int>(v);
+      }
+    }
+    at += consumed;
+  }
+  EXPECT_EQ(frames, 4u);
+  EXPECT_GT(cases, 1000u);
+  // Addresses, think cycles, sizes and read/write swaps stay valid traces.
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(TraceIo, RejectsBadMagic) {

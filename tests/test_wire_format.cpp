@@ -1,15 +1,19 @@
 // Regression tests for the shared wire framing (trace/wire_format.hpp):
-// every FrameError path (bad magic, version skew, truncation, CRC
-// corruption), the incremental-parse contract FrameStreamParser relies on,
-// and the tagged-field layer's unknown-field forward compatibility.
+// the CRC-32 against its definition, every FrameError path (bad magic,
+// version skew, truncation, CRC corruption), the incremental-parse
+// contract FrameStreamParser relies on, and the tagged-field layer's
+// unknown-field forward compatibility.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <sstream>
+#include <vector>
 
 #include "collect/transport.hpp"
+#include "common/anon_mapping.hpp"
 #include "trace/wire_format.hpp"
 
 // Largest single allocation allowed while an AllocationCap is alive (0 =
@@ -72,13 +76,53 @@ std::string sample_payload() {
   FieldWriter w(&payload);
   w.u64(1, 0xdeadbeefcafe1234ull);
   w.str(2, "hello, wire");
+  std::memcpy(w.bytes_space(3, 4), "fill", 4);
   return payload;
+}
+
+/// CRC-32 by its definition: the reflected IEEE polynomial applied one bit
+/// at a time, with no tables.
+std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+    }
+  }
+  return ~c;
+}
+
+TEST(WireFormat, Crc32KnownAnswer) {
+  EXPECT_EQ(wire::crc32("123456789"), 0xcbf43926u);
+  EXPECT_EQ(wire::crc32(""), 0u);
+}
+
+// crc32 folds 16 bytes per step and finishes bytewise: every length from
+// 0 to 1100 at every start offset 0-15 covers each split between the two.
+TEST(WireFormat, Crc32MatchesBitwiseReference) {
+  std::vector<unsigned char> buf(1100 + 16);
+  std::uint32_t x = 1;
+  for (unsigned char& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(wire::crc32(p, len), bitwise_crc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(WireFormat, FrameRoundTrip) {
   const std::string payload = sample_payload();
   const std::string bytes = wire::encode_frame(FrameType::kSnapshot, payload);
   ASSERT_EQ(bytes.size(), wire::kFrameHeaderSize + payload.size());
+  std::ostringstream written;
+  ASSERT_TRUE(wire::write_frame(written, FrameType::kSnapshot, payload));
+  EXPECT_EQ(written.str(), bytes);
 
   Frame frame;
   std::size_t consumed = 0;
@@ -180,6 +224,18 @@ TEST(WireFormat, ReadFrameNeverAllocatesAnUnreadLength) {
   EXPECT_EQ(frame.payload, big);
 }
 
+// A payload over 4 GiB cannot be described by the header's u32 length:
+// write_frame refuses it before reading a byte. The payload is a
+// demand-zero mapping, so an untouched one never becomes resident.
+TEST(WireFormat, WriteFrameRefusesPayloadOverFourGiB) {
+  const AnonMapping huge((std::size_t{1} << 32) + 16);
+  std::ostringstream out;
+  EXPECT_FALSE(wire::write_frame(
+      out, FrameType::kThreadTrace,
+      std::string_view(static_cast<const char*>(huge.data()), huge.size())));
+  EXPECT_TRUE(out.str().empty());
+}
+
 TEST(WireFormat, FieldRoundTripAndLookup) {
   const std::string payload = sample_payload();
   const auto u = FieldReader::find(payload, 1);
@@ -188,6 +244,10 @@ TEST(WireFormat, FieldRoundTripAndLookup) {
   const auto s = FieldReader::find(payload, 2);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->bytes, "hello, wire");
+  const auto filled = FieldReader::find(payload, 3);
+  ASSERT_TRUE(filled.has_value());
+  EXPECT_EQ(filled->kind, wire::FieldKind::kBytes);
+  EXPECT_EQ(filled->bytes, "fill");
   EXPECT_FALSE(FieldReader::find(payload, 99).has_value());
 }
 
