@@ -1,16 +1,24 @@
 // Trace codec microbench: the layers save_traces and load_traces spend
-// their time in, on synthetic traces (no session, no workload). Every phase
-// is timed in the thread's CPU time and keeps the best of 3 passes.
+// their time in. Every phase is timed in the thread's CPU time and keeps the
+// best of 3 passes.
 //
-// Phase crc  — wire::crc32 over MB MiB of pseudo-random bytes (default 64)
+// Phase crc — wire::crc32 over MB MiB of pseudo-random bytes (default 64)
 //   against SeedCrc32, a copy of the byte-at-a-time table loop the codec
 //   used before slicing-by-16. The two must agree; crc_speedup is floored
 //   by check_bench.py.
-// Phase save — save_traces of 8 threads x 1M events (128 MB packed) into a
-//   streambuf that drops what it is given, so the figure is the codec's own
-//   cost, not a caller's buffer growing.
-// Phase load — load_traces of the saved bytes from an istringstream; the
-//   loaded traces must equal the saved ones.
+// Phases save and load, on two inputs:
+//   random — 8 threads x 1M synthetic events at random 8-byte-aligned
+//     addresses in a 256 MiB range, so an address delta takes 4 or 5
+//     varint bytes: the encoding's hard case;
+//   kmeans — the kmeans kernel's capture (8 threads, scale 1, seed 1), a
+//     real access stream.
+//   save_traces writes into a streambuf that drops what it is given, so the
+//   figure is the codec's own cost, not a caller's buffer growing;
+//   load_traces reads the saved bytes from an istringstream, and the loaded
+//   traces must equal the saved ones. Both report events/s, since MB/s of
+//   encoded bytes does not compare across encodings, and the encoded
+//   bytes_per_event. trace_compression is 16 / kmeans bytes_per_event (the
+//   16-byte event records read 1.0); check_bench.py floors it.
 //
 // Usage: microbench_trace [MB] [--json FILE]
 #include <algorithm>
@@ -20,6 +28,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -93,6 +102,49 @@ std::vector<pred::ThreadTrace> synthetic_traces(std::size_t threads,
   return traces;
 }
 
+/// Save and load rates of one input, and its encoded size.
+struct CodecFigures {
+  double events = 0;
+  double save_events_per_s = 0;
+  double load_events_per_s = 0;
+  double bytes_per_event = 0;
+};
+
+/// Times save_traces and load_traces on `traces`. False when a save fails
+/// or a load does not return the saved traces.
+bool measure_codec(const std::vector<pred::ThreadTrace>& traces,
+                   CodecFigures* out) {
+  DiscardBuf discard;
+  std::ostream sink(&discard);
+  bool ok = true;
+  const double save_s =
+      best_of_3([&] { ok = pred::save_traces(sink, traces) && ok; });
+  std::ostringstream encoded;
+  if (!ok || !pred::save_traces(encoded, traces)) return false;
+  const auto bytes = static_cast<double>(encoded.tellp());
+  std::istringstream in(std::move(encoded).str());
+  std::vector<pred::ThreadTrace> loaded;
+  const double load_s = best_of_3([&] {
+    in.clear();
+    in.seekg(0);
+    ok = pred::load_traces(in, &loaded) && ok;
+  });
+  const auto same = [](const pred::TraceEvent& a, const pred::TraceEvent& b) {
+    return a.addr == b.addr && a.think_cycles == b.think_cycles &&
+           a.type == b.type && a.size == b.size;
+  };
+  ok = ok && loaded.size() == traces.size();
+  for (std::size_t t = 0; ok && t < traces.size(); ++t) {
+    ok = std::equal(traces[t].begin(), traces[t].end(), loaded[t].begin(),
+                    loaded[t].end(), same);
+  }
+  out->events = static_cast<double>(pred::total_events(traces));
+  out->save_events_per_s = out->events / save_s;
+  out->load_events_per_s = out->events / load_s;
+  out->bytes_per_event = bytes / out->events;
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -131,64 +183,48 @@ int main(int argc, char** argv) {
   }
   const double crc_mb = static_cast<double>(buf.size()) / 1e6;
   buf = {};
-
-  // Phases save and load.
-  const auto traces = synthetic_traces(8, 1 << 20);
-  DiscardBuf discard;
-  std::ostream sink(&discard);
-  bool saved = true;
-  const double save_s =
-      best_of_3([&] { saved = pred::save_traces(sink, traces) && saved; });
-  std::ostringstream out;
-  if (!saved || !pred::save_traces(out, traces)) {
-    std::fprintf(stderr, "save_traces failed\n");
-    return 1;
-  }
-  const double trace_mb = static_cast<double>(out.tellp()) / 1e6;
-  std::istringstream in(std::move(out).str());
-  std::vector<pred::ThreadTrace> loaded;
-  bool ok = true;
-  const double load_s = best_of_3([&] {
-    in.clear();
-    in.seekg(0);
-    ok = pred::load_traces(in, &loaded) && ok;
-  });
-  const auto same = [](const pred::TraceEvent& a, const pred::TraceEvent& b) {
-    return a.addr == b.addr && a.think_cycles == b.think_cycles &&
-           a.type == b.type && a.size == b.size;
-  };
-  ok = ok && loaded.size() == traces.size();
-  for (std::size_t t = 0; ok && t < traces.size(); ++t) {
-    ok = std::equal(traces[t].begin(), traces[t].end(), loaded[t].begin(),
-                    loaded[t].end(), same);
-  }
-  if (!ok) {
-    std::fprintf(stderr, "load_traces did not return the saved traces\n");
-    return 1;
-  }
-
   const double crc_mbps = crc_mb / crc_s;
   const double seed_mbps = crc_mb / seed_s;
   const double speedup = seed_s / crc_s;
-  const double save_mbps = trace_mb / save_s;
-  const double load_mbps = trace_mb / load_s;
-  std::printf("crc  %4zu MiB: crc32 %8.0f MB/s, seed %6.0f MB/s (%.2fx)\n",
+  std::printf("crc    %4zu MiB: crc32 %8.0f MB/s, seed %6.0f MB/s (%.2fx)\n",
               mb, crc_mbps, seed_mbps, speedup);
-  std::printf("save %7.1f MB: %8.0f MB/s (8 threads x 1M events)\n", trace_mb,
-              save_mbps);
-  std::printf("load %7.1f MB: %8.0f MB/s\n", trace_mb, load_mbps);
+  pred::bench::JsonWriter json;
+  json.add("crc_mb_per_s", crc_mbps);
+  json.add("seed_crc_mb_per_s", seed_mbps);
+  json.add("crc_speedup", speedup);
 
-  if (!json_path.empty()) {
-    pred::bench::JsonWriter json;
-    json.add("crc_mb_per_s", crc_mbps);
-    json.add("seed_crc_mb_per_s", seed_mbps);
-    json.add("crc_speedup", speedup);
-    json.add("save_mb_per_s", save_mbps);
-    json.add("load_mb_per_s", load_mbps);
-    if (!json.write_file(json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+  // Phases save and load, on each input.
+  std::vector<std::pair<std::string, std::vector<pred::ThreadTrace>>> inputs;
+  inputs.emplace_back("random", synthetic_traces(8, 1 << 20));
+  pred::Session session(pred::bench::session_options());
+  inputs.emplace_back("kmeans",
+                      pred::wl::find_workload("kmeans")->capture(
+                          session, pred::bench::default_params()));
+  double kmeans_bytes_per_event = 0;
+  for (const auto& [name, traces] : inputs) {
+    CodecFigures f;
+    if (!measure_codec(traces, &f)) {
+      std::fprintf(stderr, "%s: save_traces failed, or load_traces did not "
+                   "return the saved traces\n", name.c_str());
       return 1;
     }
+    std::printf("%-6s %5.2fM events: save %6.1fM events/s, load %6.1fM "
+                "events/s, %.2f B/event\n",
+                name.c_str(), f.events / 1e6, f.save_events_per_s / 1e6,
+                f.load_events_per_s / 1e6, f.bytes_per_event);
+    json.add(name + "_save_events_per_s", f.save_events_per_s);
+    json.add(name + "_load_events_per_s", f.load_events_per_s);
+    json.add(name + "_bytes_per_event", f.bytes_per_event);
+    if (name == "kmeans") kmeans_bytes_per_event = f.bytes_per_event;
+  }
+  const double compression = 16.0 / kmeans_bytes_per_event;
+  std::printf("trace_compression %.2fx (16-byte records / kmeans)\n",
+              compression);
+  json.add("trace_compression", compression);
+
+  if (!json_path.empty() && !json.write_file(json_path)) {
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    return 1;
   }
   return 0;
 }

@@ -40,7 +40,10 @@ int main(int argc, char** argv) {
 
   // --- analyze many ------------------------------------------------------
   std::vector<ThreadTrace> loaded;
-  if (!load_traces_file(path, &loaded)) return 1;
+  if (!load_traces_file(path, &loaded)) {
+    std::fprintf(stderr, "cannot load %s\n", path.c_str());
+    return 1;
+  }
 
   // 1) Full PREDATOR.
   wl::replay_into_session(recorder, loaded);

@@ -55,14 +55,14 @@ std::string encode_entry(const PlanEntry& e) {
 bool decode_evidence(std::string_view bytes, OffsetEvidence* ev) {
   wire::FieldReader r(bytes);
   while (auto f = r.next()) {
+    bool ok = true;
     switch (f->id) {
-      case kFEvOffset: ev->offset = f->as_u64(); break;
-      case kFEvOwner:
-        ev->owner = static_cast<std::uint32_t>(f->as_u64());
-        break;
-      case kFEvWrites: ev->writes = f->as_u64(); break;
+      case kFEvOffset: ok = f->read_u64(&ev->offset); break;
+      case kFEvOwner: ok = f->read_u64(&ev->owner); break;
+      case kFEvWrites: ok = f->read_u64(&ev->writes); break;
       default: break;  // field from a newer producer
     }
+    if (!ok) return false;
   }
   return !r.malformed();
 }
@@ -74,15 +74,16 @@ bool decode_entry(std::string_view bytes, PlanEntry* e, bool* known) {
   std::uint64_t action = static_cast<std::uint64_t>(PlanAction::kAlignStart);
   wire::FieldReader r(bytes);
   while (auto f = r.next()) {
+    bool ok = true;
     switch (f->id) {
-      case kFIsGlobal: e->is_global = f->as_u64() != 0; break;
+      case kFIsGlobal: ok = f->read_u64(&e->is_global); break;
       case kFSiteKey: e->site_key.assign(f->bytes); break;
-      case kFAction: action = f->as_u64(); break;
-      case kFPadTo: e->pad_to = f->as_u64(); break;
-      case kFAlignment: e->alignment = f->as_u64(); break;
-      case kFSlotStride: e->slot_stride = f->as_u64(); break;
-      case kFObjectSize: e->object_size = f->as_u64(); break;
-      case kFExpected: e->expected_eliminated = f->as_u64(); break;
+      case kFAction: ok = f->read_u64(&action); break;
+      case kFPadTo: ok = f->read_u64(&e->pad_to); break;
+      case kFAlignment: ok = f->read_u64(&e->alignment); break;
+      case kFSlotStride: ok = f->read_u64(&e->slot_stride); break;
+      case kFObjectSize: ok = f->read_u64(&e->object_size); break;
+      case kFExpected: ok = f->read_u64(&e->expected_eliminated); break;
       case kFEvidence: {
         OffsetEvidence ev;
         if (!decode_evidence(f->bytes, &ev)) return false;
@@ -91,6 +92,7 @@ bool decode_entry(std::string_view bytes, PlanEntry* e, bool* known) {
       }
       default: break;
     }
+    if (!ok) return false;
   }
   if (r.malformed()) return false;
   if (action < static_cast<std::uint64_t>(PlanAction::kPadSlots) ||
@@ -118,8 +120,9 @@ bool decode_plan_payload(std::string_view payload, RepairPlan* out) {
   RepairPlan plan;
   wire::FieldReader r(payload);
   while (auto f = r.next()) {
+    bool ok = true;
     switch (f->id) {
-      case kFOriginUid: plan.origin_uid = f->as_u64(); break;
+      case kFOriginUid: ok = f->read_u64(&plan.origin_uid); break;
       case kFEntry: {
         PlanEntry e;
         bool known = true;
@@ -129,6 +132,7 @@ bool decode_plan_payload(std::string_view payload, RepairPlan* out) {
       }
       default: break;  // top-level field from a newer producer
     }
+    if (!ok) return false;
   }
   if (r.malformed()) return false;
   *out = std::move(plan);

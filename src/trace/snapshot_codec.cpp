@@ -78,26 +78,27 @@ std::string encode_line(const MonitorSnapshot::LineEntry& le) {
 bool decode_line(std::string_view bytes, MonitorSnapshot::LineEntry* le) {
   FieldReader r(bytes);
   while (auto f = r.next()) {
+    bool ok = true;
     switch (f->id) {
-      case kFLineStart: le->line_start = f->as_u64(); break;
-      case kFLineInvalidations: le->invalidations = f->as_u64(); break;
-      case kFLineSamples: le->samples = f->as_u64(); break;
-      case kFLineSampleWrites: le->sample_writes = f->as_u64(); break;
-      case kFLinePredictions: le->predictions = f->as_u64(); break;
+      case kFLineStart: ok = f->read_u64(&le->line_start); break;
+      case kFLineInvalidations: ok = f->read_u64(&le->invalidations); break;
+      case kFLineSamples: ok = f->read_u64(&le->samples); break;
+      case kFLineSampleWrites: ok = f->read_u64(&le->sample_writes); break;
+      case kFLinePredictions: ok = f->read_u64(&le->predictions); break;
       case kFLineFlags: {
-        const std::uint64_t flags = f->as_u64();
+        std::uint64_t flags = 0;
+        ok = f->read_u64(&flags);
         le->escalated = flags & 1;
         le->attributed = flags & 2;
         le->is_global = flags & 4;
         break;
       }
-      case kFLineObjectStart: le->object_start = f->as_u64(); break;
-      case kFLineCallsite:
-        le->callsite = static_cast<CallsiteId>(f->as_u64());
-        break;
+      case kFLineObjectStart: ok = f->read_u64(&le->object_start); break;
+      case kFLineCallsite: ok = f->read_u64(&le->callsite); break;
       case kFLineLabel: le->label.assign(f->bytes); break;
       default: break;  // field from a newer client — skip
     }
+    if (!ok) return false;
   }
   return !r.malformed();
 }
@@ -116,18 +117,16 @@ std::string encode_site(const MonitorSnapshot::CallsiteEntry& ce) {
 bool decode_site(std::string_view bytes, MonitorSnapshot::CallsiteEntry* ce) {
   FieldReader r(bytes);
   while (auto f = r.next()) {
+    bool ok = true;
     switch (f->id) {
-      case kFSiteCallsite:
-        ce->callsite = static_cast<CallsiteId>(f->as_u64());
-        break;
+      case kFSiteCallsite: ok = f->read_u64(&ce->callsite); break;
       case kFSiteLabel: ce->label.assign(f->bytes); break;
-      case kFSiteInvalidations: ce->invalidations = f->as_u64(); break;
-      case kFSiteSamples: ce->samples = f->as_u64(); break;
-      case kFSiteLines:
-        ce->lines = static_cast<std::size_t>(f->as_u64());
-        break;
+      case kFSiteInvalidations: ok = f->read_u64(&ce->invalidations); break;
+      case kFSiteSamples: ok = f->read_u64(&ce->samples); break;
+      case kFSiteLines: ok = f->read_u64(&ce->lines); break;
       default: break;
     }
+    if (!ok) return false;
   }
   return !r.malformed();
 }
@@ -144,12 +143,14 @@ std::string encode_ring(const MonitorSnapshot::RingEntry& re) {
 bool decode_ring(std::string_view bytes, MonitorSnapshot::RingEntry* re) {
   FieldReader r(bytes);
   while (auto f = r.next()) {
+    bool ok = true;
     switch (f->id) {
-      case kFRingProduced: re->produced = f->as_u64(); break;
-      case kFRingConsumed: re->consumed = f->as_u64(); break;
-      case kFRingDropped: re->dropped = f->as_u64(); break;
+      case kFRingProduced: ok = f->read_u64(&re->produced); break;
+      case kFRingConsumed: ok = f->read_u64(&re->consumed); break;
+      case kFRingDropped: ok = f->read_u64(&re->dropped); break;
       default: break;
     }
+    if (!ok) return false;
   }
   return !r.malformed();
 }
@@ -193,21 +194,22 @@ bool SnapshotCodec::decode(std::string_view payload, DecodedSnapshot* out) {
   MonitorSnapshot& snap = out->snapshot;
   FieldReader r(payload);
   while (auto f = r.next()) {
+    bool ok = true;
     switch (f->id) {
-      case kFClientUid: out->client.uid = f->as_u64(); break;
-      case kFClientPid: out->client.pid = f->as_u64(); break;
-      case kFSequence: snap.sequence = f->as_u64(); break;
-      case kFEventsSeen: snap.events_seen = f->as_u64(); break;
-      case kFEventsDropped: snap.events_dropped = f->as_u64(); break;
-      case kFAggregationPasses: snap.aggregation_passes = f->as_u64(); break;
-      case kFEscalations: snap.escalations = f->as_u64(); break;
-      case kFInvalidations: snap.invalidations = f->as_u64(); break;
-      case kFSamples: snap.samples = f->as_u64(); break;
-      case kFPredictions: snap.predictions = f->as_u64(); break;
-      case kFVirtualLines: snap.virtual_lines = f->as_u64(); break;
-      case kFLinesTracked:
-        snap.lines_tracked = static_cast<std::size_t>(f->as_u64());
+      case kFClientUid: ok = f->read_u64(&out->client.uid); break;
+      case kFClientPid: ok = f->read_u64(&out->client.pid); break;
+      case kFSequence: ok = f->read_u64(&snap.sequence); break;
+      case kFEventsSeen: ok = f->read_u64(&snap.events_seen); break;
+      case kFEventsDropped: ok = f->read_u64(&snap.events_dropped); break;
+      case kFAggregationPasses:
+        ok = f->read_u64(&snap.aggregation_passes);
         break;
+      case kFEscalations: ok = f->read_u64(&snap.escalations); break;
+      case kFInvalidations: ok = f->read_u64(&snap.invalidations); break;
+      case kFSamples: ok = f->read_u64(&snap.samples); break;
+      case kFPredictions: ok = f->read_u64(&snap.predictions); break;
+      case kFVirtualLines: ok = f->read_u64(&snap.virtual_lines); break;
+      case kFLinesTracked: ok = f->read_u64(&snap.lines_tracked); break;
       case kFLineEntry: {
         MonitorSnapshot::LineEntry le;
         if (!decode_line(f->bytes, &le)) return false;
@@ -228,6 +230,7 @@ bool SnapshotCodec::decode(std::string_view payload, DecodedSnapshot* out) {
       }
       default: break;  // newer-client field — skip
     }
+    if (!ok) return false;
   }
   return !r.malformed();
 }
@@ -246,11 +249,13 @@ bool SnapshotCodec::decode_client(std::string_view payload, ClientId* out) {
   *out = ClientId{};
   FieldReader r(payload);
   while (auto f = r.next()) {
+    bool ok = true;
     switch (f->id) {
-      case kFClientUid: out->uid = f->as_u64(); break;
-      case kFClientPid: out->pid = f->as_u64(); break;
+      case kFClientUid: ok = f->read_u64(&out->uid); break;
+      case kFClientPid: ok = f->read_u64(&out->pid); break;
       default: break;
     }
+    if (!ok) return false;
   }
   return !r.malformed();
 }

@@ -1,6 +1,6 @@
 #include "trace/trace_io.hpp"
 
-#include <cstring>
+#include <bit>
 #include <fstream>
 #include <istream>
 #include <optional>
@@ -12,43 +12,110 @@ namespace pred {
 
 namespace {
 
-struct WireEvent {
-  std::uint64_t addr;
-  std::uint32_t think;
-  std::uint8_t type;
-  std::uint8_t size;
-  std::uint16_t pad;
-};
-static_assert(sizeof(WireEvent) == 16);
-
-// Field ids inside kTraceHeader / kThreadTrace payloads.
+// Field ids inside kTraceHeader / kThreadTrace payloads. Id 3 held the
+// 16-byte event records of the first v2 writers; it is neither written nor
+// read, so a stream of them has no events field and fails to load.
 enum : std::uint16_t {
   kFieldThreadCount = 1,
   kFieldTotalEvents = 2,
   kFieldThreadIndex = 1,
   kFieldEventCount = 2,
-  kFieldEvents = 3,
+  kFieldEvents = 4,
 };
 
-/// Payload bytes of a thread frame besides its packed events: three field
+/// Payload bytes of a thread frame besides its encoded events: three field
 /// headers and two u64 values.
 constexpr std::size_t kThreadFieldBytes = 3 * 8 + 2 * 8;
-/// Most events one thread frame's u32 length field can describe.
-constexpr std::size_t kMaxFrameEvents =
-    (wire::kMaxPayload - kThreadFieldBytes) / sizeof(WireEvent);
 
-/// Packs `trace` as wire records into the trace.size() * 16 bytes at `out`.
-void pack_into(const ThreadTrace& trace, char* out) {
-  for (const TraceEvent& ev : trace) {
-    const WireEvent wire{static_cast<std::uint64_t>(ev.addr), ev.think_cycles,
-                         static_cast<std::uint8_t>(ev.type), ev.size, 0};
-    std::memcpy(out, &wire, sizeof wire);
-    out += sizeof wire;
+// The tag byte that starts each encoded event.
+constexpr unsigned kTagWrite = 0x01;       // bit 0: the access type
+constexpr unsigned kTagSizeShift = 1;      // bits 1-3: the size code
+constexpr unsigned kSizeExplicit = 4;      // size code: a size byte follows
+constexpr unsigned kTagThink = 0x10;       // bit 4: a think varint follows
+constexpr unsigned kTagReserved = 0xe0;    // bits 5-7: always zero
+/// Fewest bytes an event takes: its tag and a one-byte delta.
+constexpr std::size_t kMinEventBytes = 2;
+
+/// The size code of a `size`-byte access: 0-3 for 1, 2, 4 and 8 bytes.
+unsigned size_code(std::uint8_t size) {
+  switch (size) {
+    case 1: return 0;
+    case 2: return 1;
+    case 4: return 2;
+    case 8: return 3;
+    default: return kSizeExplicit;
   }
 }
 
+std::uint64_t zigzag(std::uint64_t delta) {
+  return (delta << 1) ^ (0 - (delta >> 63));
+}
+
+std::uint64_t unzigzag(std::uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
+
+/// Bytes of the LEB128 varint of `v`: 1 to 10.
+std::size_t varint_size(std::uint64_t v) {
+  return 1 + (static_cast<std::size_t>(std::bit_width(v | 1)) - 1) / 7;
+}
+
+unsigned char* put_varint(unsigned char* p, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) *p++ = static_cast<unsigned char>(v | 0x80);
+  *p++ = static_cast<unsigned char>(v);
+  return p;
+}
+
+/// Bytes `trace` encodes to.
+std::size_t encoded_size(const ThreadTrace& trace) {
+  std::size_t bytes = 0;
+  std::uint64_t prev = 0;
+  for (const TraceEvent& ev : trace) {
+    const auto addr = static_cast<std::uint64_t>(ev.addr);
+    bytes += 1 + (size_code(ev.size) == kSizeExplicit) +
+             varint_size(zigzag(addr - prev)) +
+             (ev.think_cycles != 0 ? varint_size(ev.think_cycles) : 0);
+    prev = addr;
+  }
+  return bytes;
+}
+
+/// Encodes `trace` into the encoded_size(trace) bytes at `out`.
+void encode_into(const ThreadTrace& trace, char* out) {
+  auto* p = reinterpret_cast<unsigned char*>(out);
+  std::uint64_t prev = 0;
+  for (const TraceEvent& ev : trace) {
+    const auto addr = static_cast<std::uint64_t>(ev.addr);
+    const unsigned code = size_code(ev.size);
+    *p++ = static_cast<unsigned char>(
+        (is_write(ev.type) ? kTagWrite : 0) | code << kTagSizeShift |
+        (ev.think_cycles != 0 ? kTagThink : 0));
+    if (code == kSizeExplicit) *p++ = ev.size;
+    p = put_varint(p, zigzag(addr - prev));
+    if (ev.think_cycles != 0) p = put_varint(p, ev.think_cycles);
+    prev = addr;
+  }
+}
+
+/// Reads the minimal LEB128 varint at `*p`, at most `max_bytes` long, and
+/// advances `*p` past it. False when it runs past `end`, is longer than
+/// `max_bytes`, ends in a zero byte after the first, or has bits above 64.
+bool get_varint(const unsigned char** p, const unsigned char* end,
+                unsigned max_bytes, std::uint64_t* out) {
+  std::uint64_t v = 0;
+  for (unsigned i = 0; i < max_bytes && *p != end; ++i) {
+    const unsigned byte = *(*p)++;
+    v |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * i);
+    if (byte < 0x80) {
+      if ((byte == 0 && i > 0) || (i == 9 && byte > 1)) return false;
+      *out = v;
+      return true;
+    }
+  }
+  return false;
+}
+
 /// The known fields of one trace payload. Ids 1 and 2 are u64s in both
-/// frame types, kept at u64[id]; a thread frame's id 3 holds its events.
+/// frame types, kept at u64[id]; a thread frame's kFieldEvents holds its
+/// events.
 struct PayloadFields {
   std::optional<std::uint64_t> u64[3];
   std::optional<std::string_view> events;
@@ -66,10 +133,9 @@ bool read_fields(std::string_view payload, bool thread_frame,
       out->events = f->bytes;
     } else if (f->id == 1 || f->id == 2) {
       std::optional<std::uint64_t>& slot = out->u64[f->id];
-      if (f->kind != wire::FieldKind::kU64 || f->bytes.size() != 8 || slot) {
-        return false;
-      }
+      if (slot) return false;
       slot = f->as_u64();
+      if (!slot) return false;
     }
   }
   return !reader.malformed();
@@ -77,34 +143,54 @@ bool read_fields(std::string_view payload, bool thread_frame,
 
 }  // namespace
 
-std::string pack_events(const ThreadTrace& trace) {
-  std::string out(trace.size() * sizeof(WireEvent), '\0');
-  pack_into(trace, out.data());
+std::string encode_events(const ThreadTrace& trace) {
+  std::string out(encoded_size(trace), '\0');
+  encode_into(trace, out.data());
   return out;
 }
 
-bool unpack_events(std::string_view bytes, ThreadTrace* out) {
+bool decode_events(std::string_view bytes, std::uint64_t count,
+                   ThreadTrace* out) {
   out->clear();
-  if (bytes.size() % sizeof(WireEvent) != 0) return false;
-  const std::size_t n = bytes.size() / sizeof(WireEvent);
-  out->reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    WireEvent wire;
-    std::memcpy(&wire, bytes.data() + i * sizeof(WireEvent), sizeof wire);
-    if (wire.type > 1 || wire.pad != 0) return false;
+  if (count > bytes.size() / kMinEventBytes) return false;
+  out->reserve(count);
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  const auto* end = p + bytes.size();
+  std::uint64_t addr = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (p == end) return false;
+    const unsigned tag = *p++;
+    const unsigned code = (tag >> kTagSizeShift) & 7;
+    if ((tag & kTagReserved) != 0 || code > kSizeExplicit) return false;
     TraceEvent ev;
-    ev.addr = static_cast<Address>(wire.addr);
-    ev.think_cycles = wire.think;
-    ev.type = static_cast<AccessType>(wire.type);
-    ev.size = wire.size;
+    ev.type = (tag & kTagWrite) ? AccessType::kWrite : AccessType::kRead;
+    if (code == kSizeExplicit) {
+      if (p == end || size_code(*p) != kSizeExplicit) return false;
+      ev.size = *p++;
+    } else {
+      ev.size = static_cast<std::uint8_t>(1u << code);
+    }
+    std::uint64_t delta = 0;
+    if (!get_varint(&p, end, 10, &delta)) return false;
+    addr += unzigzag(delta);
+    ev.addr = static_cast<Address>(addr);
+    if (tag & kTagThink) {
+      std::uint64_t think = 0;
+      if (!get_varint(&p, end, 5, &think) || think == 0 ||
+          think > UINT32_MAX) {
+        return false;
+      }
+      ev.think_cycles = static_cast<std::uint32_t>(think);
+    }
     out->push_back(ev);
   }
-  return true;
+  return p == end;
 }
 
 bool save_traces(std::ostream& out, const std::vector<ThreadTrace>& traces) {
-  // One payload buffer serves every frame: each thread's events are packed
-  // straight into it, and write_frame sends it without another copy.
+  // One payload buffer serves every frame: each thread's events are sized,
+  // then encoded straight into it, and write_frame sends it without another
+  // copy.
   std::string payload;
   wire::FieldWriter fields(&payload);
   fields.u64(kFieldThreadCount, traces.size());
@@ -114,12 +200,12 @@ bool save_traces(std::ostream& out, const std::vector<ThreadTrace>& traces) {
   }
   for (std::size_t t = 0; t < traces.size(); ++t) {
     const ThreadTrace& trace = traces[t];
-    if (trace.size() > kMaxFrameEvents) return false;
+    const std::size_t bytes = encoded_size(trace);
+    if (bytes > wire::kMaxPayload - kThreadFieldBytes) return false;
     payload.clear();
     fields.u64(kFieldThreadIndex, t);
     fields.u64(kFieldEventCount, trace.size());
-    pack_into(trace, fields.bytes_space(kFieldEvents,
-                                        trace.size() * sizeof(WireEvent)));
+    encode_into(trace, fields.bytes_space(kFieldEvents, bytes));
     if (!wire::write_frame(out, wire::FrameType::kThreadTrace, payload)) {
       return false;
     }
@@ -155,15 +241,12 @@ bool load_traces(std::istream& in, std::vector<ThreadTrace>* traces) {
         frame.type != wire::FrameType::kThreadTrace ||
         !read_fields(frame.payload, true, &body) ||
         body.u64[kFieldThreadIndex] != i || !body.u64[kFieldEventCount] ||
-        !body.events) {
+        !body.events ||
+        !decode_events(*body.events, *body.u64[kFieldEventCount],
+                       &loaded.emplace_back())) {
       return false;
     }
-    ThreadTrace& slot = loaded.emplace_back();
-    if (!unpack_events(*body.events, &slot) ||
-        slot.size() != *body.u64[kFieldEventCount]) {
-      return false;
-    }
-    events += slot.size();
+    events += loaded.back().size();
   }
   if (events != *header.u64[kFieldTotalEvents]) return false;
   *traces = std::move(loaded);

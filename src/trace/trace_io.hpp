@@ -12,25 +12,49 @@
 //
 //   kTraceHeader frame   fields { 1: thread count, 2: total events }
 //   kThreadTrace frame   fields { 1: thread index, 2: event count,
-//                                 3: packed events } — one per thread,
+//                                 4: encoded events } — one per thread,
 //                                 in thread-index order
 //
-// Packed events are 16-byte records: { addr u64, think u32, type u8,
-// size u8, pad u16 }, little-endian. Unknown payload fields are skipped,
-// so newer writers can annotate traces without breaking this reader. The
-// pre-frame v1 layout (raw "PRTR" preamble) is no longer read.
+// Events are encoded per thread, in order, each as
+//
+//   tag        u8      bit 0 type (0 read, 1 write); bits 1-3 size code
+//                      (0-3: 1, 2, 4 or 8 bytes; 4: a size byte follows);
+//                      bit 4 set exactly when think_cycles != 0; bits 5-7
+//                      zero
+//   size       u8      only for size code 4
+//   delta      varint  zigzag of (addr - previous addr) mod 2^64, where the
+//                      previous address of a thread's first event is 0
+//   think      varint  think_cycles, only when tag bit 4 is set
+//
+// Varints are LEB128: seven bits per byte, low bits first, the high bit set
+// on every byte but the last. A typical event takes 2-5 bytes.
 //
 // Readers accept only what save_traces writes, give or take unknown
-// fields. They reject a frame that fails its CRC; a torn field sequence;
-// a known field that repeats, has another kind, or is a u64 not 8 bytes
-// wide; a missing header or thread field; thread frames out of index
-// order; a packed event whose type is not 0 (read) or 1 (write) or whose
-// pad is not zero; an event count that disagrees with the packed events;
-// and a header total that differs from the sum of the threads' counts.
+// fields, so every stream that loads re-saves to its own bytes. They
+// reject a frame that fails its CRC; a torn field sequence; a known field
+// that repeats, has another kind, or is a u64 not 8 bytes wide; a missing
+// header or thread field; thread frames out of index order; a header total
+// that differs from the sum of the threads' counts; and, in the events, tag
+// bits 5-7 or a size code above 4, a size byte of 1, 2, 4 or 8, a think
+// flag with a think value of 0, a varint that is not minimal, a delta
+// varint longer than 10 bytes or whose 10th byte is not 1, a think varint
+// longer than 5 bytes or above 2^32-1, an event cut off by the end of the
+// field, and bytes left after the frame's event count. Unknown payload
+// fields are skipped, so newer writers can annotate traces.
 //
-// Saving packs each thread's events straight into one reused payload
-// buffer and writes it after its frame header, so events are copied once;
-// a thread too large for the frame's u32 length makes save_traces fail.
+// Compatibility: field id 3 held 16-byte event records { addr u64, think
+// u32, type u8, size u8, pad u16 } in the first v2 writers. It is neither
+// written nor read, so their streams fail to load (they have no events
+// field), and their readers fail on these streams the same way. No reader
+// for them is kept: a trace's absolute addresses resolve only against the
+// heap of the session that recorded it, so traces are re-captured, not
+// archived. The pre-frame v1 layout (raw "PRTR" preamble) is not read
+// either.
+//
+// Saving sizes each thread's events exactly in a first pass, then encodes
+// them straight into one reused payload buffer and writes it after its
+// frame header, so events are copied once; a thread whose encoded events
+// do not fit the frame's u32 length makes save_traces fail.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +68,8 @@
 namespace pred {
 
 /// Writes traces to a stream/file in the v2 frame format. Returns false on
-/// I/O failure, or when a thread's packed events exceed a frame's 4 GiB
-/// length limit (about 2^28 events).
+/// I/O failure, or when a thread's encoded events exceed a frame's 4 GiB
+/// length limit.
 bool save_traces(std::ostream& out, const std::vector<ThreadTrace>& traces);
 bool save_traces_file(const std::string& path,
                       const std::vector<ThreadTrace>& traces);
@@ -63,10 +87,14 @@ bool load_traces_file(const std::string& path,
 /// Total event count across threads (reporting convenience).
 std::size_t total_events(const std::vector<ThreadTrace>& traces);
 
-/// Packs/unpacks one thread's events as the 16-byte wire records (exposed
-/// for the codec tests). unpack_events rejects a length that is not a
-/// whole number of records and a record with a bad type or non-zero pad.
-std::string pack_events(const ThreadTrace& trace);
-bool unpack_events(std::string_view bytes, ThreadTrace* out);
+/// Encodes one thread's events as a thread frame's events field holds them
+/// (exposed for the codec tests).
+std::string encode_events(const ThreadTrace& trace);
+/// Decodes the `count` events of a thread frame's events field into `out`,
+/// which is cleared first. Fails on any encoding encode_events would not
+/// write (see above), including a count above bytes.size() / 2, which is
+/// checked before `out` is sized.
+bool decode_events(std::string_view bytes, std::uint64_t count,
+                   ThreadTrace* out);
 
 }  // namespace pred

@@ -224,8 +224,8 @@ char* FieldWriter::bytes_space(std::uint16_t id, std::size_t len) {
   return append_field(out_, id, FieldKind::kBytes, len);
 }
 
-std::uint64_t Field::as_u64() const {
-  if (kind != FieldKind::kU64 || bytes.size() != 8) return 0;
+std::optional<std::uint64_t> Field::as_u64() const {
+  if (kind != FieldKind::kU64 || bytes.size() != 8) return std::nullopt;
   return get_u64(reinterpret_cast<const unsigned char*>(bytes.data()));
 }
 

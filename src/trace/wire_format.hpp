@@ -134,7 +134,17 @@ struct Field {
   FieldKind kind = FieldKind::kU64;
   std::string_view bytes;  ///< raw value bytes (8 for kU64)
 
-  std::uint64_t as_u64() const;
+  /// The value of an 8-byte kU64 field; nullopt for any other kind or
+  /// width, which decoders reject for an id they know as a u64.
+  std::optional<std::uint64_t> as_u64() const;
+  /// Stores as_u64(), cast to T, in `*out`; false, leaving `*out` as it
+  /// was, when as_u64() is empty.
+  template <typename T>
+  bool read_u64(T* out) const {
+    const std::optional<std::uint64_t> v = as_u64();
+    if (v) *out = static_cast<T>(*v);
+    return v.has_value();
+  }
 };
 
 /// Iterates the fields of a payload, skipping unknown kinds/ids gracefully.

@@ -120,6 +120,23 @@ TEST(PlanCodec, RejectsMalformedPayload) {
   EXPECT_FALSE(repair::decode_plan_payload(payload, &decoded));
 }
 
+// A known u64 field (the origin uid, the payload's first field) rewritten
+// as kBytes, or as a u64 four bytes wide, rejects the payload instead of
+// decoding as 0.
+TEST(PlanCodec, RejectsMistypedKnownFields) {
+  const std::string payload =
+      plan_frame_payload(repair::encode_plan_frame(sample_plan()));
+  repair::RepairPlan decoded;
+  ASSERT_TRUE(repair::decode_plan_payload(payload, &decoded));
+  std::string as_bytes = payload;
+  as_bytes[2] = static_cast<char>(wire::FieldKind::kBytes);
+  EXPECT_FALSE(repair::decode_plan_payload(as_bytes, &decoded));
+  std::string narrow = payload;
+  narrow[4] = 4;  // value length 8 -> 4
+  narrow.erase(8 + 4, 4);
+  EXPECT_FALSE(repair::decode_plan_payload(narrow, &decoded));
+}
+
 TEST(PlanCodec, FrameCorruptionIsCaught) {
   std::string frame = repair::encode_plan_frame(sample_plan());
   frame[wire::kFrameHeaderSize + 3] ^= 0x40;  // flip a payload bit

@@ -176,6 +176,32 @@ TEST(SnapshotCodec, RejectsMalformedPayload) {
   EXPECT_FALSE(SnapshotCodec::decode(payload, &decoded));
 }
 
+// A known u64 field (the client uid, the payload's first field) rewritten
+// as kBytes, or as a u64 four bytes wide, rejects the payload instead of
+// decoding as 0.
+TEST(SnapshotCodec, RejectsMistypedKnownFields) {
+  const std::string payload = frame_payload(
+      SnapshotCodec::encode(sample_snapshot(), ClientId{7, 8}),
+      wire::FrameType::kSnapshot);
+  const std::string hello = frame_payload(
+      SnapshotCodec::encode_hello(ClientId{7, 8}), wire::FrameType::kHello);
+  DecodedSnapshot decoded;
+  ClientId client;
+  ASSERT_TRUE(SnapshotCodec::decode(payload, &decoded));
+  ASSERT_TRUE(SnapshotCodec::decode_client(hello, &client));
+  for (std::string bad : {payload, hello}) {
+    bad[2] = static_cast<char>(wire::FieldKind::kBytes);
+    EXPECT_FALSE(SnapshotCodec::decode(bad, &decoded));
+    EXPECT_FALSE(SnapshotCodec::decode_client(bad, &client));
+  }
+  for (std::string bad : {payload, hello}) {
+    bad[4] = 4;  // value length 8 -> 4
+    bad.erase(8 + 4, 4);
+    EXPECT_FALSE(SnapshotCodec::decode(bad, &decoded));
+    EXPECT_FALSE(SnapshotCodec::decode_client(bad, &client));
+  }
+}
+
 TEST(SessionPublish, ProducesDecodableSelfIdentifyingFrame) {
   SessionOptions opts;
   opts.heap_size = 8 * 1024 * 1024;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -23,6 +25,38 @@ ThreadTrace make_trace(std::size_t n, Address base) {
                  static_cast<std::uint8_t>(i % 2 ? 8 : 1)});
   }
   return t;
+}
+
+// Events that reach every field of the encoding: writes, all five size
+// codes (one explicit), think cycles of one and two varint bytes, and
+// address deltas that go forward and backward and take two or three
+// varint bytes (the first, from address 0, more).
+ThreadTrace varied_trace(std::size_t n, Address base) {
+  static constexpr std::uint8_t kSizes[] = {1, 2, 4, 8, 16};
+  ThreadTrace t;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.push_back({base + (i * 0x9e37) % 0x4000,
+                 static_cast<std::uint32_t>(i % 3 == 0 ? 0 : i * 40),
+                 i % 2 ? AccessType::kWrite : AccessType::kRead,
+                 kSizes[i % 5]});
+  }
+  return t;
+}
+
+// The 16-byte event records { addr u64, think u32, type u8, size u8,
+// pad u16 } of the first v2 writers, which no reader accepts any more.
+std::string record_bytes(const ThreadTrace& trace) {
+  std::string out;
+  for (const TraceEvent& ev : trace) {
+    char rec[16] = {};
+    const auto addr = static_cast<std::uint64_t>(ev.addr);
+    std::memcpy(rec, &addr, 8);
+    std::memcpy(rec + 8, &ev.think_cycles, 4);
+    rec[12] = static_cast<char>(ev.type);
+    rec[13] = static_cast<char>(ev.size);
+    out.append(rec, sizeof rec);
+  }
+  return out;
 }
 
 std::vector<ThreadTrace> three_threads() {
@@ -54,15 +88,15 @@ TEST(TraceIo, RoundTripPreservesEverything) {
   EXPECT_EQ(total_events(loaded), 1017u);
 }
 
-// The format, pinned: the size and CRC-32 of the bytes the byte-at-a-time
-// writer of format v2 produced for this trace. Any drift in the frame
-// header, the fields or the packed events changes them.
+// The format, pinned: the size and CRC-32 of the bytes save_traces writes
+// for this trace. Any drift in the frame header, the fields or the event
+// encoding changes them.
 TEST(TraceIo, SavedBytesAreStable) {
   std::stringstream buf;
   ASSERT_TRUE(save_traces(buf, three_threads()));
   const std::string bytes = buf.str();
-  EXPECT_EQ(bytes.size(), 16488u);
-  EXPECT_EQ(wire::crc32(bytes), 0xa6cda486u);
+  EXPECT_EQ(bytes.size(), 3259u);
+  EXPECT_EQ(wire::crc32(bytes), 0xe84b99fbu);
 }
 
 // Every stream load_traces accepts is one save_traces writes. Each payload
@@ -70,11 +104,14 @@ TEST(TraceIo, SavedBytesAreStable) {
 // that frame's CRC is re-stamped, so the mutation reaches the field parser
 // and the event decoder. The stream must then fail to load, or re-save to
 // exactly the mutated bytes. No thread is empty, so a changed thread count
-// always disagrees with the header's total.
+// always disagrees with the header's total; the events reach every tag bit,
+// an explicit size byte, multi-byte varints, think cycles and backward
+// deltas.
 TEST(TraceIo, AcceptedStreamsAreCanonical) {
   std::stringstream buf;
-  ASSERT_TRUE(save_traces(buf, {make_trace(3, 0x1000), make_trace(4, 0x2000),
-                                make_trace(5, 0x3000)}));
+  ASSERT_TRUE(save_traces(buf, {varied_trace(7, 0x1000),
+                                varied_trace(8, 0x7f0000002000),
+                                varied_trace(9, 0x3000)}));
   const std::string clean = buf.str();
   std::size_t frames = 0, cases = 0, accepted = 0;
   for (std::size_t at = 0; at < clean.size(); ++frames) {
@@ -166,8 +203,8 @@ TEST(TraceIo, RejectsLegacyV1Files) {
   buf.write(reinterpret_cast<const char*>(v1_header), sizeof v1_header);
   const std::uint64_t count = trace.size();
   buf.write(reinterpret_cast<const char*>(&count), 8);
-  const std::string packed = pack_events(trace);
-  buf.write(packed.data(), static_cast<std::streamsize>(packed.size()));
+  const std::string records = record_bytes(trace);
+  buf.write(records.data(), static_cast<std::streamsize>(records.size()));
 
   std::vector<ThreadTrace> loaded{make_trace(3, 0)};
   EXPECT_FALSE(load_traces(buf, &loaded));
@@ -202,7 +239,7 @@ TEST(TraceIo, RejectsThreadFramesOutOfOrder) {
     wire::FieldWriter bw(&body);
     bw.u64(1, index);
     bw.u64(2, 1);
-    bw.bytes(3, pack_events(make_trace(1, 0x1000)));
+    bw.bytes(4, encode_events(make_trace(1, 0x1000)));
     bytes += wire::encode_frame(wire::FrameType::kThreadTrace, body);
   }
   std::stringstream buf(bytes);
@@ -255,7 +292,7 @@ TEST(TraceIo, SkipsUnknownFieldsFromNewerWriters) {
   bw.u64(999, 0xffffffffull);         // unknown, leading
   bw.u64(1, 0);                       // thread index
   bw.u64(2, trace.size());            // event count
-  bw.bytes(3, pack_events(trace));    // events
+  bw.bytes(4, encode_events(trace));  // events
   bw.str(998, "more future data");    // unknown, trailing
 
   std::stringstream buf;
@@ -271,6 +308,149 @@ TEST(TraceIo, SkipsUnknownFieldsFromNewerWriters) {
   ASSERT_EQ(loaded.size(), 1u);
   ASSERT_EQ(loaded[0].size(), trace.size());
   EXPECT_EQ(loaded[0][5].addr, trace[5].addr);
+}
+
+// The encoding's edges round-trip: addresses 0 and 2^64 - 1, deltas of
+// 0, +-1, +-(2^63 - 1) and 2^63 (which is also -2^63), think cycles 0, 1
+// and 2^32 - 1, and sizes without a size code. Each canonical rule then
+// rejects a stream that breaks only it.
+TEST(TraceIo, CompactEventsEdgeCases) {
+  using namespace std::string_literals;
+  constexpr Address kMax = std::numeric_limits<Address>::max();
+  constexpr Address kHalf = Address{1} << 63;
+  constexpr std::uint32_t kThinkMax = UINT32_MAX;
+  const ThreadTrace edges{
+      {0, 0, AccessType::kRead, 0},             // delta 0
+      {kMax, 1, AccessType::kWrite, 3},         // -1
+      {kHalf - 1, kThinkMax, AccessType::kRead, 16},  // 2^63
+      {0, 0, AccessType::kWrite, 255},          // -(2^63 - 1)
+      {kHalf - 1, 1, AccessType::kRead, 1},     // 2^63 - 1
+      {kMax, 0, AccessType::kRead, 2},          // 2^63
+      {0, kThinkMax, AccessType::kWrite, 4},    // +1
+  };
+  std::stringstream buf;
+  ASSERT_TRUE(save_traces(buf, {edges, {}}));
+  std::vector<ThreadTrace> loaded;
+  ASSERT_TRUE(load_traces(buf, &loaded));
+  ASSERT_EQ(loaded.size(), 2u);
+  ASSERT_EQ(loaded[0].size(), edges.size());
+  EXPECT_TRUE(loaded[1].empty());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(loaded[0][i].addr, edges[i].addr) << "event " << i;
+    EXPECT_EQ(loaded[0][i].think_cycles, edges[i].think_cycles) << i;
+    EXPECT_EQ(loaded[0][i].type, edges[i].type) << i;
+    EXPECT_EQ(loaded[0][i].size, edges[i].size) << i;
+  }
+  std::stringstream again;
+  ASSERT_TRUE(save_traces(again, loaded));
+  EXPECT_EQ(again.str(), buf.str());
+
+  // Two events byte by byte: an 8-byte write at 0x1000 is tag 0x07 and the
+  // varint of zigzag(0x1000) = 0x2000; a 3-byte read 8 bytes lower after 5
+  // think cycles is tag 0x18, size byte 3, zigzag(-8) = 15, then 5.
+  EXPECT_EQ(encode_events({{0x1000, 0, AccessType::kWrite, 8},
+                           {0xff8, 5, AccessType::kRead, 3}}),
+            "\x07\x80\x40\x18\x03\x0f\x05"s);
+  // A delta of 2^63 takes the longest varint: nine 0xff and a 0x01.
+  EXPECT_EQ(encode_events({{kHalf, 0, AccessType::kRead, 1}}),
+            "\x00"s + std::string(9, '\xff') + "\x01"s);
+
+  ThreadTrace out;
+  const auto decodes = [&](const std::string& bytes, std::uint64_t count) {
+    return decode_events(bytes, count, &out);
+  };
+  EXPECT_TRUE(decodes("\x00\x00"s, 1));  // a 1-byte read at 0
+  // Tag bits 5-7, and size codes 5-7.
+  for (const char tag : {'\x20', '\x40', '\x80', '\x0a', '\x0c', '\x0e'}) {
+    EXPECT_FALSE(decodes(std::string{tag, '\0'}, 1)) << int{tag};
+  }
+  // An explicit size byte holding a size that has a size code.
+  EXPECT_TRUE(decodes("\x08\x03\x00"s, 1));
+  for (const char size : {1, 2, 4, 8}) {
+    EXPECT_FALSE(decodes(std::string{'\x08', size, '\0'}, 1)) << int{size};
+  }
+  // The think flag with a think value of 0.
+  EXPECT_TRUE(decodes("\x10\x00\x01"s, 1));
+  EXPECT_FALSE(decodes("\x10\x00\x00"s, 1));
+  // A varint that is not minimal: a delta or think ending in a zero byte.
+  EXPECT_FALSE(decodes("\x00\x80\x00"s, 1));
+  EXPECT_FALSE(decodes("\x10\x00\x81\x00"s, 1));
+  // A delta varint longer than 10 bytes, or whose 10th byte is not 1.
+  const std::string nine(9, '\xff');
+  EXPECT_TRUE(decodes("\x00"s + nine + "\x01"s, 1));
+  EXPECT_FALSE(decodes("\x00"s + nine + "\x02"s, 1));
+  EXPECT_FALSE(decodes("\x00"s + nine + "\x81\x01"s, 1));
+  // A think varint longer than 5 bytes or above 2^32 - 1.
+  EXPECT_TRUE(decodes("\x10\x00\xff\xff\xff\xff\x0f"s, 1));
+  EXPECT_EQ(out[0].think_cycles, kThinkMax);
+  EXPECT_FALSE(decodes("\x10\x00\x80\x80\x80\x80\x10"s, 1));
+  EXPECT_FALSE(decodes("\x10\x00\x81\x80\x80\x80\x80\x01"s, 1));
+  // An event cut off after its tag, its size byte, inside its delta or
+  // before its think varint.
+  for (const std::string& cut :
+       {"\x00"s, "\x08\x03"s, "\x00\x80"s, "\x10\x00"s, "\x10\x00\x80"s}) {
+    EXPECT_FALSE(decodes(cut, 1)) << cut.size();
+  }
+  // Bytes left after the event count.
+  EXPECT_FALSE(decodes("\x00\x00\x00"s, 1));
+  // An event count above bytes / 2, rejected before `out` is sized.
+  EXPECT_TRUE(decodes("\x00\x00\x00\x00"s, 2));
+  EXPECT_FALSE(decodes("\x00\x00\x00"s, 2));
+  EXPECT_FALSE(decodes("\x00\x00"s, std::uint64_t{1} << 60));
+}
+
+// A stream from the first v2 writers: its thread frame holds 16-byte
+// records under field 3, which is neither written nor read, so the stream
+// has no events field and fails to load.
+TEST(TraceIo, RejectsRecordFormatStreams) {
+  const ThreadTrace trace = make_trace(12, 0x2000);
+  std::string header;
+  wire::FieldWriter hw(&header);
+  hw.u64(1, 1);             // thread count
+  hw.u64(2, trace.size());  // total events
+  std::string body;
+  wire::FieldWriter bw(&body);
+  bw.u64(1, 0);             // thread index
+  bw.u64(2, trace.size());  // event count
+  bw.bytes(3, record_bytes(trace));
+  std::stringstream buf(
+      wire::encode_frame(wire::FrameType::kTraceHeader, header) +
+      wire::encode_frame(wire::FrameType::kThreadTrace, body));
+  std::vector<ThreadTrace> loaded{make_trace(3, 0)};
+  EXPECT_FALSE(load_traces(buf, &loaded));
+  EXPECT_TRUE(loaded.empty());
+}
+
+// A known u64 field (the thread index) rewritten as kBytes, or as a u64
+// four bytes wide, rejects the stream instead of reading as some value.
+TEST(TraceIo, RejectsMistypedKnownFields) {
+  const ThreadTrace trace = make_trace(4, 0x1000);
+  std::string header;
+  wire::FieldWriter hw(&header);
+  hw.u64(1, 1);
+  hw.u64(2, trace.size());
+  std::string body;
+  wire::FieldWriter bw(&body);
+  bw.u64(1, 0);
+  bw.u64(2, trace.size());
+  bw.bytes(4, encode_events(trace));
+  const auto loads = [&](const std::string& thread_body) {
+    std::stringstream buf(
+        wire::encode_frame(wire::FrameType::kTraceHeader, header) +
+        wire::encode_frame(wire::FrameType::kThreadTrace, thread_body));
+    std::vector<ThreadTrace> loaded;
+    const bool ok = load_traces(buf, &loaded);
+    EXPECT_EQ(ok, !loaded.empty());
+    return ok;
+  };
+  EXPECT_TRUE(loads(body));
+  std::string as_bytes = body;
+  as_bytes[2] = static_cast<char>(wire::FieldKind::kBytes);
+  EXPECT_FALSE(loads(as_bytes));
+  std::string narrow = body;
+  narrow[4] = 4;  // value length 8 -> 4
+  narrow.erase(8 + 4, 4);
+  EXPECT_FALSE(loads(narrow));
 }
 
 TEST(TraceIo, FileRoundTrip) {

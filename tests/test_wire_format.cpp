@@ -244,6 +244,7 @@ TEST(WireFormat, FieldRoundTripAndLookup) {
   const auto s = FieldReader::find(payload, 2);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->bytes, "hello, wire");
+  EXPECT_FALSE(s->as_u64().has_value());  // a kBytes field has no u64
   const auto filled = FieldReader::find(payload, 3);
   ASSERT_TRUE(filled.has_value());
   EXPECT_EQ(filled->kind, wire::FieldKind::kBytes);

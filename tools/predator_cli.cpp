@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -818,13 +819,21 @@ int run_default(const CliOptions& opt) {
 
   const auto traces = w->capture(session, opt.params);
   if (!opt.save_trace.empty()) {
-    if (!save_traces_file(opt.save_trace, traces)) {
+    std::ofstream file(opt.save_trace, std::ios::binary | std::ios::trunc);
+    const bool saved = file.is_open() && save_traces(file, traces);
+    const auto bytes = static_cast<long long>(file.tellp());
+    file.close();  // flushes: a failed last write must fail the save
+    if (!saved || file.fail()) {
       std::fprintf(stderr, "cannot write trace to %s\n",
                    opt.save_trace.c_str());
       return 1;
     }
-    std::fprintf(stderr, "trace: %zu events -> %s\n", total_events(traces),
-                 opt.save_trace.c_str());
+    const std::size_t events = total_events(traces);
+    const double per_event =
+        events > 0 ? static_cast<double>(bytes) / static_cast<double>(events)
+                   : 0.0;
+    std::fprintf(stderr, "trace: %zu events, %lld bytes (%.2f B/event) -> %s\n",
+                 events, bytes, per_event, opt.save_trace.c_str());
   }
   wl::replay_into_session(session, traces, opt.replay_quantum);
 
