@@ -18,12 +18,32 @@ time relative to the staged-write exit `full` of the same run; ranges over
   tracked_unsampled_ratio  unsampled accesses to escalated lines: 0.39-0.72
                            on the inline exit, 0.15-0.29 on the slow path.
 
+Tracked dispatch (same bench and units; ranges over 24 runs per side on
+a shared 4-vCPU host, alternating with a build whose tracked accesses
+re-entered the slow path's region lookup, tracker load and divisions):
+  tracked_sampled_ratio    every access sampled (full sampling, prediction
+                           decided), handed from the inline path straight
+                           to Runtime::handle_tracked: 0.185-0.290, against
+                           0.099-0.177 through the slow path. The floor
+                           (0.15) catches a collapse of the sampled path,
+                           not a return to the slow path.
+  tracked_synced_ratio     the same sweeps by threads with a non-zero sync
+                           epoch (the sync-aware check, mostly suppressed
+                           hits): 0.295-0.452 through handle_tracked,
+                           0.169-0.291 through the slow path; the floor
+                           asks for 0.25.
+
 Tracked path (microbench_tracked, at 8 threads, the acceptance-criteria
 point, except the fan-out):
   speedup_t8           lock-free tracker over spinlock reference
   handoff_speedup_t8   epoch-passing over PR 3 signature on the lock-
-                       handoff phase: the suppression WIN. Real hardware
-                       shows >= 2x; the floor asks for 1.3x.
+                       handoff phase: the suppression WIN. A turn counter
+                       per line passes it from thread to thread, so every
+                       tenure keeps its ownership and each thread sums the
+                       wall time of its own tenures: 2.09-2.70 over 25
+                       consecutive runs on a shared 4-vCPU host, where the
+                       drifting schedule before it read 0.97-5.41 over 30
+                       (3 below the floor). The floor asks for 1.3x.
   multiline_ratio_t8   sync over base on the fall-through phase: the
                        suppression COST. >= 0.7 means the extra
                        load-and-CAS eats at most ~30% of throughput even
@@ -72,6 +92,15 @@ FLOORS = {
     "tracked_unsampled_ratio": (
         0.33,
         "unsampled tracked accesses no longer retire on the inline fast path",
+    ),
+    "tracked_sampled_ratio": (
+        0.15,
+        "sampled tracked accesses collapsed on their way to the tracker",
+    ),
+    "tracked_synced_ratio": (
+        0.25,
+        "tracked accesses of synced threads no longer reach the tracker "
+        "in one call",
     ),
     "speedup_t8": (
         1.0,

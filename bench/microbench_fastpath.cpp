@@ -1,6 +1,7 @@
-// Hot-path throughput of the three inline exits of Runtime::handle_access.
-// Each phase runs 4 threads, each sweeping round-robin over 8 private cache
-// lines (disjoint between threads):
+// Hot-path throughput of the three inline exits of Runtime::handle_access,
+// and of the tracked accesses the inline path hands to
+// Runtime::handle_tracked. Each phase runs 4 threads, each sweeping
+// round-robin over 8 private cache lines (disjoint between threads):
 //
 //   full               writes to lines that never escalate: region
 //                      resolution plus the staged-write exit
@@ -8,8 +9,15 @@
 //   tracked_unsampled  alternating write and read sweeps over escalated
 //                      lines whose prediction decision is made; 99% of
 //                      the accesses fall outside the 1% sampling window
+//   tracked_sampled    the same sweeps at full sampling: every access is
+//                      recorded in detail (stripe clock and counters, word
+//                      histogram, history table)
+//   tracked_synced     the tracked_unsampled sweeps by threads that synced
+//                      at the start of the pass (non-zero epoch): every
+//                      access takes the sync-aware check, and repeated
+//                      accesses to a line the thread owns are suppressed
 //
-// The last two phases also report their throughput relative to `full`,
+// Every phase but `full` also reports its throughput relative to `full`,
 // which bench/check_bench.py floors. Throughput is counted in
 // thread CPU time, so other work on a shared host moves the ratios less.
 //
@@ -39,6 +47,7 @@ struct Phase {
   const char* key;  ///< JSON field stem for --json output
   Pattern pattern;
   pred::RuntimeConfig config;
+  bool synced = false;  ///< threads sync before each pass
 };
 
 pred::AccessType access_type(Pattern pattern, std::uint64_t i) {
@@ -58,14 +67,16 @@ pred::AccessType access_type(Pattern pattern, std::uint64_t i) {
 /// aggregate accesses per second. Each thread times its loop in its own
 /// CPU time, so a thread the host deschedules for other work does not
 /// count against the layer under test; the aggregate is the sum of the
-/// threads' rates.
+/// threads' rates. With `synced`, each thread issues a sync event first.
 double run_pass(pred::Session& session, const std::vector<long*>& blocks,
-                Pattern pattern, std::uint64_t accesses_per_thread) {
+                Pattern pattern, bool synced,
+                std::uint64_t accesses_per_thread) {
   std::vector<double> rates(kThreads, 0.0);
   std::vector<std::thread> threads;
   for (std::uint32_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       pred::ScopedThread guard(session, t);
+      if (synced) session.sync(t);
       long* block = blocks[t];
       const double start = pred::bench::thread_cpu_seconds();
       for (std::uint64_t i = 0; i < accesses_per_thread; ++i) {
@@ -101,12 +112,12 @@ double run_phase(const Phase& phase, std::uint64_t accesses_per_thread) {
   // Warm-up pass in the same session (it also escalates the lines of the
   // tracked phase and settles their prediction), then the best of three
   // measured passes: a pass slowed by other work on the host is dropped.
-  run_pass(session, blocks, phase.pattern,
+  run_pass(session, blocks, phase.pattern, phase.synced,
            std::max<std::uint64_t>(accesses_per_thread / 8, 8192));
   double best = 0.0;
   for (int r = 0; r < 3; ++r) {
     best = std::max(best, run_pass(session, blocks, phase.pattern,
-                                   accesses_per_thread));
+                                   phase.synced, accesses_per_thread));
   }
   return best;
 }
@@ -124,6 +135,12 @@ pred::RuntimeConfig one_percent_sampling() {
   // leave their first sampling window early in the measured pass.
   cfg.sample_window = 100;
   cfg.sample_interval = 10'000;
+  return cfg;
+}
+
+pred::RuntimeConfig full_sampling() {
+  pred::RuntimeConfig cfg;
+  cfg.sample_interval = cfg.sample_window;
   return cfg;
 }
 
@@ -148,23 +165,27 @@ int main(int argc, char** argv) {
 
   const Phase full = {"full (staged writes, no tracker)", "full",
                       Pattern::kWrites, never_escalate()};
-  const Phase exits[] = {
+  const Phase phases[] = {
       {"untracked_read (reads, no tracker)", "untracked_read",
        Pattern::kReads, never_escalate()},
       {"tracked_unsampled (tracked, 1% sampled)", "tracked_unsampled",
        Pattern::kWriteReadSweeps, one_percent_sampling()},
+      {"tracked_sampled (tracked, all sampled)", "tracked_sampled",
+       Pattern::kWriteReadSweeps, full_sampling()},
+      {"tracked_synced (tracked, synced threads)", "tracked_synced",
+       Pattern::kWriteReadSweeps, one_percent_sampling(), true},
   };
 
-  std::printf("inline exits: %u threads x %" PRIu64
+  std::printf("inline exits and tracked dispatch: %u threads x %" PRIu64
               " accesses over private lines\n\n",
               kThreads, accesses);
-  std::printf("%-42s %15s %9s\n", "inline exit", "accesses/sec", "vs full");
+  std::printf("%-42s %15s %9s\n", "phase", "accesses/sec", "vs full");
 
   pred::bench::JsonWriter json;
   const double full_rate = run_phase(full, accesses);
   std::printf("%-42s %15.0f %8.2fx\n", full.name, full_rate, 1.0);
   json.add(std::string(full.key) + "_aps", full_rate);
-  for (const Phase& p : exits) {
+  for (const Phase& p : phases) {
     const double rate = run_phase(p, accesses);
     std::printf("%-42s %15.0f %8.2fx\n", p.name, rate, rate / full_rate);
     json.add(std::string(p.key) + "_aps", rate);

@@ -20,11 +20,15 @@
 //   handoff    line ownership rotates between threads in bursts, the
 //              lock-handoff shape — each tenure claims via
 //              claim_for_handoff then retires a same-owner write burst.
+//              A turn counter per line passes the line from thread to
+//              thread, so each tenure starts when the previous one on the
+//              line ends and the schedule does not depend on the host.
 //              `handoff_speedup_tN` = epoch-passing (suppressed) over the
 //              PR 3 signature (full detail path): the suppression WIN.
-//              Each thread times its tenures in its own CPU time, and each
-//              mode keeps the best of three passes, so a pass a shared
-//              host slowed down does not decide the ratio.
+//              Each thread sums the wall time of its tenures (waiting for a
+//              turn is not counted), and each mode keeps the best of three
+//              passes, so a pass a shared host slowed down does not decide
+//              the ratio.
 //   multiline  two threads alternate on each of T/2 lines with epochs
 //              flowing but ownership never settling, so nearly every
 //              access takes the suppression check and falls through.
@@ -40,7 +44,7 @@
 //              the predictor nominates for them: the double line and a
 //              shifted line at each word offset. Full sampling, prediction
 //              settled; each access runs the tracker, then the fan-out, as
-//              Runtime::handle_access_one_word does for a sampled access.
+//              Runtime::handle_tracked does for a sampled access.
 //              `fanout_speedup_tN` = the per-word fan-out tables over
 //              SeedFanOut below (a pointer vector scanned with a range
 //              check per virtual line, a shared access counter per covering
@@ -161,37 +165,47 @@ double run_mode(std::uint32_t nthreads, std::uint64_t writes_per_thread) {
 }
 
 // Phase 2: lock handoff. Thread t's r-th tenure runs on tracker
-// (t + r) % T: it claims the line (claim_for_handoff — the receiver's
-// synthetic first write, run in BOTH modes so the histories match) and
-// then retires a burst of same-owner writes. With `sync_mode` the writes
-// carry the tenure's epoch and ride the suppression fast path; without,
-// they take the PR 3 five-argument signature and walk the full sampled
-// detail path. Threads drift, so a laggard's stale tenure gets trampled by
-// the next claimant exactly as a real contended lock handoff would — the
-// fast path re-confirms ownership per access, never mis-suppresses.
-// Returns the aggregate accesses/s: the sum of the threads' rates, each
-// timed in the thread's own CPU time.
+// (t + r) % T, whose r-th tenure it is: the thread waits until the line's
+// turn counter reaches r, claims the line (claim_for_handoff — the
+// receiver's synthetic first write, run in BOTH modes so the histories
+// match), retires a burst of same-owner writes, and passes the turn on.
+// With `sync_mode` the writes carry the tenure's epoch and ride the
+// suppression fast path; without, they take the PR 3 five-argument
+// signature and walk the full sampled detail path. Every tenure has its
+// line to itself, so ownership survives each one whatever the host's
+// scheduling. Returns the aggregate accesses/s: the sum of the threads'
+// rates, each over the wall time of its own tenures.
 double run_handoff(bool sync_mode, std::uint32_t nthreads,
                    std::uint64_t bursts_per_thread) {
   constexpr std::uint64_t kBurst = 64;
+  struct alignas(pred::kCacheLineSize) Turn {
+    std::atomic<std::uint64_t> tenures{0};  ///< tenures finished on the line
+  };
   std::vector<std::unique_ptr<pred::CacheTracker>> trackers;
   trackers.reserve(nthreads);
   for (std::uint32_t i = 0; i < nthreads; ++i) {
     trackers.push_back(
         std::make_unique<pred::CacheTracker>(0, kGeo));
   }
+  std::vector<Turn> turns(nthreads);
   const std::uint64_t window = g_window;
   const std::uint64_t interval = g_interval;
 
   std::vector<double> rates(nthreads, 0.0);
   std::vector<std::thread> threads;
   for (std::uint32_t t = 0; t < nthreads; ++t) {
-    threads.emplace_back([&trackers, &rates, t, nthreads, bursts_per_thread,
-                          window, interval, sync_mode] {
+    threads.emplace_back([&trackers, &turns, &rates, t, nthreads,
+                          bursts_per_thread, window, interval, sync_mode] {
       const pred::Address word = kLineBase + (t % 8) * 8;
-      const double start = pred::bench::thread_cpu_seconds();
+      std::chrono::steady_clock::duration busy{};
       for (std::uint64_t r = 0; r < bursts_per_thread; ++r) {
-        pred::CacheTracker& track = *trackers[(t + r) % nthreads];
+        const std::size_t line = (t + r) % nthreads;
+        std::atomic<std::uint64_t>& turn = turns[line].tenures;
+        while (turn.load(std::memory_order_acquire) != r) {
+          std::this_thread::yield();
+        }
+        const auto start = std::chrono::steady_clock::now();
+        pred::CacheTracker& track = *trackers[line];
         // Epoch 0 is reserved ("this thread never synced"), so tenures
         // count from 1, exactly as Runtime::handle_sync would.
         const std::uint32_t epoch = static_cast<std::uint32_t>(r + 1);
@@ -205,24 +219,32 @@ double run_handoff(bool sync_mode, std::uint32_t nthreads,
                                 interval);
           }
         }
+        busy += std::chrono::steady_clock::now() - start;
+        turn.store(r + 1, std::memory_order_release);
       }
       rates[t] = static_cast<double>(bursts_per_thread * kBurst) /
-                 (pred::bench::thread_cpu_seconds() - start);
+                 std::chrono::duration<double>(busy).count();
     });
   }
   for (auto& th : threads) th.join();
 
-  // Conservation: every delivered write is either sampled or suppressed,
-  // whatever the interleaving (claims themselves deliver no access).
+  // Conservation: every delivered write is either sampled or suppressed
+  // (claims themselves deliver no access), and with every tenure alone on
+  // its line, a synced tenure suppresses all of its writes — except one
+  // tenure in 65536 per thread, whose epoch's low 16 bits are zero, the
+  // never-synced state (CacheTracker::pack_sync).
   const std::uint64_t total =
       static_cast<std::uint64_t>(nthreads) * bursts_per_thread * kBurst;
+  const std::uint64_t unsynced =
+      static_cast<std::uint64_t>(nthreads) * (bursts_per_thread >> 16) * kBurst;
   std::uint64_t sampled = 0;
   std::uint64_t suppressed = 0;
   for (const auto& tr : trackers) {
     sampled += tr->sampled_accesses();
     suppressed += tr->suppressed_accesses();
   }
-  if (sampled + suppressed != total || (!sync_mode && suppressed != 0)) {
+  if (sampled + suppressed != total ||
+      suppressed != (sync_mode ? total - unsynced : 0)) {
     std::fprintf(stderr,
                  "handoff conservation violated: %" PRIu64 " sampled + %"
                  PRIu64 " suppressed of %" PRIu64 "\n",
@@ -412,7 +434,8 @@ struct TableFan : TrackedPair {
     pred::CacheTracker& t = *lines[line];
     if (t.handle_access(addr, pred::AccessType::kWrite, tid, window, interval)
             .sampled) {
-      t.update_virtual_lines(addr, pred::AccessType::kWrite, tid);
+      t.update_virtual_lines(kGeo.word_in_line(addr), pred::AccessType::kWrite,
+                             tid);
     }
   }
 };

@@ -15,16 +15,25 @@
 //     on the word's owner slot, and
 //   - one CAS on the packed 64-bit history table, whose winner reports the
 //     invalidation —
-// and never takes a lock. Its references live outside the runtime:
-// bench/microbench_tracked measures it against the seed's spinlock tracker,
-// and tests/test_oracle.cpp checks single-OS-thread counts against a
-// reference detector that samples by the same `n % interval < window` rule.
+// and never takes a lock. The runtime resolves an access's line, word
+// index and stripe once and hands all three in (Runtime::handle_tracked,
+// handle_word below), so the tracker itself divides by nothing. Its
+// references live outside the runtime: bench/microbench_tracked measures
+// it against the seed's spinlock tracker, and tests/test_oracle.cpp checks
+// single-OS-thread counts against a reference detector that samples by the
+// same `n % interval < window` rule.
 //
 // Layout: the class is alignas(kCacheLineSize) and sized to a whole number
 // of host lines (static_asserts below), so adjacent trackers — and the
 // ShadowSpace arena slots that own them — never falsely share with each
 // other; each per-thread sampling stripe is likewise padded to one host
-// line.
+// line. Inside the tracker, the first host line holds what every tracked
+// access reads — the armed and prediction flags and the stripe-table and
+// fan-out pointers — and no access writes it; the history and sync words
+// that sampled and synced accesses CAS sit on the next line, so those CASes
+// never invalidate the line the inline exits read. The stripe table and
+// the fan-out table are one GrowOnlyTable type: a header and its entries
+// in one allocation, so a lookup is tracker → table → entry.
 #pragma once
 
 #include <algorithm>
@@ -32,8 +41,9 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "common/cacheline.hpp"
@@ -65,8 +75,8 @@ std::uint32_t acquire_stripe_token();
 /// Small dense token identifying the calling OS thread, used to index its
 /// private sampling stripe. Token values are bounded by the peak number of
 /// threads alive at once, not by threads-ever, and so is every tracker's
-/// stripe directory. A stripe has one writer at a time: the thread holding
-/// its token. A thread keeps its token for life, so a deterministic
+/// stripe table. A stripe has one writer at a time: the thread holding its
+/// token. A thread keeps its token for life, so a deterministic
 /// single-OS-thread replay uses one stripe and samples exactly like one
 /// `n % interval < window` counter per line.
 inline std::uint32_t stripe_token() {
@@ -128,11 +138,109 @@ struct SampleClock {
   }
 };
 
+/// A grow-only table in one allocation: a small header followed by
+/// `capacity` entries, so a reader reaches an entry from the owner's table
+/// pointer with no further indirection. Writers are serialized by the
+/// owner: an entry is written in place, then `size` (one past the highest
+/// entry written) is release-stored. An index past the capacity first
+/// replaces the table with a copy that has room for twice the index
+/// (with_room); the owner publishes the copy with one release store. A
+/// superseded table stays alive, reachable through prev(), until the owner
+/// frees the chain with destroy(), because a reader may still hold it.
+/// Capacities run from i + 1 to at least 2(c + 1), so a table written at
+/// indices below n leaves at most ⌈log2 n⌉ + 1 tables behind.
+template <typename Entry>
+class GrowOnlyTable {
+  static_assert(std::is_trivially_copyable_v<Entry> &&
+                std::is_trivially_destructible_v<Entry>);
+
+ public:
+  /// `table` if it has room for entry `index`; otherwise a new,
+  /// unpublished table holding `table`'s entries and size, superseding it.
+  /// Entries past the copied ones are value-initialized.
+  static GrowOnlyTable* with_room(GrowOnlyTable* table, std::uint32_t index) {
+    static_assert(sizeof(GrowOnlyTable) % alignof(Entry) == 0 &&
+                  alignof(Entry) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    if (table != nullptr && index < table->capacity_) return table;
+    const std::uint32_t capacity =
+        table == nullptr ? index + 1 : 2 * (index + 1);
+    void* mem =
+        ::operator new(sizeof(GrowOnlyTable) + capacity * sizeof(Entry));
+    auto* next = new (mem) GrowOnlyTable(capacity, table);
+    Entry* e = next->entries();
+    for (std::uint32_t i = 0; i < capacity; ++i) new (e + i) Entry{};
+    if (table != nullptr) {
+      std::copy_n(table->entries(), table->capacity_, e);
+      next->size.store(table->size.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+    }
+    return next;
+  }
+
+  /// Frees `newest` and every table it superseded.
+  static void destroy(GrowOnlyTable* newest) {
+    while (newest != nullptr) {
+      GrowOnlyTable* prev = newest->prev_;
+      newest->~GrowOnlyTable();
+      ::operator delete(newest);
+      newest = prev;
+    }
+  }
+
+  std::uint32_t capacity() const { return capacity_; }
+  /// The table this one superseded, or nullptr.
+  const GrowOnlyTable* prev() const { return prev_; }
+  /// The entries, stored right after the header.
+  Entry* entries() const {
+    return std::launder(reinterpret_cast<Entry*>(
+        const_cast<GrowOnlyTable*>(this) + 1));
+  }
+
+  /// One past the highest entry written.
+  std::atomic<std::uint32_t> size{0};
+
+ private:
+  GrowOnlyTable(std::uint32_t capacity, GrowOnlyTable* prev)
+      : capacity_(capacity), prev_(prev) {}
+
+  const std::uint32_t capacity_;
+  GrowOnlyTable* const prev_;
+};
+
 class alignas(kCacheLineSize) CacheTracker {
  public:
   /// Upper bound on words per line we support inline (covers line sizes up to
   /// 256 bytes at 8-byte words without a secondary allocation).
   static constexpr std::size_t kMaxWords = 32;
+
+  /// One per-thread sampling stripe: a host-line-padded block owned by the
+  /// one OS thread that holds its token, so every update is a relaxed
+  /// load/store pair — cross-thread readers see atomic snapshots, and owner
+  /// increments can never be lost. When the owner exits, the next thread to
+  /// take the token inherits the stripe, clock and counts included. The
+  /// runtime only carries a pointer to the calling thread's stripe from
+  /// find_stripe() to the calls below.
+  struct alignas(kCacheLineSize) Stripe {
+    SampleClock clock;
+    std::atomic<std::uint64_t> sampled_reads{0};
+    std::atomic<std::uint64_t> sampled_writes{0};
+    std::atomic<std::uint64_t> invalidations{0};
+    /// Accesses retired on the sync-aware ownership word. Kept here — in
+    /// owner-exclusive memory — rather than in the shared word itself, so
+    /// total_accesses() stays exact without any RMW on the fast hit.
+    std::atomic<std::uint64_t> suppressed_reads{0};
+    std::atomic<std::uint64_t> suppressed_writes{0};
+    /// Tracked writes issued after the line's prediction decision; they no
+    /// longer touch the region's shared counter (see count_write).
+    std::atomic<std::uint64_t> writes{0};
+
+    /// Owner-exclusive increment: no lock-prefixed RMW.
+    static void bump(std::atomic<std::uint64_t>& c) {
+      c.store(c.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
+    }
+  };
+  static_assert(sizeof(Stripe) == kCacheLineSize);
 
   /// `armed` gates the sampling clock: the runtime creates trackers
   /// disarmed and arms them once escalation bookkeeping completes, so
@@ -144,6 +252,14 @@ class alignas(kCacheLineSize) CacheTracker {
       : armed_(armed), line_index_(line_index), geometry_(geometry) {
     PRED_CHECK(geometry.words_per_line() <= kMaxWords);
   }
+
+  ~CacheTracker() {
+    StripeTable::destroy(stripe_table_.load(std::memory_order_relaxed));
+    FanOutTable::destroy(fanout_.load(std::memory_order_relaxed));
+  }
+
+  CacheTracker(const CacheTracker&) = delete;
+  CacheTracker& operator=(const CacheTracker&) = delete;
 
   /// What one tracked access did: whether it fell inside the sampling
   /// window (and was recorded in detail), and whether it registered as a
@@ -159,9 +275,21 @@ class alignas(kCacheLineSize) CacheTracker {
     bool suppressed = false;
   };
 
-  /// Records one access that already passed the runtime's fast path.
-  /// Accesses that arrive while the line is still being escalated are
-  /// counted but leave the sampling phase untouched.
+  /// Records one access at `addr` (a byte of this line): handle_word on
+  /// the word it falls in, divided out only if the access is sampled, and
+  /// the calling thread's stripe.
+  AccessOutcome handle_access(Address addr, AccessType type, ThreadId tid,
+                              std::uint64_t sample_window,
+                              std::uint64_t sample_interval,
+                              std::uint32_t epoch = 0) {
+    return record([&] { return geometry_.word_in_line(addr); }, type, tid,
+                  find_stripe(), sample_window, sample_interval, epoch);
+  }
+
+  /// Records one access to word `word` of the line. `stripe` is the calling
+  /// thread's stripe as find_stripe() returned it; nullptr registers one
+  /// when the access needs it. Accesses that arrive while the line is still
+  /// being escalated are counted but leave the sampling phase untouched.
   ///
   /// `epoch` is the thread's sync epoch under
   /// RuntimeConfig::sync_suppression, 0 without it. A non-zero epoch
@@ -178,38 +306,12 @@ class alignas(kCacheLineSize) CacheTracker {
   /// under every interleaving — see PackedHistoryTable::owned_write_by).
   /// Suppressed accesses are still counted, in owner-exclusive stripe
   /// counters, so total_accesses() stays exact.
-  AccessOutcome handle_access(Address addr, AccessType type, ThreadId tid,
-                              std::uint64_t sample_window,
-                              std::uint64_t sample_interval,
-                              std::uint32_t epoch = 0) {
-    if (!armed_.load(std::memory_order_acquire)) [[unlikely]] {
-      unarmed_accesses_.fetch_add(1, std::memory_order_relaxed);
-      return {};
-    }
-    const std::uint64_t want = pack_sync(tid, epoch);
-    if (want == 0) {
-      // Never-synced thread (or unrepresentable tid/epoch): exact PR 3
-      // behavior, no claims.
-      return sample_and_record(addr, type, tid, sample_window,
-                               sample_interval);
-    }
-    std::uint64_t seen = sync_word_.load(std::memory_order_relaxed);
-    if (seen == want && packed_history_.owned_write_by(tid)) [[likely]] {
-      Stripe& st = stripe_for_thread();
-      Stripe::bump(type == AccessType::kWrite ? st.suppressed_writes
-                                              : st.suppressed_reads);
-      AccessOutcome outcome;
-      outcome.suppressed = true;
-      return outcome;
-    }
-    AccessOutcome outcome =
-        sample_and_record(addr, type, tid, sample_window, sample_interval);
-    // Claim ownership for the epoch we just recorded under. Losing the CAS
-    // race only means the next same-owner access falls through again —
-    // never a wrong suppression, since a hit re-confirms the history state.
-    sync_word_.compare_exchange_strong(seen, want, std::memory_order_relaxed,
-                                       std::memory_order_relaxed);
-    return outcome;
+  AccessOutcome handle_word(std::size_t word, AccessType type, ThreadId tid,
+                            Stripe* stripe, std::uint64_t sample_window,
+                            std::uint64_t sample_interval,
+                            std::uint32_t epoch) {
+    return record([word] { return word; }, type, tid, stripe, sample_window,
+                  sample_interval, epoch);
   }
 
   /// Synthetic ownership claim delivered at a handoff point
@@ -222,41 +324,56 @@ class alignas(kCacheLineSize) CacheTracker {
   bool claim_for_handoff(ThreadId tid, std::uint32_t epoch) {
     const bool invalidated = packed_history_.access(tid, AccessType::kWrite) ==
                              HistoryOutcome::kInvalidation;
-    if (invalidated) Stripe::bump(stripe_for_thread().invalidations);
+    if (invalidated) {
+      Stripe::bump(stripe_or_register(find_stripe()).invalidations);
+    }
     sync_word_.store(pack_sync(tid, epoch), std::memory_order_relaxed);
     return invalidated;
   }
 
+  /// The calling thread's stripe, or nullptr before it registers one: the
+  /// stripe table's entry at the thread's token. Reads only the tracker's
+  /// first host line, the table and the entry.
+  Stripe* find_stripe() const {
+    const std::uint32_t token = detail::stripe_token();
+    const StripeTable* table = stripe_table_.load(std::memory_order_acquire);
+    if (table == nullptr || token >= table->capacity()) return nullptr;
+    return std::atomic_ref<Stripe*>(table->entries()[token])
+        .load(std::memory_order_acquire);
+  }
+
   /// The inline tracked exit of Runtime::handle_access: retires one
   /// single-word access that falls outside the calling thread's sampling
-  /// window by ticking its stripe clock (and, for a write, the stripe's
-  /// write count) — owner-local loads and stores, no RMW. Returns false,
-  /// changing nothing, when the access needs the full path: a disarmed
-  /// tracker, a thread with no stripe yet, a sampled access, or a write
-  /// while the line's prediction decision is pending (its count must reach
-  /// the shared counter the threshold check reads). The caller guarantees
-  /// the sync-aware path would not apply (epoch 0).
-  bool try_retire_unsampled(AccessType type, std::uint64_t sample_window,
+  /// window by ticking `stripe`'s clock (and, for a write, its write count)
+  /// — owner-local loads and stores, no RMW. `stripe` is find_stripe()'s
+  /// result. Returns false, changing nothing, when the access needs the
+  /// full path (Runtime::handle_tracked): a disarmed tracker, a thread with
+  /// no stripe yet, a sampled access, or a write while the line's
+  /// prediction decision is pending (its count must reach the shared
+  /// counter the threshold check reads). The caller guarantees the
+  /// sync-aware path would not apply (epoch 0).
+  bool try_retire_unsampled(Stripe* stripe, AccessType type,
+                            std::uint64_t sample_window,
                             std::uint64_t sample_interval) {
-    if (!armed_.load(std::memory_order_acquire)) return false;
-    const bool write = type == AccessType::kWrite;
-    if (write && !prediction_decided()) return false;
-    Stripe* st = find_stripe();
-    if (st == nullptr ||
-        !st->clock.tick_unsampled(sample_window, sample_interval)) {
+    if (stripe == nullptr || !armed_.load(std::memory_order_acquire)) {
       return false;
     }
-    if (write) Stripe::bump(st->writes);
+    const bool write = type == AccessType::kWrite;
+    if (write && !prediction_decided()) return false;
+    if (!stripe->clock.tick_unsampled(sample_window, sample_interval)) {
+      return false;
+    }
+    if (write) Stripe::bump(stripe->writes);
     return true;
   }
 
-  /// Counts one tracked write in the calling thread's stripe once the
-  /// line's prediction decision is made; returns false, counting nothing,
-  /// while the decision is pending, and the caller then counts the write
-  /// in the region's shared counter.
-  bool count_write() {
+  /// Counts one tracked write in the calling thread's stripe (`stripe`, as
+  /// for handle_word) once the line's prediction decision is made; returns
+  /// false, counting nothing, while the decision is pending, and the
+  /// caller then counts the write in the region's shared counter.
+  bool count_write(Stripe* stripe) {
     if (!prediction_decided()) return false;
-    Stripe::bump(stripe_for_thread().writes);
+    Stripe::bump(stripe_or_register(stripe).writes);
     return true;
   }
 
@@ -303,15 +420,22 @@ class alignas(kCacheLineSize) CacheTracker {
   }
 
   /// Bytes of tracker metadata, including lazily-grown per-thread stripes
-  /// and their published directories (Figure 8/9 accounting).
+  /// and the entries of every stripe table it keeps (Figure 8/9
+  /// accounting).
   std::size_t metadata_bytes() const {
     std::size_t bytes = sizeof(CacheTracker);
-    std::lock_guard<Spinlock> g(stripe_lock_);
+    std::lock_guard<Spinlock> g(lock_);
     bytes += stripes_.size() * sizeof(Stripe);
-    for (const auto& dir : dir_published_) {
-      bytes += dir->capacity() * sizeof(Stripe*);
+    for (const StripeTable* t = stripe_table_.load(std::memory_order_relaxed);
+         t != nullptr; t = t->prev()) {
+      bytes += t->capacity() * sizeof(Stripe*);
     }
     return bytes;
+  }
+
+  /// Stripe tables retained: the published one and those it superseded.
+  std::size_t stripe_tables() const {
+    return chain_length(stripe_table_.load(std::memory_order_acquire));
   }
 
   // --- virtual line coverage (prediction verification, Section 3.4) ---
@@ -321,53 +445,42 @@ class alignas(kCacheLineSize) CacheTracker {
   /// the virtual line; the runtime does. The fan-out table is append-only:
   /// the entry is written, then the table's size is release-stored, so
   /// sampled-access fan-out reads it without any lock. A full table is
-  /// replaced by a copy with twice the capacity; the superseded one stays
-  /// alive until the tracker dies, because readers may still hold it, so a
-  /// tracker with k virtual lines retains at most ceil(log2 k) + 1 tables
-  /// and fewer than 2k filled entries.
+  /// replaced by a larger copy (GrowOnlyTable), so a tracker with k virtual
+  /// lines retains at most ceil(log2 k) + 1 tables and fewer than 3k
+  /// filled entries.
   void add_virtual_line(VirtualLineTracker* vl, std::uint32_t words) {
-    std::lock_guard<Spinlock> g(vl_lock_);
-    FanOutTable* table =
-        fanout_published_.empty() ? nullptr : fanout_published_.back().get();
+    std::lock_guard<Spinlock> g(lock_);
+    FanOutTable* cur = fanout_.load(std::memory_order_relaxed);
     const std::uint32_t n =
-        table == nullptr ? 0 : table->size.load(std::memory_order_relaxed);
-    if (table == nullptr || n == table->capacity) {
-      auto next = std::make_unique<FanOutTable>(table == nullptr ? 1 : 2 * n);
-      if (table != nullptr) {
-        std::copy_n(table->entries.get(), n, next->entries.get());
-      }
-      next->size.store(n, std::memory_order_relaxed);
-      table = next.get();
-      fanout_published_.push_back(std::move(next));
-      fanout_.store(table, std::memory_order_release);
-    }
-    table->entries[n] = {words, vl};
+        cur == nullptr ? 0 : cur->size.load(std::memory_order_relaxed);
+    FanOutTable* table = FanOutTable::with_room(cur, n);
+    table->entries()[n] = {words, vl};
     table->size.store(n + 1, std::memory_order_release);
+    if (table != cur) fanout_.store(table, std::memory_order_release);
   }
 
   bool has_virtual_lines() const {
     return fanout_.load(std::memory_order_acquire) != nullptr;
   }
 
-  /// Forwards a sampled access to the virtual lines that cover its word;
-  /// the others are never touched. Read-only scan of the published table;
-  /// concurrent nominations become visible on the next sampled access.
-  void update_virtual_lines(Address addr, AccessType type, ThreadId tid) {
+  /// Forwards a sampled access to word `word` to the virtual lines that
+  /// cover it; the others are never touched. Read-only scan of the
+  /// published table; concurrent nominations become visible on the next
+  /// sampled access.
+  void update_virtual_lines(std::size_t word, AccessType type, ThreadId tid) {
     const FanOutTable* table = fanout_.load(std::memory_order_acquire);
     if (table == nullptr) return;
-    const std::uint32_t bit = std::uint32_t{1}
-                              << geometry_.word_in_line(addr);
+    const std::uint32_t bit = std::uint32_t{1} << word;
     const std::uint32_t n = table->size.load(std::memory_order_acquire);
+    const FanOutEntry* e = table->entries();
     for (std::uint32_t i = 0; i < n; ++i) {
-      const FanOutTable::Entry& e = table->entries[i];
-      if ((e.words & bit) != 0) e.vl->access(type, tid);
+      if ((e[i].words & bit) != 0) e[i].vl->access(type, tid);
     }
   }
 
   /// Fan-out tables retained: the published one and those it superseded.
   std::size_t fanout_tables() const {
-    std::lock_guard<Spinlock> g(vl_lock_);
-    return fanout_published_.size();
+    return chain_length(fanout_.load(std::memory_order_acquire));
   }
 
   /// Clears the word histogram and history table so a recycled object
@@ -377,20 +490,17 @@ class alignas(kCacheLineSize) CacheTracker {
   void reset_for_reuse() {
     packed_history_.reset();
     for (AtomicWordAccess& w : atomic_words_) w.reset();
-    if (const auto* dir = stripe_dir_.load(std::memory_order_acquire)) {
-      // Cross-thread stores; a concurrently ticking owner resyncs (see
-      // SampleClock::tick). Stripe write counts stay: like the shared
-      // counter they add to, they total the line's writes across tenants.
-      for (Stripe* s : *dir) {
-        if (s == nullptr) continue;
-        s->clock.reset();
-        s->sampled_reads.store(0, std::memory_order_relaxed);
-        s->sampled_writes.store(0, std::memory_order_relaxed);
-        s->invalidations.store(0, std::memory_order_relaxed);
-        s->suppressed_reads.store(0, std::memory_order_relaxed);
-        s->suppressed_writes.store(0, std::memory_order_relaxed);
-      }
-    }
+    // Cross-thread stores; a concurrently ticking owner resyncs (see
+    // SampleClock::tick). Stripe write counts stay: like the shared
+    // counter they add to, they total the line's writes across tenants.
+    for_each_stripe([](Stripe& s) {
+      s.clock.reset();
+      s.sampled_reads.store(0, std::memory_order_relaxed);
+      s.sampled_writes.store(0, std::memory_order_relaxed);
+      s.invalidations.store(0, std::memory_order_relaxed);
+      s.suppressed_reads.store(0, std::memory_order_relaxed);
+      s.suppressed_writes.store(0, std::memory_order_relaxed);
+    });
     unarmed_accesses_.store(0, std::memory_order_relaxed);
     sync_word_.store(0, std::memory_order_relaxed);
   }
@@ -415,39 +525,60 @@ class alignas(kCacheLineSize) CacheTracker {
   }
 
  private:
-  /// One per-thread sampling stripe: a host-line-padded block owned by the
-  /// one OS thread that holds its token, so every update is a relaxed
-  /// load/store pair — cross-thread readers see atomic snapshots, and owner
-  /// increments can never be lost. When the owner exits, the next thread to
-  /// take the token inherits the stripe, clock and counts included.
-  struct alignas(kCacheLineSize) Stripe {
-    SampleClock clock;
-    std::atomic<std::uint64_t> sampled_reads{0};
-    std::atomic<std::uint64_t> sampled_writes{0};
-    std::atomic<std::uint64_t> invalidations{0};
-    /// Accesses retired on the sync-aware ownership word. Kept here — in
-    /// owner-exclusive memory — rather than in the shared word itself, so
-    /// total_accesses() stays exact without any RMW on the fast hit.
-    std::atomic<std::uint64_t> suppressed_reads{0};
-    std::atomic<std::uint64_t> suppressed_writes{0};
-    /// Tracked writes issued after the line's prediction decision; they no
-    /// longer touch the region's shared counter (see count_write).
-    std::atomic<std::uint64_t> writes{0};
+  /// Indexed by stripe token; an entry is null until its token registers.
+  using StripeTable = GrowOnlyTable<Stripe*>;
 
-    /// Owner-exclusive increment: no lock-prefixed RMW.
-    static void bump(std::atomic<std::uint64_t>& c) {
-      c.store(c.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
-    }
+  /// One virtual line and the words of this line it covers.
+  struct FanOutEntry {
+    std::uint32_t words;  ///< bit k: the virtual line covers word k
+    VirtualLineTracker* vl;
   };
-  static_assert(sizeof(Stripe) == kCacheLineSize);
+  using FanOutTable = GrowOnlyTable<FanOutEntry>;
+
+  /// handle_word's body; `word_of()` yields the word index and runs only
+  /// when the access is sampled.
+  template <typename WordOf>
+  AccessOutcome record(WordOf&& word_of, AccessType type, ThreadId tid,
+                       Stripe* stripe, std::uint64_t sample_window,
+                       std::uint64_t sample_interval, std::uint32_t epoch) {
+    if (!armed_.load(std::memory_order_acquire)) [[unlikely]] {
+      unarmed_accesses_.fetch_add(1, std::memory_order_relaxed);
+      return {};
+    }
+    const std::uint64_t want = pack_sync(tid, epoch);
+    if (want == 0) {
+      // Never-synced thread (or unrepresentable tid/epoch): exact PR 3
+      // behavior, no claims.
+      return sample_and_record(word_of, type, tid, stripe, sample_window,
+                               sample_interval);
+    }
+    std::uint64_t seen = sync_word_.load(std::memory_order_relaxed);
+    if (seen == want && packed_history_.owned_write_by(tid)) [[likely]] {
+      Stripe& st = stripe_or_register(stripe);
+      Stripe::bump(type == AccessType::kWrite ? st.suppressed_writes
+                                              : st.suppressed_reads);
+      AccessOutcome outcome;
+      outcome.suppressed = true;
+      return outcome;
+    }
+    AccessOutcome outcome = sample_and_record(
+        word_of, type, tid, stripe, sample_window, sample_interval);
+    // Claim ownership for the epoch we just recorded under. Losing the CAS
+    // race only means the next same-owner access falls through again —
+    // never a wrong suppression, since a hit re-confirms the history state.
+    sync_word_.compare_exchange_strong(seen, want, std::memory_order_relaxed,
+                                       std::memory_order_relaxed);
+    return outcome;
+  }
 
   /// The sampling decision on the calling thread's stripe, then — inside
   /// the window — the word histogram and the history automaton.
-  AccessOutcome sample_and_record(Address addr, AccessType type, ThreadId tid,
+  template <typename WordOf>
+  AccessOutcome sample_and_record(WordOf&& word_of, AccessType type,
+                                  ThreadId tid, Stripe* stripe,
                                   std::uint64_t window,
                                   std::uint64_t interval) {
-    Stripe& st = stripe_for_thread();
+    Stripe& st = stripe_or_register(stripe);
     if (!st.clock.tick(window, interval)) {
       return {};  // outside the sampling window: count only
     }
@@ -458,7 +589,7 @@ class alignas(kCacheLineSize) CacheTracker {
     } else {
       Stripe::bump(st.sampled_reads);
     }
-    atomic_words_[geometry_.word_in_line(addr)].record(tid, type);
+    atomic_words_[word_of()].record(tid, type);
     if (packed_history_.access(tid, type) == HistoryOutcome::kInvalidation) {
       Stripe::bump(st.invalidations);
       outcome.invalidated = true;
@@ -466,45 +597,46 @@ class alignas(kCacheLineSize) CacheTracker {
     return outcome;
   }
 
-  /// The calling thread's stripe: an acquire load of the published
-  /// directory plus an index — the slow (locked) registration runs once per
-  /// (thread, tracker) pair.
-  Stripe& stripe_for_thread() {
-    if (Stripe* st = find_stripe()) [[likely]] return *st;
+  /// `stripe`, or — when the caller found none — the calling thread's
+  /// stripe, registered now. Registration runs once per (thread, tracker)
+  /// pair.
+  Stripe& stripe_or_register(Stripe* stripe) {
+    if (stripe != nullptr) [[likely]] return *stripe;
     return register_stripe(detail::stripe_token());
   }
 
-  /// The calling thread's stripe, or nullptr before it registers one.
-  Stripe* find_stripe() const {
-    const std::uint32_t token = detail::stripe_token();
-    const auto* dir = stripe_dir_.load(std::memory_order_acquire);
-    return dir != nullptr && token < dir->size() ? (*dir)[token] : nullptr;
-  }
-
+  /// Fills the token's entry of the stripe table (growing the table when
+  /// the token is past its capacity) unless it is filled already.
   Stripe& register_stripe(std::uint32_t token) {
-    std::lock_guard<Spinlock> g(stripe_lock_);
-    const auto* cur = stripe_dir_.load(std::memory_order_relaxed);
-    auto next = std::make_unique<std::vector<Stripe*>>();
-    if (cur != nullptr) *next = *cur;
-    if (next->size() <= token) next->resize(token + 1, nullptr);
-    if ((*next)[token] == nullptr) {
-      stripes_.emplace_back();
-      (*next)[token] = &stripes_.back();
+    std::lock_guard<Spinlock> g(lock_);
+    StripeTable* cur = stripe_table_.load(std::memory_order_relaxed);
+    StripeTable* table = StripeTable::with_room(cur, token);
+    std::atomic_ref<Stripe*> entry(table->entries()[token]);
+    Stripe* stripe = entry.load(std::memory_order_relaxed);
+    if (stripe == nullptr) {
+      stripe = &stripes_.emplace_back();
+      entry.store(stripe, std::memory_order_release);
+      if (table->size.load(std::memory_order_relaxed) <= token) {
+        table->size.store(token + 1, std::memory_order_release);
+      }
     }
-    Stripe& stripe = *(*next)[token];
-    stripe_dir_.store(next.get(), std::memory_order_release);
-    dir_published_.push_back(std::move(next));
-    return stripe;
+    if (table != cur) stripe_table_.store(table, std::memory_order_release);
+    return *stripe;
   }
 
-  /// Iterates every registered stripe via the published directory (safe
+  /// Invokes fn on every registered stripe via the published table (safe
   /// against concurrent registration; no lock).
   template <typename F>
   void for_each_stripe(F&& fn) const {
-    const auto* dir = stripe_dir_.load(std::memory_order_acquire);
-    if (dir == nullptr) return;
-    for (const Stripe* s : *dir) {
-      if (s != nullptr) fn(*s);
+    const StripeTable* table = stripe_table_.load(std::memory_order_acquire);
+    if (table == nullptr) return;
+    const std::uint32_t n = table->size.load(std::memory_order_acquire);
+    Stripe** entries = table->entries();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (Stripe* s = std::atomic_ref<Stripe*>(entries[i])
+                          .load(std::memory_order_acquire)) {
+        fn(*s);
+      }
     }
   }
 
@@ -517,12 +649,12 @@ class alignas(kCacheLineSize) CacheTracker {
     return n;
   }
 
-  PackedHistoryTable packed_history_;
-  std::array<AtomicWordAccess, kMaxWords> atomic_words_{};
-  mutable Spinlock stripe_lock_;  ///< serializes stripe registration only
-  std::atomic<const std::vector<Stripe*>*> stripe_dir_{nullptr};
-  std::deque<Stripe> stripes_;  ///< stable addresses; one per token
-  std::vector<std::unique_ptr<std::vector<Stripe*>>> dir_published_;
+  template <typename Table>
+  static std::size_t chain_length(const Table* newest) {
+    std::size_t n = 0;
+    for (; newest != nullptr; newest = newest->prev()) ++n;
+    return n;
+  }
 
   /// Packed sync-aware ownership word:
   ///   bit 63        valid
@@ -544,34 +676,28 @@ class alignas(kCacheLineSize) CacheTracker {
            (static_cast<std::uint64_t>(epoch & 0xffffu) << 24);
   }
 
-  std::atomic<std::uint64_t> sync_word_{0};
-  std::atomic<std::uint64_t> unarmed_accesses_{0};
+  // Host line 0: read by every tracked access, inline exits included;
+  // written only when a thread registers a stripe, a virtual line is
+  // nominated, or the tracker is armed or decides its prediction.
+  alignas(kCacheLineSize) std::atomic<StripeTable*> stripe_table_{nullptr};
+  std::atomic<FanOutTable*> fanout_{nullptr};  ///< the newest table
   std::atomic<bool> armed_;
   std::atomic<bool> prediction_done_{false};
-
-  /// One generation of the virtual-line fan-out: entries [0, size) never
-  /// change once size covers them.
-  struct FanOutTable {
-    struct Entry {
-      std::uint32_t words;  ///< bit k: the virtual line covers word k
-      VirtualLineTracker* vl;
-    };
-    explicit FanOutTable(std::uint32_t cap)
-        : capacity(cap), entries(std::make_unique<Entry[]>(cap)) {}
-
-    std::atomic<std::uint32_t> size{0};
-    const std::uint32_t capacity;
-    const std::unique_ptr<Entry[]> entries;
-  };
-
-  mutable Spinlock vl_lock_;  ///< serializes nominations (writers only)
-  std::atomic<const FanOutTable*> fanout_{nullptr};  ///< the newest table
-  /// Every table published, newest last; superseded ones stay alive for
-  /// readers that may still be scanning them. Guarded by vl_lock_.
-  std::vector<std::unique_ptr<FanOutTable>> fanout_published_;
-
   const std::size_t line_index_;
   const LineGeometry geometry_;
+
+  // Host line 1: the words sampled and synced accesses CAS.
+  alignas(kCacheLineSize) PackedHistoryTable packed_history_;
+  std::atomic<std::uint64_t> sync_word_{0};
+  std::atomic<std::uint64_t> unarmed_accesses_{0};
+
+  // The word histogram, from the next host line on.
+  alignas(kCacheLineSize) std::array<AtomicWordAccess, kMaxWords>
+      atomic_words_{};
+
+  // Registration only: stripe registrations and virtual-line nominations.
+  mutable Spinlock lock_;
+  std::deque<Stripe> stripes_;  ///< stable addresses; one per token
 };
 
 // Adjacent trackers (ShadowSpace arena slots) must not themselves falsely
@@ -582,7 +708,8 @@ class alignas(kCacheLineSize) CacheTracker {
 static_assert(alignof(CacheTracker) == kCacheLineSize);
 static_assert(sizeof(CacheTracker) % kCacheLineSize == 0);
 // Every escalated line pays this much metadata (Figures 8/9): 1024 B on
-// x86-64, pinned with one host line of slack.
-static_assert(sizeof(CacheTracker) <= 1088);
+// x86-64 — the read-mostly line, the history line, 12 lines of word
+// histogram and the registration state.
+static_assert(sizeof(CacheTracker) <= 1024);
 
 }  // namespace pred

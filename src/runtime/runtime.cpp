@@ -137,8 +137,10 @@ void Runtime::fill_fastpath_cache(ShadowSpace& region,
   fc.stage = &t_write_stage;
   fc.tracking_threshold = config_.tracking_threshold;
   fc.line_shift = static_cast<std::uint32_t>(std::countr_zero(ls));
+  fc.word_shift = static_cast<std::uint32_t>(std::countr_zero(ws));
   fc.word_mask = ws - 1;
   fc.word_size = ws;
+  fc.word_index_mask = ls / ws - 1;
   fc.tracked_read_exit = config_.instrument_mode != InstrumentMode::kWritesOnly;
 }
 
@@ -181,13 +183,21 @@ void Runtime::handle_access_slow(Address addr, AccessType type, ThreadId tid,
 void Runtime::handle_access_one_word(ShadowSpace& region, Address addr,
                                      AccessType type, ThreadId tid) {
   const std::size_t idx = region.line_index(addr);
-  CacheTracker* track = region.tracker(idx);
-  if (!track) {
+  if (CacheTracker* track = region.tracker(idx)) {
+    const std::size_t word =
+        (addr - region.line_start(idx)) / config_.geometry.word_size;
+    handle_tracked(region, idx, word, track, track->find_stripe(), type, tid);
+  } else if (type == AccessType::kWrite) {
     // Fast path of Figure 1: count writes only, no detailed tracking until
     // the line crosses TrackingThreshold.
-    if (type == AccessType::kWrite) stage_write(region, idx);
-    return;
+    stage_write(region, idx);
   }
+}
+
+void Runtime::handle_tracked(ShadowSpace& region, std::size_t line,
+                             std::size_t word, CacheTracker* track,
+                             CacheTracker::Stripe* stripe, AccessType type,
+                             ThreadId tid) {
   if (!admit_tid(tid)) return;  // too wide for the history table: counted
 
   // Sync-aware suppression applies only while no virtual line covers this
@@ -196,31 +206,31 @@ void Runtime::handle_access_one_word(ShadowSpace& region, Address addr,
   const bool suppress =
       config_.sync_suppression && !track->has_virtual_lines();
   const auto outcome =
-      track->handle_access(addr, type, tid, config_.sample_window,
-                           config_.sample_interval,
-                           suppress ? thread_epoch(tid) : 0);
+      track->handle_word(word, type, tid, stripe, config_.sample_window,
+                         config_.sample_interval,
+                         suppress ? thread_epoch(tid) : 0);
   if (outcome.sampled) {
-    track->update_virtual_lines(addr, type, tid);
+    track->update_virtual_lines(word, type, tid);
     // One event per sampled access: an invalidation event implies the
     // sample (the aggregator counts it for both totals).
     if (outcome.invalidated) {
-      PRED_MON_EMIT(kInvalidation, region.line_start(idx),
+      PRED_MON_EMIT(kInvalidation, region.line_start(line),
                     is_write(type) ? 1u : 0u, tid);
     } else {
-      PRED_MON_EMIT(kSampleHit, region.line_start(idx),
+      PRED_MON_EMIT(kSampleHit, region.line_start(line),
                     is_write(type) ? 1u : 0u, tid);
     }
   }
   // Until the line's prediction decision is made the shared counter must
   // see every write, so the threshold check below reads an exact count;
   // from then on the write counts in the thread's stripe, no RMW.
-  if (type == AccessType::kWrite && !track->count_write()) {
+  if (type == AccessType::kWrite && !track->count_write(stripe)) {
     const std::uint64_t w =
-        region.writes(idx).fetch_add(1, std::memory_order_relaxed) + 1;
+        region.writes(line).fetch_add(1, std::memory_order_relaxed) + 1;
     if (w >= config_.prediction_threshold && config_.prediction_enabled &&
         hook_ && track->try_begin_prediction()) {
-      PRED_MON_EMIT(kPredictionStarted, region.line_start(idx), w, tid);
-      hook_(*this, region, idx);
+      PRED_MON_EMIT(kPredictionStarted, region.line_start(line), w, tid);
+      hook_(*this, region, line);
     }
   }
 }

@@ -7,15 +7,20 @@
 //   1. inline fast path (handle_access below) — a single-word access inside
 //      the region the thread last resolved retires without a call when it
 //      is a write to a live staged line, a read of a line with no tracker,
-//      or an unsampled access to an armed tracker;
-//   2. region resolution — the same per-thread cache (FastPathCache), then
-//      the flat shadow page map (runtime/region_map.hpp); O(1) per access;
+//      or an unsampled access to an armed tracker; any other single-word
+//      access to a tracked line goes straight to handle_tracked with the
+//      line, word index (a shift and a mask) and stripe it already found;
+//   2. region resolution (handle_access_slow: multi-word accesses, cache
+//      misses, line or word sizes that are not powers of two) — the same
+//      per-thread cache (FastPathCache), then the flat shadow page map
+//      (runtime/region_map.hpp); O(1) per access;
 //   3. pre-threshold write counting — staged in thread-local slots
 //      (runtime/write_stage.hpp) and drained in batches, so the common
 //      case touches no shared cache line;
-//   4. tracked path — lock-free: per-OS-thread striped sampling clocks,
-//      CAS-packed history table, atomic word histogram, per-word
-//      virtual-line fan-out tables (runtime/cache_tracker.hpp).
+//   4. tracked path (handle_tracked, the one entry both paths share) —
+//      lock-free: per-OS-thread striped sampling clocks, CAS-packed
+//      history table, atomic word histogram, per-word virtual-line fan-out
+//      tables (runtime/cache_tracker.hpp).
 #pragma once
 
 #include <atomic>
@@ -65,10 +70,10 @@ class Runtime {
     return regions_dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Slow-path tracked accesses and handoff claims ignored because their
-  /// thread id exceeds PackedHistoryTable::kMaxThread (30 bits): they never
-  /// reach a history table. Unsampled accesses the inline fast path
-  /// retires need no history and are counted as usual.
+  /// Tracked accesses that reach handle_tracked, and handoff claims,
+  /// ignored because their thread id exceeds PackedHistoryTable::kMaxThread
+  /// (30 bits): they never reach a history table. Unsampled accesses the
+  /// inline fast path retires need no history and are counted as usual.
   std::uint64_t wide_tid_accesses() const {
     return wide_tid_accesses_.load(std::memory_order_relaxed);
   }
@@ -84,7 +89,9 @@ class Runtime {
   /// stays exact; accesses to untracked memory are ignored. Defined inline
   /// below: in the region the thread last resolved, single-word writes to a
   /// live staged line, reads of untracked lines and unsampled tracked
-  /// accesses retire without leaving the caller.
+  /// accesses retire without leaving the caller, and every other
+  /// single-word access to a tracked line makes one call, to the tracked
+  /// path.
   void handle_access(Address addr, AccessType type, ThreadId tid,
                      std::size_t size = 8);
 
@@ -231,8 +238,19 @@ class Runtime {
 
   void handle_access_slow(Address addr, AccessType type, ThreadId tid,
                           std::size_t size);
+  /// Stages a write to an untracked line; hands a tracked line's access to
+  /// handle_tracked.
   void handle_access_one_word(ShadowSpace& region, Address addr,
                               AccessType type, ThreadId tid);
+
+  /// The tracked path: one access to word `word` of `line`, whose tracker
+  /// is `track`. `stripe` is track->find_stripe() for the calling thread
+  /// (nullptr: not registered yet). Runs the sampling decision or the
+  /// sync-aware check, the virtual-line fan-out and monitor emission of a
+  /// sampled access, and the write count with its prediction threshold.
+  void handle_tracked(ShadowSpace& region, std::size_t line, std::size_t word,
+                      CacheTracker* track, CacheTracker::Stripe* stripe,
+                      AccessType type, ThreadId tid);
 
   /// Publishes and empties one staged slot (which just crossed
   /// TrackingThreshold on the fast path), running the threshold checks.
@@ -308,9 +326,10 @@ inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,
                                    std::size_t size) {
   // Hot-region fast path: a single-word access inside the region the
   // calling thread last resolved. The generation compare rejects dead
-  // runtimes, so no region-map work is needed here. Whatever no exit
-  // retires — sampled accesses, threads that have synced, writes to a line
-  // whose prediction is pending, disarmed trackers — takes the slow path.
+  // runtimes, so no region-map work is needed here. A tracked access that
+  // no exit retires — sampled, from a thread that has synced, a write to a
+  // line whose prediction is pending, or to a disarmed tracker — goes
+  // straight to handle_tracked.
   FastPathCache& fc = t_fastpath_cache;
   const Address off = addr - fc.region_begin;
   if (fc.rt == this && off < fc.region_bytes &&
@@ -341,11 +360,17 @@ inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,
     if (track == nullptr) {
       // A read of a line with no tracker: the slow path ignores it too.
       if (type == AccessType::kRead) return;
-    } else if ((type == AccessType::kWrite || fc.tracked_read_exit) &&
-               thread_epoch(tid) == 0 &&
-               track->try_retire_unsampled(type, config_.sample_window,
-                                           config_.sample_interval)) {
-      return;  // outside the thread's sampling window: counted only
+    } else if (type == AccessType::kWrite || fc.tracked_read_exit) {
+      CacheTracker::Stripe* stripe = track->find_stripe();
+      if (thread_epoch(tid) == 0 &&
+          track->try_retire_unsampled(stripe, type, config_.sample_window,
+                                      config_.sample_interval)) {
+        return;  // outside the thread's sampling window: counted only
+      }
+      handle_tracked(*fc.region, line,
+                     (off >> fc.word_shift) & fc.word_index_mask, track,
+                     stripe, type, tid);
+      return;
     }
   }
   handle_access_slow(addr, type, tid, size);

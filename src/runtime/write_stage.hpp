@@ -104,7 +104,9 @@ WriteStage& thread_write_stage();
 ///     (escalation, virtual-line fan-out) purges the slot first;
 ///   - a read of a line whose CacheTracking entry is null;
 ///   - an unsampled access to an armed tracker
-///     (CacheTracker::try_retire_unsampled).
+///     (CacheTracker::try_retire_unsampled);
+/// and to hand every other single-word access to a tracked line straight
+/// to Runtime::handle_tracked with its line, word index and stripe.
 /// Region and tracker pointers stay valid while their runtime lives
 /// (regions are never unregistered, trackers never freed), and only runtime
 /// destruction (generation bump) wholesale-invalidates the cache.
@@ -121,8 +123,10 @@ struct FastPathCache {
   WriteStage* stage = nullptr;
   std::uint64_t tracking_threshold = 0;
   std::uint32_t line_shift = 0;  ///< log2(line_size)
+  std::uint32_t word_shift = 0;  ///< log2(word_size)
   std::size_t word_mask = 0;     ///< word_size - 1
   std::size_t word_size = 0;
+  std::size_t word_index_mask = 0;  ///< words_per_line - 1
   /// Tracked reads may retire inline: off in writes-only mode, where the
   /// slow path drops reads instead of counting them.
   bool tracked_read_exit = false;

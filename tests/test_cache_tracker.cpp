@@ -3,6 +3,7 @@
 // virtual-line fan-out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
@@ -110,8 +111,8 @@ TEST(CacheTracker, VirtualLineFanOut) {
   EXPECT_TRUE(t.has_virtual_lines());
   // Only accesses to covered words reach the virtual table: had thread 1's
   // write arrived, it would have invalidated thread 0's entry.
-  t.update_virtual_lines(kLineBase + 40, W, 0);
-  t.update_virtual_lines(kLineBase + 8, W, 1);  // word 1: outside the line
+  t.update_virtual_lines(5, W, 0);  // byte 40: word 5
+  t.update_virtual_lines(1, W, 1);  // word 1: outside the line
   EXPECT_EQ(vl.invalidations(), 0u);
   EXPECT_TRUE(vl.history().owned_write_by(0));
 }
@@ -314,6 +315,46 @@ TEST(CacheTracker, RecycledStripesBalanceAcrossThreadWaves) {
   EXPECT_LT(t.metadata_bytes(), 16u * 1024);
 }
 
+// 64 threads alive at once, so 64 distinct tokens, touch one tracker. A
+// registration fills the thread's entry of the stripe table in place, or
+// replaces a table too small for its token with one that has room for
+// twice the token. The threads register in ascending token order, which
+// replaces the table most often, and still leave at most ceil(log2 64) + 1
+// tables whose entries add up to a few times the largest token. The bound
+// on metadata_bytes() rules out one directory copy per registration, which
+// holds at least 1 + 2 + ... + 64 pointers (16.6 KB) here.
+TEST(CacheTracker, StripeTableRetentionIsLinear) {
+  CacheTracker t(10, kGeo);
+  constexpr int kThreads = 64;
+  constexpr std::uint64_t kPerThread = 100;
+  std::array<std::uint32_t, kThreads> tokens{};
+  std::atomic<int> holding{0};
+  std::atomic<int> registered{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      tokens[i] = detail::stripe_token();
+      holding.fetch_add(1);
+      while (holding.load() < kThreads) std::this_thread::yield();
+      const auto rank = static_cast<int>(std::count_if(
+          tokens.begin(), tokens.end(),
+          [&](std::uint32_t other) { return other < tokens[i]; }));
+      while (registered.load() != rank) std::this_thread::yield();
+      t.handle_access(kLineBase, W, 0, 10, 100);
+      registered.fetch_add(1);
+      for (std::uint64_t k = 1; k < kPerThread; ++k) {
+        t.handle_access(kLineBase, W, 0, 10, 100);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(t.total_accesses(), kThreads * kPerThread);
+  EXPECT_GT(t.stripe_tables(), 1u);
+  EXPECT_LE(t.stripe_tables(), 7u);
+  // The tracker (1 KB), 64 stripes (4 KB) and under 3 KB of tables.
+  EXPECT_LT(t.metadata_bytes(), 8u * 1024);
+}
+
 // Records accesses from a thread_local destructor. Constructed before the
 // thread's first tracked access, so it is destroyed after the thread's
 // stripe token went back to the free list.
@@ -386,7 +427,7 @@ TEST(CacheTracker, VirtualLineSnapshotGrowsUnderFanOut) {
   std::atomic<bool> stop{false};
   std::thread fanout([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      t.update_virtual_lines(kLineBase + 8, W, 1);
+      t.update_virtual_lines(1, W, 1);
     }
   });
   for (auto& vl : vls) {
@@ -394,7 +435,7 @@ TEST(CacheTracker, VirtualLineSnapshotGrowsUnderFanOut) {
   }
   stop.store(true, std::memory_order_relaxed);
   fanout.join();
-  t.update_virtual_lines(kLineBase + 8, W, 2);
+  t.update_virtual_lines(1, W, 2);
   for (auto& vl : vls) {
     // Every nominated line sees the tail access.
     EXPECT_TRUE(vl->history().owned_write_by(2));
@@ -420,7 +461,7 @@ TEST(CacheTracker, FanOutTableGrowsUnderConcurrentFanOut) {
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       while (!stop.load(std::memory_order_relaxed)) {
-        t.update_virtual_lines(kLineBase + 8 * r, W, static_cast<ThreadId>(r));
+        t.update_virtual_lines(r, W, static_cast<ThreadId>(r));
         passes[r].fetch_add(1, std::memory_order_release);
       }
     });
@@ -439,7 +480,7 @@ TEST(CacheTracker, FanOutTableGrowsUnderConcurrentFanOut) {
 
   std::vector<std::uint64_t> before;
   for (const auto& vl : vls) before.push_back(vl->invalidations());
-  t.update_virtual_lines(kLineBase + 40, W, kReaders);  // a new thread
+  t.update_virtual_lines(5, W, kReaders);  // a new thread
   for (int i = 0; i < kLines; ++i) {
     EXPECT_EQ(vls[i]->invalidations(), before[i] + 1) << "line " << i;
   }
@@ -735,11 +776,11 @@ TEST(VirtualLineTracker, IgnoresOutOfRange) {
                           base + 216);
   EXPECT_FALSE(vl->covers(base + 159));
   EXPECT_FALSE(vl->covers(base + 224));
-  region->tracker(2)->update_virtual_lines(base + 159, W, 0);
-  region->tracker(3)->update_virtual_lines(base + 224, W, 1);
+  region->tracker(2)->update_virtual_lines(3, W, 0);  // byte 159
+  region->tracker(3)->update_virtual_lines(4, W, 1);  // byte 224
   EXPECT_EQ(vl->history().size(), 0);
-  region->tracker(2)->update_virtual_lines(base + 160, R, 0);
-  region->tracker(3)->update_virtual_lines(base + 223, R, 1);
+  region->tracker(2)->update_virtual_lines(4, R, 0);  // byte 160
+  region->tracker(3)->update_virtual_lines(3, R, 1);  // byte 223
   EXPECT_EQ(vl->history().size(), 2);
 }
 

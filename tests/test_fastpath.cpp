@@ -36,29 +36,47 @@ RuntimeConfig small_config() {
 
 void default_config(RuntimeConfig&) {}
 
-/// The oracle side: replay_into_session's round-robin order (quantum 1),
-/// but the thread's FastPathCache is cleared before each access, so no
-/// inline exit can fire, and the write stage is flushed after it.
-void slow_path_replay(Session& session,
-                      const std::vector<ThreadTrace>& traces) {
+/// replay_into_session's round-robin order (quantum 1). The oracle side
+/// clears the thread's FastPathCache before each access, so no inline exit
+/// can fire, and flushes the write stage after it. With `sync_every` > 0,
+/// every thread issues a sync event after each `sync_every` rounds, so its
+/// tracked accesses carry a non-zero epoch.
+void round_robin_replay(Session& session,
+                        const std::vector<ThreadTrace>& traces, bool oracle,
+                        std::size_t sync_every) {
   Runtime& rt = session.runtime();
   std::vector<std::size_t> cursor(traces.size(), 0);
-  for (bool progressed = true; progressed;) {
+  bool progressed = true;
+  for (std::size_t round = 1; progressed; ++round) {
     progressed = false;
     for (std::size_t t = 0; t < traces.size(); ++t) {
       if (cursor[t] == traces[t].size()) continue;
       const TraceEvent& ev = traces[t][cursor[t]++];
-      t_fastpath_cache = FastPathCache{};
+      if (oracle) t_fastpath_cache = FastPathCache{};
       rt.handle_access(ev.addr, ev.type, static_cast<ThreadId>(t), ev.size);
-      flush_staged_writes();
+      if (oracle) flush_staged_writes();
       progressed = true;
+    }
+    if (sync_every != 0 && round % sync_every == 0) {
+      for (std::size_t t = 0; t < traces.size(); ++t) {
+        rt.handle_sync(static_cast<ThreadId>(t));
+      }
     }
   }
 }
 
+/// Where the tracked accesses of a replay went, summed over its trackers.
+struct TrackedCounts {
+  std::uint64_t total = 0;
+  std::uint64_t sampled = 0;
+  std::uint64_t suppressed = 0;
+  std::uint64_t unsampled() const { return total - sampled - suppressed; }
+};
+
 std::string replay_report(const char* workload, bool fast,
                           void (*configure)(RuntimeConfig&) = default_config,
-                          std::uint64_t* unsampled_tracked = nullptr) {
+                          TrackedCounts* counts = nullptr,
+                          std::size_t sync_every = 0) {
   SessionOptions o;
   o.heap_size = 32 * 1024 * 1024;
   configure(o.runtime);
@@ -67,17 +85,18 @@ std::string replay_report(const char* workload, bool fast,
   EXPECT_NE(w, nullptr);
   wl::Params p;
   p.threads = 8;
-  if (fast) {
+  if (fast && sync_every == 0) {
     w->run_replay(session, p);
   } else {
-    slow_path_replay(session, w->capture(session, p));
+    round_robin_replay(session, w->capture(session, p), !fast, sync_every);
   }
-  if (unsampled_tracked != nullptr) {
-    *unsampled_tracked = 0;
+  if (counts != nullptr) {
+    *counts = {};
     session.runtime().for_each_region([&](const ShadowSpace& region) {
       region.for_each_tracker([&](std::size_t, const CacheTracker* t) {
-        *unsampled_tracked += t->total_accesses() - t->sampled_accesses() -
-                              t->suppressed_accesses();
+        counts->total += t->total_accesses();
+        counts->sampled += t->sampled_accesses();
+        counts->suppressed += t->suppressed_accesses();
       });
     });
   }
@@ -108,11 +127,11 @@ TEST(FastPathDeterminism, PredictionOffMatchesSeedPath) {
     c.sample_window = 64;
     c.sample_interval = 1024;
   };
-  std::uint64_t unsampled = 0;
+  TrackedCounts counts;
   const std::string fast =
-      replay_report("histogram", true, no_prediction, &unsampled);
+      replay_report("histogram", true, no_prediction, &counts);
   const std::string slow = replay_report("histogram", false, no_prediction);
-  EXPECT_GT(unsampled, 0u);
+  EXPECT_GT(counts.unsampled(), 0u);
   EXPECT_NE(fast.find("Finding #1"), std::string::npos);
   EXPECT_EQ(fast, slow);
 }
@@ -138,11 +157,85 @@ TEST(FastPathDeterminism, UnsampledTrackedAccessesMatchSeedPath) {
     c.sample_window = 64;
     c.sample_interval = 1024;
   };
-  std::uint64_t unsampled = 0;
+  TrackedCounts counts;
   const std::string fast =
-      replay_report("pca", true, dense_sampling, &unsampled);
+      replay_report("pca", true, dense_sampling, &counts);
   const std::string slow = replay_report("pca", false, dense_sampling);
-  EXPECT_GT(unsampled, 100'000u);
+  EXPECT_GT(counts.unsampled(), 100'000u);
+  EXPECT_EQ(fast, slow);
+}
+
+// --- the one tracked entry: accesses no inline exit retires go from the
+// --- inline path straight to Runtime::handle_tracked, with the word index
+// --- from a shift and a mask and the stripe the unsampled check found.
+
+void full_sampling(RuntimeConfig& c) { c.sample_interval = c.sample_window; }
+
+TEST(FastPathDeterminism, FullSamplingMatchesSeedPath) {
+  // Every tracked access is sampled, so none retires inline: each one is
+  // handed to handle_tracked.
+  TrackedCounts counts;
+  const std::string fast =
+      replay_report("histogram", true, full_sampling, &counts);
+  const std::string slow = replay_report("histogram", false, full_sampling);
+  EXPECT_GT(counts.sampled, 10'000u);
+  EXPECT_EQ(counts.sampled, counts.total);
+  EXPECT_NE(fast.find("Finding #1"), std::string::npos);
+  EXPECT_EQ(fast, slow);
+}
+
+TEST(FastPathDeterminism, WideLineNarrowWordGeometryMatchesSeedPath) {
+  // 128-byte lines of 4-byte words: 32 words per line, so the word index
+  // uses every bit of the fan-out masks. Most of streamcluster's tracked
+  // accesses are 4-byte and take the inline path.
+  auto geometry = [](RuntimeConfig& c) {
+    c.geometry = LineGeometry{128, 4};
+    full_sampling(c);
+  };
+  TrackedCounts counts;
+  const std::string fast =
+      replay_report("streamcluster", true, geometry, &counts);
+  const std::string slow = replay_report("streamcluster", false, geometry);
+  EXPECT_GT(counts.sampled, 10'000u);
+  EXPECT_NE(fast.find("Finding #1"), std::string::npos);
+  EXPECT_EQ(fast, slow);
+}
+
+TEST(FastPathDeterminism, NonPowerOfTwoLineTakesTheGenericPath) {
+  // 96-byte lines: no shift computes a line index, so there is no inline
+  // exit and the generic path alone must match the oracle.
+  auto geometry = [](RuntimeConfig& c) {
+    c.geometry = LineGeometry{96, 8};
+    full_sampling(c);
+  };
+  TrackedCounts counts;
+  const std::string fast =
+      replay_report("linear_regression", true, geometry, &counts);
+  const std::string slow =
+      replay_report("linear_regression", false, geometry);
+  EXPECT_GT(counts.sampled, 10'000u);
+  EXPECT_NE(fast.find("Finding #1"), std::string::npos);
+  EXPECT_EQ(fast, slow);
+}
+
+TEST(FastPathDeterminism, SyncedReplayMatchesSeedPath) {
+  // Every thread syncs after each 64 rounds, so its tracked accesses carry
+  // a non-zero epoch: the inline path hands them to handle_tracked, where
+  // the sync-aware check suppresses repeated accesses to a line the thread
+  // owns until a virtual line covers it. The oracle replays the same
+  // accesses and syncs.
+  auto dense_sampling = [](RuntimeConfig& c) {
+    c.sample_window = 64;
+    c.sample_interval = 1024;
+  };
+  TrackedCounts counts;
+  const std::string fast = replay_report("linear_regression", true,
+                                         dense_sampling, &counts, 64);
+  const std::string slow = replay_report("linear_regression", false,
+                                         dense_sampling, nullptr, 64);
+  EXPECT_GT(counts.suppressed, 1'000u);
+  EXPECT_GT(counts.sampled, 0u);
+  EXPECT_NE(fast.find("Finding #1"), std::string::npos);
   EXPECT_EQ(fast, slow);
 }
 
