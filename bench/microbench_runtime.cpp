@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the runtime's hot paths: the
 // Figure 1 HandleAccess fast path, escalated-line detail tracking, the
 // sampling fast-out, allocator throughput, and the two-entry history table.
-// These quantify the per-access costs behind Figure 7's overheads. Two
-// further rows time the fixed costs around a run: session construction
-// (heap and shadow reservation) and report building.
+// These quantify the per-access costs behind Figure 7's overheads. Two rows
+// time region resolution when the thread's region cache misses, and two
+// further rows the fixed costs around a run: session construction (heap
+// and shadow reservation) and report building.
 #include <benchmark/benchmark.h>
 
 #include "alloc/predator_allocator.hpp"
@@ -83,6 +84,43 @@ void BM_HandleAccessSampledOut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HandleAccessSampledOut);
+
+// Region resolution behind the thread's one-entry region cache, over
+// `range(0)` one-page regions.
+alignas(4096) char g_regions[Runtime::kMaxRegions][4096];
+
+void register_regions(Runtime& rt, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    rt.register_region(reinterpret_cast<Address>(g_regions[i]), 4096);
+  }
+}
+
+// Lookups alternate between the first and the last region, so each one
+// misses the cache and resolves from the region table.
+void BM_FindRegionMiss(benchmark::State& state) {
+  Runtime rt(bench_config(1 << 30));
+  register_regions(rt, state.range(0));
+  const Address addrs[2] = {
+      reinterpret_cast<Address>(g_regions[0]) + 64,
+      reinterpret_cast<Address>(g_regions[state.range(0) - 1]) + 64};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rt.find_region(addrs[i ^= 1]));
+  }
+}
+BENCHMARK(BM_FindRegionMiss)->Arg(2)->Arg(16);
+
+// An address no region contains, as every untracked access that reaches
+// the slow path resolves.
+void BM_FindRegionUntracked(benchmark::State& state) {
+  Runtime rt(bench_config(1 << 30));
+  register_regions(rt, state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        rt.find_region(reinterpret_cast<Address>(g_mem)));
+  }
+}
+BENCHMARK(BM_FindRegionUntracked)->Arg(1)->Arg(16);
 
 void BM_AllocateFreeSmall(benchmark::State& state) {
   Runtime rt(bench_config(1 << 30));

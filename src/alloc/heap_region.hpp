@@ -31,11 +31,6 @@ class HeapRegion {
   /// the region is exhausted.
   Address allocate_span(std::size_t bytes);
 
-  /// Bytes handed out so far (upper bound on live heap data).
-  std::size_t used_bytes() const {
-    return cursor_.load(std::memory_order_relaxed);
-  }
-
  private:
   AnonMapping mapping_;
   std::size_t line_size_ = 64;

@@ -60,11 +60,6 @@ class OwnershipMap {
     return s->owner;
   }
 
-  std::size_t num_spans() const {
-    std::lock_guard<Spinlock> g(lock_);
-    return spans_.size();
-  }
-
  private:
   mutable Spinlock lock_;
   std::vector<Span> spans_;  // sorted by base, non-overlapping

@@ -106,8 +106,6 @@ class PredatorAllocator {
   std::size_t live_bytes() const {
     return live_bytes_.load(std::memory_order_relaxed);
   }
-  /// Heap bytes actually carved out of the region (allocator footprint).
-  std::size_t heap_footprint() const { return region_.used_bytes(); }
 
  private:
   /// A thread's heap plus the lock that makes cross-thread frees safe:

@@ -30,8 +30,6 @@ class SizeClasses {
   static constexpr std::size_t size_of(std::size_t cls) {
     return kMinSize << cls;
   }
-
-  static constexpr bool is_large(std::size_t size) { return size > kMaxSize; }
 };
 
 static_assert(SizeClasses::index_for(1) == 0);

@@ -25,7 +25,6 @@ Address ThreadHeap::allocate(std::size_t size) {
     Address span = region_.allocate_span(chunk);
     if (span == 0) return 0;
     if (ownership_ != nullptr) ownership_->record_span(span, chunk, owner_);
-    chunk_bytes_ += chunk;
     bump_[cls] = span;
     bump_end_[cls] = span + chunk;
   }

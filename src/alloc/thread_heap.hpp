@@ -38,8 +38,6 @@ class ThreadHeap {
   /// free lists (the caller guarantees the block is safe to recycle).
   void deallocate(Address addr, std::size_t size);
 
-  std::size_t chunk_bytes_obtained() const { return chunk_bytes_; }
-
  private:
   static constexpr std::size_t kChunkSize = 64 * 1024;
 
@@ -50,7 +48,6 @@ class ThreadHeap {
   std::array<std::vector<Address>, SizeClasses::kNumClasses> free_lists_{};
   std::array<Address, SizeClasses::kNumClasses> bump_{};      // next free
   std::array<Address, SizeClasses::kNumClasses> bump_end_{};  // chunk end
-  std::size_t chunk_bytes_ = 0;
 };
 
 }  // namespace pred

@@ -41,7 +41,6 @@ struct LineGeometry {
   constexpr std::size_t word_in_line(Address a) const {
     return (a % line_size) / word_size;
   }
-  constexpr std::size_t word_index(Address a) const { return a / word_size; }
 };
 
 inline constexpr LineGeometry kDefaultGeometry{};

@@ -70,11 +70,6 @@ struct RuntimeConfig {
     sample_interval =
         static_cast<std::uint64_t>(static_cast<double>(sample_window) / rate);
   }
-
-  double sampling_rate() const {
-    return static_cast<double>(sample_window) /
-           static_cast<double>(sample_interval);
-  }
 };
 
 }  // namespace pred

@@ -69,7 +69,8 @@ Runtime::~Runtime() {
 
 ShadowSpace* Runtime::register_region(Address base, std::size_t size) {
   // Claim a slot with fetch_add so concurrent registrations cannot collide,
-  // then publish the constructed region with a release store.
+  // then publish the constructed region with a release store: from then on
+  // every find_region scan sees it.
   const std::size_t slot = num_claimed_.fetch_add(1, std::memory_order_relaxed);
   if (slot >= kMaxRegions) {
     regions_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -78,32 +79,7 @@ ShadowSpace* Runtime::register_region(Address base, std::size_t size) {
   regions_[slot] = std::make_unique<ShadowSpace>(base, size, config_.geometry);
   ShadowSpace* region = regions_[slot].get();
   visible_[slot].store(region, std::memory_order_release);
-
-  // Rebuild the shadow page map under the registration lock. Each
-  // registrant rebuilds after publishing its own region, so whichever
-  // rebuild runs last observes every earlier store and the final table is
-  // complete even under concurrent registration.
-  {
-    std::lock_guard<Spinlock> g(reg_lock_);
-    std::vector<RegionMap::RegionExtent> extents;
-    const std::size_t n = num_claimed_.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < n && i < kMaxRegions; ++i) {
-      if (ShadowSpace* r = visible_[i].load(std::memory_order_acquire)) {
-        extents.push_back({r, r->base(), r->end()});
-      }
-    }
-    region_map_.rebuild(extents);
-  }
   return region;
-}
-
-ShadowSpace* Runtime::find_region_slow(Address addr) const {
-  const std::size_t n = num_claimed_.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < n && i < kMaxRegions; ++i) {
-    ShadowSpace* r = visible_[i].load(std::memory_order_acquire);
-    if (r != nullptr && r->contains(addr)) return r;
-  }
-  return nullptr;
 }
 
 ShadowSpace* Runtime::find_region(Address addr) const {
@@ -112,13 +88,17 @@ ShadowSpace* Runtime::find_region(Address addr) const {
   if (fc.rt == this && fc.gen == gen && fc.region->contains(addr)) {
     return fc.region;
   }
-  ShadowSpace* r = region_map_.lookup(addr);
-  if (r != nullptr && !r->contains(addr)) [[unlikely]] {
-    // The page straddles two regions and maps to the other one.
-    r = find_region_slow(addr);
+  // A cache miss: scan the published slots in slot order. At most
+  // kMaxRegions bounds checks, paid about once per thread and region.
+  const std::size_t n = num_claimed_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < n && i < kMaxRegions; ++i) {
+    ShadowSpace* r = visible_[i].load(std::memory_order_acquire);
+    if (r != nullptr && r->contains(addr)) {
+      fill_fastpath_cache(*r, gen);
+      return r;
+    }
   }
-  if (r != nullptr) fill_fastpath_cache(*r, gen);
-  return r;
+  return nullptr;
 }
 
 void Runtime::fill_fastpath_cache(ShadowSpace& region,
@@ -415,7 +395,6 @@ std::size_t Runtime::touched_metadata_bytes(
       bytes += t->metadata_bytes();
     });
   });
-  bytes += region_map_.bytes();
   {
     std::lock_guard<Spinlock> g(vl_lock_);
     bytes += virtual_lines_.size() * sizeof(VirtualLineTracker);
@@ -427,7 +406,6 @@ std::size_t Runtime::metadata_bytes() const {
   std::size_t bytes = 0;
   for_each_region(
       [&](const ShadowSpace& region) { bytes += region.metadata_bytes(); });
-  bytes += region_map_.bytes();
   {
     std::lock_guard<Spinlock> g(vl_lock_);
     bytes += virtual_lines_.size() * sizeof(VirtualLineTracker);

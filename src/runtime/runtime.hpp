@@ -11,9 +11,9 @@
 //      access to a tracked line goes straight to handle_tracked with the
 //      line, word index (a shift and a mask) and stripe it already found;
 //   2. region resolution (handle_access_slow: multi-word accesses, cache
-//      misses, line or word sizes that are not powers of two) — the same
-//      per-thread cache (FastPathCache), then the flat shadow page map
-//      (runtime/region_map.hpp); O(1) per access;
+//      misses, line or word sizes that are not powers of two) — find_region:
+//      the same per-thread cache (FastPathCache), then on a miss a scan of
+//      the at most kMaxRegions published region slots;
 //   3. pre-threshold write counting — staged in thread-local slots
 //      (runtime/write_stage.hpp) and drained in batches, so the common
 //      case touches no shared cache line;
@@ -36,7 +36,6 @@
 #include "runtime/callsite.hpp"
 #include "runtime/config.hpp"
 #include "runtime/object_registry.hpp"
-#include "runtime/region_map.hpp"
 #include "runtime/shadow.hpp"
 #include "runtime/write_stage.hpp"
 
@@ -79,7 +78,10 @@ class Runtime {
   }
 
   /// Region containing `addr`, or nullptr when the address is untracked.
-  /// O(1): per-thread cache (FastPathCache), then the shadow page map.
+  /// The one region lookup: answers from the calling thread's FastPathCache
+  /// when `addr` lies in the region it last resolved; otherwise returns the
+  /// first published slot, in slot order, whose extent contains `addr`, and
+  /// points the cache at it.
   ShadowSpace* find_region(Address addr) const;
 
   // --- the hot path (Figure 1) ---
@@ -271,10 +273,6 @@ class Runtime {
   void apply_staged(ShadowSpace& region, std::size_t line_index,
                     std::uint64_t count);
 
-  /// Linear scan over the registered regions: the fallback for a page
-  /// shared by two regions.
-  ShadowSpace* find_region_slow(Address addr) const;
-
   /// True when `tid` fits the history table; otherwise counts the access in
   /// wide_tid_accesses() and returns false.
   bool admit_tid(ThreadId tid);
@@ -306,8 +304,6 @@ class Runtime {
   std::atomic<std::size_t> num_claimed_{0};
   std::atomic<std::uint64_t> regions_dropped_{0};
   std::atomic<std::uint64_t> wide_tid_accesses_{0};
-  Spinlock reg_lock_;  // serializes page-map rebuilds, not slot claims
-  RegionMap region_map_;
 
   std::atomic<ThreadId> next_thread_{0};
 
@@ -326,7 +322,7 @@ inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,
                                    std::size_t size) {
   // Hot-region fast path: a single-word access inside the region the
   // calling thread last resolved. The generation compare rejects dead
-  // runtimes, so no region-map work is needed here. A tracked access that
+  // runtimes, so no region lookup is needed here. A tracked access that
   // no exit retires — sampled, from a thread that has synced, a write to a
   // line whose prediction is pending, or to a disarmed tracker — goes
   // straight to handle_tracked.

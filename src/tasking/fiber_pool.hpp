@@ -54,8 +54,6 @@ class FiberPool {
   /// Usable as a logical ThreadId for instrumentation.
   static std::size_t current_fiber();
 
-  std::size_t fiber_count() const { return fibers_.size(); }
-
  private:
   struct Fiber {
     ucontext_t context{};

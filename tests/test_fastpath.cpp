@@ -1,12 +1,17 @@
-// Tests for the hot path: O(1) region resolution (shadow page map +
-// per-thread cache), thread-local write staging and the inline exits. Every
-// test here either checks them against a slow-path oracle — the same replay
+// Tests for the hot path: region resolution (per-thread cache, then a scan
+// of the region table), thread-local write staging and the inline exits.
+// Every test here either checks them against an oracle — the same replay
 // with each access forced through the slow path and its write count
-// published at once — or pins a concurrency property they introduced.
+// published at once, or a brute-force walk of the region table — or pins a
+// concurrency property they introduced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/predator.hpp"
@@ -310,8 +315,8 @@ TEST(FastPathRegistration, FullRegionTableDropsAndCounts) {
             std::string::npos);
 }
 
-// --- page-map fallback: two regions inside one 4 KiB page must both
-// --- resolve even though the page entry can only name one of them.
+// --- region resolution: two regions inside one 4 KiB page must both
+// --- resolve, and an address no region contains is untracked.
 
 TEST(FastPathRegionMap, TwoRegionsOnOnePageBothResolve) {
   alignas(4096) static char page[4096];
@@ -347,6 +352,189 @@ TEST(FastPathRegionMap, ThreadCacheTracksTheCurrentRuntime) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(rt1.find_region(reinterpret_cast<Address>(g_page_a) + 8), r1);
     EXPECT_EQ(rt2.find_region(reinterpret_cast<Address>(g_page_a) + 8), r2);
+  }
+}
+
+// --- region resolution against a brute-force oracle: find_region must name
+// --- the first published slot whose extent contains the address, whatever
+// --- the layout, the state of the thread's cache or concurrent
+// --- registration.
+
+/// Page-aligned arena the random layouts are carved from.
+alignas(4096) char g_arena[96 * 4096];
+
+/// (first byte, bytes) of a registered range.
+using Range = std::pair<Address, std::size_t>;
+
+/// The oracle: walks every published slot in slot order. The extent check
+/// is written out so it does not share ShadowSpace::contains with the code
+/// under test.
+const ShadowSpace* first_containing(const Runtime& rt, Address addr) {
+  const ShadowSpace* found = nullptr;
+  rt.for_each_region([&](const ShadowSpace& r) {
+    if (found == nullptr && r.base() <= addr && addr < r.end()) found = &r;
+  });
+  return found;
+}
+
+/// A seeded layout of `count` ranges in the arena, in registration order.
+/// The first two are small and close, so they share the arena's first
+/// 4 KiB page. Each range starts at or past its predecessor's line-rounded
+/// end, so extents are disjoint, unless `overlap` lets about half of them
+/// start inside their predecessor.
+std::vector<Range> random_layout(std::mt19937_64& rng, std::size_t count,
+                                 bool overlap) {
+  const LineGeometry geo{};
+  const Address arena_end = reinterpret_cast<Address>(g_arena) + sizeof g_arena;
+  std::vector<Range> out;
+  Address cursor = reinterpret_cast<Address>(g_arena);
+  for (std::size_t i = 0; i < count; ++i) {
+    const bool small = i < 2 || rng() % 3 == 0;
+    Address base = cursor + (small ? rng() % 256 : rng() % 4096);
+    const std::size_t size = 1 + (small ? rng() % 1024 : rng() % 8192);
+    if (overlap && i > 0 && rng() % 2 == 0) {
+      base = out.back().first + rng() % out.back().second;
+    }
+    if (base + size > arena_end) break;
+    out.emplace_back(base, size);
+    cursor = std::max(cursor, geo.line_base(base + size - 1) + geo.line_size);
+  }
+  return out;
+}
+
+/// For each range: its first and last byte, its line-rounded first byte
+/// and the byte before it, its line-rounded last byte and the byte one past
+/// it, and a byte inside. Then bytes anywhere in the arena, gaps included,
+/// and addresses outside it. Shuffled, so lookups alternate between regions.
+std::vector<Address> probe_addresses(const std::vector<Range>& ranges,
+                                     std::mt19937_64& rng) {
+  const LineGeometry geo{};
+  std::vector<Address> out;
+  for (const auto& [base, size] : ranges) {
+    const Address line_begin = geo.line_base(base);
+    const Address line_end = geo.line_base(base + size - 1) + geo.line_size;
+    out.insert(out.end(), {base, base + size - 1, line_begin, line_begin - 1,
+                           line_end - 1, line_end, base + rng() % size});
+  }
+  const Address arena = reinterpret_cast<Address>(g_arena);
+  for (int i = 0; i < 64; ++i) out.push_back(arena + rng() % sizeof g_arena);
+  out.insert(out.end(), {Address{0}, Address{1},
+                         reinterpret_cast<Address>(g_page_b), ~Address{0}});
+  std::shuffle(out.begin(), out.end(), rng);
+  return out;
+}
+
+/// Resolves every probe and compares it with the oracle. The calling
+/// thread's cache is cleared before about half the lookups, so both the
+/// cache hit and the scan answer; `cold` clears it before each one (with
+/// overlapping extents a cache hit may name a later slot that also
+/// contains the address).
+void expect_oracle_resolution(const Runtime& rt,
+                              const std::vector<Address>& probes,
+                              std::mt19937_64& rng, bool cold,
+                              std::uint64_t seed) {
+  const Address arena = reinterpret_cast<Address>(g_arena);
+  for (Address a : probes) {
+    if (cold || rng() % 2 == 0) t_fastpath_cache = FastPathCache{};
+    EXPECT_EQ(rt.find_region(a), first_containing(rt, a))
+        << "seed " << seed << ", arena offset "
+        << static_cast<std::int64_t>(a - arena);
+  }
+}
+
+TEST(FastPathRegionResolution, RandomLayoutsMatchTheSlotScan) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    // Every fifth layout overfills the table by one to three regions.
+    const std::size_t count = seed % 5 == 0
+                                  ? Runtime::kMaxRegions + 1 + rng() % 3
+                                  : 2 + rng() % (Runtime::kMaxRegions - 1);
+    const bool overlap = seed % 4 == 0;
+    const std::vector<Range> layout = random_layout(rng, count, overlap);
+    Runtime rt(small_config());
+    std::size_t dropped = 0;
+    for (const auto& [base, size] : layout) {
+      if (rt.register_region(base, size) == nullptr) ++dropped;
+    }
+    EXPECT_EQ(dropped, layout.size() > Runtime::kMaxRegions
+                           ? layout.size() - Runtime::kMaxRegions
+                           : 0u);
+    EXPECT_EQ(rt.regions_dropped(), dropped);
+    expect_oracle_resolution(rt, probe_addresses(layout, rng), rng, overlap,
+                             seed);
+  }
+}
+
+TEST(FastPathRegionResolution, SessionGlobalsMatchTheSlotScan) {
+  // Globals laid end to end or with gaps, through Session::register_global:
+  // one that starts inside its neighbour's last line gets only its
+  // uncovered remainder registered, and past fifteen regions (the heap
+  // holds a slot) registrations are dropped.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    SessionOptions o;
+    o.heap_size = 1024 * 1024;
+    Session session(o);
+    const std::size_t count = 1 + rng() % (Runtime::kMaxRegions + 2);
+    std::vector<Range> globals;
+    Address cursor = reinterpret_cast<Address>(g_arena) + rng() % 64;
+    for (std::size_t i = 0; i < count; ++i) {
+      const Address base = cursor + (rng() % 2 == 0 ? 0 : rng() % 512);
+      const std::size_t size = 1 + rng() % 600;
+      session.register_global(reinterpret_cast<void*>(base), size, "g");
+      globals.emplace_back(base, size);
+      cursor = base + size;
+    }
+    const Runtime& rt = session.runtime();
+    expect_oracle_resolution(rt, probe_addresses(globals, rng), rng, false,
+                             seed);
+    if (rt.regions_dropped() == 0) {
+      for (const auto& [base, size] : globals) {
+        EXPECT_NE(rt.find_region(base), nullptr) << "seed " << seed;
+        EXPECT_NE(rt.find_region(base + size - 1), nullptr) << "seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(FastPathRegionResolution, ConcurrentRegistrationKeepsReturnedRegions) {
+  // One thread registers a region per arena page while three others
+  // resolve addresses in regions register_region has already returned,
+  // half of them in the newest one: each must resolve to its own region.
+  constexpr int kResolvers = 3;
+  const Address arena = reinterpret_cast<Address>(g_arena);
+  for (int round = 0; round < 20; ++round) {
+    Runtime rt(small_config());
+    std::array<ShadowSpace*, Runtime::kMaxRegions> returned{};
+    std::atomic<std::size_t> published{0};
+    std::atomic<bool> done{false};
+    std::atomic<std::uint64_t> wrong{0};
+    std::vector<std::thread> resolvers;
+    for (int t = 0; t < kResolvers; ++t) {
+      resolvers.emplace_back([&, t] {
+        std::mt19937_64 rng(static_cast<std::uint64_t>(round * kResolvers + t));
+        for (bool last = false; !last;) {
+          last = done.load(std::memory_order_acquire);
+          const std::size_t n = published.load(std::memory_order_acquire);
+          for (int k = 0; k < 64 && n > 0; ++k) {
+            const std::size_t i = rng() % 2 == 0 ? n - 1 : rng() % n;
+            const Address a = arena + i * 4096 + rng() % 4096;
+            if (rt.find_region(a) != returned[i]) {
+              wrong.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      });
+    }
+    for (std::size_t i = 0; i < Runtime::kMaxRegions; ++i) {
+      returned[i] = rt.register_region(arena + i * 4096, 4096);
+      EXPECT_NE(returned[i], nullptr);
+      published.store(i + 1, std::memory_order_release);
+      std::this_thread::yield();
+    }
+    done.store(true, std::memory_order_release);
+    for (auto& th : resolvers) th.join();
+    EXPECT_EQ(wrong.load(), 0u) << "round " << round;
   }
 }
 
