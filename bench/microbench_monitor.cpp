@@ -1,25 +1,30 @@
-// Monitor overhead microbench: the live monitor's two costs, measured
-// separately.
+// Monitor microbench: what a live monitor snapshot costs, and what polling
+// it costs the threads being monitored.
 //
-// Phase A — fast path, monitor attached (the acceptance bar: < 5%).
-//   The microbench_fastpath workload (4 threads, disjoint pre-threshold
-//   lines, thresholds set so nothing escalates) run with the monitor off
-//   vs. started. The inline fast path emits no events, so attaching the
-//   monitor should cost only the cold `attached_monitor()` check on the
-//   slow path — i.e. nothing measurable here.
+// Phase A — snapshot and publish cost by tracked lines.
+//   One OS thread escalates N lines (N = 256, 4096, 65536; tracking
+//   threshold 1, two logical threads writing distinct words of every line,
+//   16-line objects spread over 8 callsites), then times
+//   Monitor::snapshot() (a walk of every tracker, attribution of every
+//   line, the top-K ranking and the callsite rollup) and Session::publish()
+//   (a snapshot plus its kSnapshot encoding). Median of the timed calls.
 //
-// Phase B — tracked path, every access emitting (the worst case).
-//   tracking_threshold = 1 and sampling rate 1.0, so every access runs the
-//   full tracked path and publishes a monitor event. This bounds the emit
-//   cost (TLS check + one SPSC ring push) relative to the tracked path's
-//   own spinlock + histogram work, and exercises drop-oldest shedding.
+// Phase B — tracked-path throughput, with and without a poller.
+//   4 threads round-robin writes over 8 lines each with tracking threshold
+//   1 and sampling rate 1.0, so every access runs the sampled tracked path;
+//   in the second run another thread calls snapshot() every 1 ms until the
+//   writers finish. No access path does monitor work, so the difference is
+//   what the walk's cache traffic and CPU time cost the writers.
 //
 // Usage: microbench_monitor [writes_per_thread] [--json FILE]
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,33 +33,88 @@
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+template <typename F>
+double median_us(int reps, F&& fn) {
+  std::vector<double> us;
+  for (int r = 0; r < reps; ++r) {
+    const auto start = Clock::now();
+    fn();
+    us.push_back(seconds_since(start) * 1e6);
+  }
+  std::sort(us.begin(), us.end());
+  return us[us.size() / 2];
+}
+
+struct SnapshotCost {
+  std::size_t lines = 0;
+  double snapshot_us = 0.0;
+  double publish_us = 0.0;
+  std::size_t frame_bytes = 0;
+};
+
+SnapshotCost measure_snapshot(std::size_t lines) {
+  constexpr std::size_t kLinesPerObject = 16;
+  constexpr std::size_t kCallsites = 8;
+  pred::SessionOptions o;
+  o.heap_size = std::max<std::size_t>(16u << 20, 2 * lines * 64);
+  o.runtime.tracking_threshold = 1;
+  o.runtime.prediction_enabled = false;
+  o.runtime.set_sampling_rate(1.0);
+  pred::Session session(o);
+
+  std::vector<pred::CallsiteId> sites;
+  for (std::size_t c = 0; c < kCallsites; ++c) {
+    const std::string frame = "microbench_monitor.cpp:" + std::to_string(c);
+    sites.push_back(session.intern_frames({frame}));
+  }
+  for (std::size_t obj = 0; obj * kLinesPerObject < lines; ++obj) {
+    auto* block = static_cast<long*>(session.alloc(
+        kLinesPerObject * 64, sites[obj % kCallsites]));
+    if (block == nullptr) {
+      std::fprintf(stderr, "allocation failed\n");
+      std::exit(1);
+    }
+    for (std::size_t l = 0; l < kLinesPerObject; ++l) {
+      for (int round = 0; round < 2; ++round) {
+        session.record(&block[l * 8], pred::AccessType::kWrite, 0, 8);
+        session.record(&block[l * 8 + 1], pred::AccessType::kWrite, 1, 8);
+      }
+    }
+  }
+
+  SnapshotCost cost;
+  cost.lines = session.monitor().snapshot().lines_tracked;
+  const int reps = lines <= 4096 ? 51 : 11;
+  cost.snapshot_us =
+      median_us(reps, [&] { (void)session.monitor().snapshot(); });
+  cost.publish_us = median_us(
+      reps, [&] { cost.frame_bytes = session.publish().size(); });
+  return cost;
+}
+
 constexpr std::uint32_t kThreads = 4;
 constexpr std::size_t kLinesPerThread = 8;
 
-struct Rates {
+struct Throughput {
   double accesses_per_sec = 0.0;
-  std::uint64_t events_seen = 0;
-  std::uint64_t events_dropped = 0;
+  std::uint64_t snapshots = 0;
 };
 
-// One measured run: the microbench_fastpath access pattern (each thread
-// round-robins writes over its own 8 lines) against a session configured by
-// `tracked` (pre-threshold fast path vs. always-tracked slow path), with the
-// monitor optionally attached.
-Rates run_once(bool tracked, bool with_monitor,
-               std::uint64_t writes_per_thread) {
+// One run of the tracked-path workload, optionally with a thread polling
+// snapshot() every 1 ms while the writers run.
+Throughput run_tracked(bool polled, std::uint64_t writes_per_thread) {
   pred::SessionOptions o;
   o.heap_size = 16 * 1024 * 1024;
-  if (tracked) {
-    o.runtime.tracking_threshold = 1;
-    o.runtime.prediction_threshold = ~std::uint64_t{0} >> 1;
-    o.runtime.set_sampling_rate(1.0);
-  } else {
-    o.runtime.tracking_threshold = ~std::uint64_t{0} >> 1;
-    o.runtime.prediction_threshold = ~std::uint64_t{0} >> 1;
-  }
+  o.runtime.tracking_threshold = 1;
+  o.runtime.prediction_enabled = false;
+  o.runtime.set_sampling_rate(1.0);
   pred::Session session(o);
-  if (with_monitor) session.monitor().start();
 
   const pred::CallsiteId cs = session.intern_frames({"microbench_monitor"});
   std::vector<long*> blocks(kThreads);
@@ -66,7 +126,19 @@ Rates run_once(bool tracked, bool with_monitor,
     }
   }
 
-  const auto start = std::chrono::steady_clock::now();
+  std::atomic<std::uint32_t> running{kThreads};
+  Throughput r;
+  std::thread poller;
+  if (polled) {
+    poller = std::thread([&] {
+      while (running.load(std::memory_order_acquire) != 0) {
+        (void)session.monitor().snapshot();
+        ++r.snapshots;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  const auto start = Clock::now();
   std::vector<std::thread> threads;
   for (std::uint32_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -76,39 +148,27 @@ Rates run_once(bool tracked, bool with_monitor,
         session.record(&block[(i % kLinesPerThread) * 8],
                        pred::AccessType::kWrite, t, 8);
       }
+      running.fetch_sub(1, std::memory_order_release);
     });
   }
   for (auto& th : threads) th.join();
-  const auto end = std::chrono::steady_clock::now();
-
-  Rates r;
+  const double elapsed = seconds_since(start);
+  if (poller.joinable()) poller.join();
   r.accesses_per_sec = static_cast<double>(kThreads) *
-                       static_cast<double>(writes_per_thread) /
-                       std::chrono::duration<double>(end - start).count();
-  if (with_monitor) {
-    session.monitor().stop();
-    const pred::MonitorSnapshot snap = session.monitor().snapshot();
-    r.events_seen = snap.events_seen;
-    r.events_dropped = snap.events_dropped;
-  }
+                       static_cast<double>(writes_per_thread) / elapsed;
   return r;
 }
 
 // Warm-up, then best-of-3 measured passes: on small/shared hosts a single
-// pass jitters more than the overhead being measured.
-Rates run_measured(bool tracked, bool with_monitor, std::uint64_t writes) {
-  run_once(tracked, with_monitor, writes / 8);
-  Rates best;
+// pass jitters more than the difference being measured.
+Throughput run_measured(bool polled, std::uint64_t writes) {
+  run_tracked(polled, writes / 8);
+  Throughput best;
   for (int pass = 0; pass < 3; ++pass) {
-    const Rates r = run_once(tracked, with_monitor, writes);
+    const Throughput r = run_tracked(polled, writes);
     if (r.accesses_per_sec > best.accesses_per_sec) best = r;
   }
   return best;
-}
-
-double overhead_pct(double base, double with_monitor) {
-  if (with_monitor <= 0.0) return 0.0;
-  return (base / with_monitor - 1.0) * 100.0;
 }
 
 }  // namespace
@@ -129,50 +189,44 @@ int main(int argc, char** argv) {
       }
     }
   }
+  pred::bench::JsonWriter json;
 
-  std::printf("monitor overhead: %u threads x %" PRIu64
-              " disjoint-line writes\n\n",
+  std::printf("phase A: snapshot and publish cost by tracked lines "
+              "(median of the timed calls)\n");
+  std::printf("  %10s %14s %14s %12s\n", "lines", "snapshot_us", "publish_us",
+              "frame_B");
+  for (std::size_t lines : {std::size_t{256}, std::size_t{4096},
+                            std::size_t{65536}}) {
+    const SnapshotCost c = measure_snapshot(lines);
+    std::printf("  %10zu %14.1f %14.1f %12zu\n", c.lines, c.snapshot_us,
+                c.publish_us, c.frame_bytes);
+    const std::string n = std::to_string(lines);
+    json.add("snapshot_us_" + n, c.snapshot_us);
+    json.add("publish_us_" + n, c.publish_us);
+  }
+
+  // Phase B: everything tracked, every access sampled.
+  const Throughput base = run_measured(false, writes);
+  const Throughput polled = run_measured(true, writes);
+  const double overhead_pct =
+      polled.accesses_per_sec > 0.0
+          ? (base.accesses_per_sec / polled.accesses_per_sec - 1.0) * 100.0
+          : 0.0;
+  std::printf("\nphase B: tracked path (%u threads x %" PRIu64
+              " writes, threshold 1, sampling 1.0)\n",
               kThreads, writes);
-
-  // Phase A: pre-threshold fast path; nothing ever emits.
-  const Rates fast_base = run_measured(/*tracked=*/false, false, writes);
-  const Rates fast_mon = run_measured(/*tracked=*/false, true, writes);
-  const double fast_over =
-      overhead_pct(fast_base.accesses_per_sec, fast_mon.accesses_per_sec);
-  std::printf("phase A: fast path (no escalation)\n");
-  std::printf("  %-28s %15.0f accesses/sec\n", "monitor off",
-              fast_base.accesses_per_sec);
+  std::printf("  %-28s %15.0f accesses/sec\n", "no poller",
+              base.accesses_per_sec);
   std::printf("  %-28s %15.0f accesses/sec  (%+.2f%% overhead, "
-              "%" PRIu64 " events)\n",
-              "monitor attached", fast_mon.accesses_per_sec, fast_over,
-              fast_mon.events_seen);
-
-  // Phase B: everything tracked, every access sampled and emitted.
-  const std::uint64_t tracked_writes = writes / 8;  // slow path is ~10x slower
-  const Rates slow_base = run_measured(/*tracked=*/true, false, tracked_writes);
-  const Rates slow_mon = run_measured(/*tracked=*/true, true, tracked_writes);
-  const double slow_over =
-      overhead_pct(slow_base.accesses_per_sec, slow_mon.accesses_per_sec);
-  std::printf("\nphase B: tracked path (threshold 1, sampling 1.0)\n");
-  std::printf("  %-28s %15.0f accesses/sec\n", "monitor off",
-              slow_base.accesses_per_sec);
-  std::printf("  %-28s %15.0f accesses/sec  (%+.2f%% overhead, "
-              "%" PRIu64 " events, %" PRIu64 " dropped)\n",
-              "monitor attached", slow_mon.accesses_per_sec, slow_over,
-              slow_mon.events_seen, slow_mon.events_dropped);
+              "%" PRIu64 " snapshots)\n",
+              "snapshot() every 1 ms", polled.accesses_per_sec, overhead_pct,
+              polled.snapshots);
 
   if (!json_path.empty()) {
-    pred::bench::JsonWriter json;
-    json.add("fastpath_base_aps", fast_base.accesses_per_sec);
-    json.add("fastpath_monitor_aps", fast_mon.accesses_per_sec);
-    json.add("fastpath_overhead_pct", fast_over);
-    json.add("tracked_base_aps", slow_base.accesses_per_sec);
-    json.add("tracked_monitor_aps", slow_mon.accesses_per_sec);
-    json.add("tracked_overhead_pct", slow_over);
-    json.add("tracked_events_seen",
-             static_cast<double>(slow_mon.events_seen));
-    json.add("tracked_events_dropped",
-             static_cast<double>(slow_mon.events_dropped));
+    json.add("tracked_base_aps", base.accesses_per_sec);
+    json.add("tracked_polled_aps", polled.accesses_per_sec);
+    json.add("tracked_overhead_pct", overhead_pct);
+    json.add("tracked_snapshots", static_cast<double>(polled.snapshots));
     if (!json.write_file(json_path)) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;

@@ -1,10 +1,11 @@
 // Live monitor demo: watch false sharing develop while the program runs.
 //
-// The quickstart bug (two threads ping-ponging counters on one cache line)
-// run with the session monitor attached. The main thread prints a rolling
-// snapshot a few times during the run — escalations, invalidation totals,
-// and the hot line with its allocation callsite appear *before* the
-// workload finishes — then the final snapshot and the classic exit report.
+// The quickstart bug (two threads ping-ponging counters on one cache line).
+// The main thread prints a rolling monitor snapshot a few times during the
+// run — escalations, invalidation totals, and the hot line with its
+// allocation callsite appear *before* the workload finishes — then the
+// final snapshot and the classic exit report. A snapshot reads the
+// detector's trackers on demand, so there is nothing to start or stop.
 //
 // Build & run:  ./build/examples/live_monitor
 #include <atomic>
@@ -19,12 +20,8 @@ int main() {
   options.heap_size = 16 * 1024 * 1024;
   options.runtime.report_invalidation_threshold = 1;
   options.runtime.set_sampling_rate(1.0);
-  // Snapshot cadence is ours to choose; keep the aggregator eager so the
-  // first printed snapshot already has data.
-  options.monitor.aggregation_interval_ms = 2;
   options.monitor.top_k = 4;
   pred::Session session(options);
-  session.monitor().start();
 
   auto* counters = static_cast<long*>(
       session.alloc(2 * sizeof(long), session.intern_frames({"live_monitor.cpp:counters"})));
@@ -55,7 +52,6 @@ int main() {
   }
   t0.join();
   t1.join();
-  session.monitor().stop();
 
   std::printf("--- final snapshot ---\n%s\n",
               session.monitor().snapshot_text().c_str());

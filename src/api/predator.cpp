@@ -25,11 +25,10 @@ Session::Session(SessionOptions options) : options_(options) {
   uid_ = options_.session_uid != 0 ? options_.session_uid
                                    : next_session_uid();
   runtime_ = std::make_unique<Runtime>(options_.runtime);
-  predictor_ = std::make_unique<Predictor>(options_.predictor);
+  predictor_ = std::make_unique<Predictor>();
   predictor_->attach(*runtime_);
   allocator_ =
       std::make_unique<PredatorAllocator>(*runtime_, options_.heap_size);
-  // Constructed idle: no rings, no thread, no emission until start().
   monitor_ = std::make_unique<Monitor>(*runtime_, options_.monitor);
 }
 

@@ -38,7 +38,6 @@ namespace pred {
 
 struct SessionOptions {
   RuntimeConfig runtime{};
-  PredictorConfig predictor{};
   MonitorConfig monitor{};
   std::size_t heap_size = 256 * 1024 * 1024;
   /// Fleet identity of this session (stamped on published snapshots).
@@ -62,19 +61,17 @@ class Session {
   Predictor& predictor() { return *predictor_; }
   const SessionOptions& options() const { return options_; }
 
-  /// The live monitor (src/monitor/), configured by SessionOptions::monitor
-  /// and idle until `monitor().start()`. While running, the runtime streams
-  /// escalation/invalidation/sampling/prediction events into per-thread
-  /// lock-free rings and a background thread aggregates them;
-  /// `monitor().snapshot()` / `snapshot_text()` serve the current state
-  /// without stopping mutator threads.
+  /// The live monitor (src/monitor/), configured by SessionOptions::monitor.
+  /// `monitor().snapshot()` / `snapshot_text()` read the runtime's trackers
+  /// and virtual lines on demand, from any thread, without stopping mutator
+  /// threads; no access path does monitor work.
   ///
   /// Flushing contract: `snapshot()` publishes the *calling* thread's
   /// staged write counters first — the same guarantee `report()` gives —
-  /// so every event caused by this thread's accesses before the call
-  /// (including escalations the flush itself triggers) is visible in the
-  /// returned snapshot. Other threads flush on unbind/exit as usual; their
-  /// in-flight staged counts appear in a later snapshot.
+  /// so everything this thread did before the call (including escalations
+  /// the flush itself triggers) is visible in the returned snapshot. Other
+  /// threads flush on unbind/exit as usual; their in-flight staged counts
+  /// appear in a later snapshot.
   Monitor& monitor() { return *monitor_; }
 
   // --- memory ---
@@ -175,8 +172,8 @@ class Session {
   std::unique_ptr<Runtime> runtime_;
   std::unique_ptr<Predictor> predictor_;
   std::unique_ptr<PredatorAllocator> allocator_;
-  // Declared after runtime_ so destruction stops the aggregator and
-  // detaches from the runtime while the runtime is still alive.
+  // Reads runtime_ only inside snapshot(); declared after it like the
+  // other components that point into it.
   std::unique_ptr<Monitor> monitor_;
 };
 

@@ -1,76 +1,56 @@
-// Live monitoring: lock-free event streaming from the runtime's slow path,
-// online aggregation on a background thread, and on-demand snapshot
-// telemetry — the findings of Sections 2.3-2.4 surfaced *while the workload
-// runs* instead of only in the exit report.
+// Live monitoring: on-demand snapshots of the detector state while the
+// workload runs — the findings of Sections 2.3-2.4 surfaced before the exit
+// report.
 //
-// Data flow:
-//
-//   mutator threads ──emit()──► per-thread SPSC EventRing (drop-oldest)
-//                                        │
-//                         aggregator thread drains every
-//                         aggregation_interval_ms (or any thread inside
-//                         snapshot(), serialized by one consumer mutex)
-//                                        │
-//                      incremental per-line stats, top-K hot lines,
-//                      per-callsite rollup, per-ring drop counters
-//                                        │
-//   snapshot() ──► immutable MonitorSnapshot (mutators never pause)
-//
-// The emitting side is wait-free: a TLS-cached ring pointer plus one ring
-// push. Overload is shed drop-oldest per ring, and every shed event is
-// counted and surfaced in the snapshot (`events_dropped`, per-ring stats),
-// so backpressure is visible rather than silent. Emission compiles out
-// entirely with -DPREDATOR_MONITOR=OFF (PREDATOR_DISABLE_MONITOR).
+// A snapshot reads the state build_report reads: every region's trackers
+// (Runtime::for_each_region, ShadowSpace::for_each_tracker) and the
+// nominated virtual lines (Runtime::for_each_virtual_line). It ranks the
+// top-K lines and rolls up callsites over every tracked line. Nothing runs
+// on any access path and the monitor owns no thread, so a line's counts are
+// its tracker's counts, exactly.
 //
 // Ordering guarantee (the `report()` contract extended to snapshots):
 // `snapshot()` first publishes the calling thread's staged write counters
-// (`flush_staged_writes`, running any threshold checks that became due) and
-// then drains every ring, so all events caused by the calling thread's
-// accesses program-order-before the call — including escalations triggered
-// by the flush itself — are reflected in the returned snapshot. Other
-// threads' events are included up to their latest published ring entries.
+// (`flush_staged_writes`, running any threshold checks that became due), so
+// every escalation caused by the calling thread's accesses
+// program-order-before the call — including escalations the flush itself
+// triggers — is in the returned snapshot. Other threads' accesses appear
+// as far as their tracker counters have been published.
+//
+// Two properties follow from reading the trackers:
+//   - counts include accesses made before any start() (it is a no-op);
+//   - when the allocator recycles a line with zero invalidations,
+//     CacheTracker::reset_for_reuse restarts that line's sampled counts, as
+//     it does for the report. Invalidations stay monotone.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cacheline.hpp"
-#include "monitor/event_ring.hpp"
 #include "runtime/callsite.hpp"
-#include "runtime/write_stage.hpp"
 
 namespace pred {
 
 class Runtime;
-class Monitor;
 
 struct MonitorConfig {
-  /// Events per per-thread ring; rounded up to a power of two. Sizing is a
-  /// latency/telemetry-loss trade: the default absorbs ~16k events of
-  /// aggregator lag per thread before shedding.
-  std::size_t ring_capacity = 1 << 14;
-  /// Aggregator wake-up period. Snapshots drain on demand regardless.
-  std::uint32_t aggregation_interval_ms = 5;
   /// Hot lines retained in MonitorSnapshot::top_lines.
   std::size_t top_k = 16;
 };
 
-/// Immutable view of the aggregated monitor state at one point in time.
+/// Immutable view of the detector state at one point in time.
 struct MonitorSnapshot {
   struct LineEntry {
     Address line_start = 0;
     std::uint64_t invalidations = 0;
     std::uint64_t samples = 0;        ///< sampled accesses (incl. invalidating)
     std::uint64_t sample_writes = 0;  ///< sampled writes among them
-    std::uint64_t predictions = 0;    ///< prediction-engine runs on this line
+    std::uint64_t predictions = 0;    ///< 1 once prediction started on the line
     bool escalated = false;           ///< has a CacheTracker
-    // Lazily resolved attribution (object registry lookup off the hot path).
+    // Attribution: the object holding the line's start, else its last byte.
     bool attributed = false;
     bool is_global = false;
     Address object_start = 0;
@@ -84,6 +64,9 @@ struct MonitorSnapshot {
     std::uint64_t samples = 0;
     std::size_t lines = 0;  ///< distinct hot lines attributed here
   };
+  /// Per-producer event counts. Monitor snapshots read the trackers and
+  /// fill none; the field stays for the wire format and the fleet's drop
+  /// bounds.
   struct RingEntry {
     std::uint64_t produced = 0;
     std::uint64_t consumed = 0;
@@ -91,132 +74,57 @@ struct MonitorSnapshot {
   };
 
   std::uint64_t sequence = 0;            ///< increments per snapshot taken
-  std::uint64_t events_seen = 0;         ///< aggregated events, all rings
-  std::uint64_t events_dropped = 0;      ///< shed by overloaded rings
-  std::uint64_t aggregation_passes = 0;  ///< drains so far (timer + snapshot)
+  /// escalations + samples + predictions + virtual_lines: what a lossless
+  /// event stream would have delivered.
+  std::uint64_t events_seen = 0;
+  std::uint64_t events_dropped = 0;      ///< lost uncounted; 0 from Monitor
+  std::uint64_t aggregation_passes = 0;  ///< snapshots built so far
 
-  std::uint64_t escalations = 0;
+  std::uint64_t escalations = 0;  ///< trackers across all regions
   std::uint64_t invalidations = 0;
   std::uint64_t samples = 0;
   std::uint64_t predictions = 0;
-  std::uint64_t virtual_lines = 0;
+  std::uint64_t virtual_lines = 0;  ///< virtual lines nominated
 
-  std::size_t lines_tracked = 0;  ///< distinct lines with any event
+  std::size_t lines_tracked = 0;  ///< lines with a tracker
   std::vector<LineEntry> top_lines;       ///< by invalidations, then samples
   std::vector<CallsiteEntry> callsites;   ///< by invalidations, descending
-  std::vector<RingEntry> rings;           ///< one per producer thread seen
+  std::vector<RingEntry> rings;           ///< empty from Monitor
 };
 
 /// Renders a snapshot as a compact periodic-status block (`watch`-friendly).
 std::string format_snapshot(const MonitorSnapshot& snap);
 
-namespace detail {
-/// TLS binding of the calling thread to its ring in one monitor. Validated
-/// against the global runtime generation (bumped by Monitor/Runtime
-/// destruction), exactly like FastPathCache, so a stale pointer into a dead
-/// monitor is never dereferenced.
-struct MonitorTls {
-  Monitor* monitor = nullptr;
-  EventRing* ring = nullptr;
-  std::uint64_t gen = 0;
-};
-inline thread_local MonitorTls t_monitor_tls;
-}  // namespace detail
-
 class Monitor {
  public:
-  Monitor(Runtime& runtime, MonitorConfig config);
-  ~Monitor();
+  Monitor(const Runtime& runtime, MonitorConfig config);
 
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
 
-  /// Installs the monitor into the runtime (slow-path emission begins) and
-  /// starts the background aggregator thread. Idempotent.
-  void start();
+  /// No-ops: a snapshot reads the runtime's state, so there is nothing to
+  /// start or stop. Kept because callers written against the event-stream
+  /// monitor (perfbench's `churn`) still bracket their runs with them.
+  void start() {}
+  void stop() {}
 
-  /// Uninstalls from the runtime, drains every ring one final time, and
-  /// joins the aggregator thread. Aggregated state is retained, so
-  /// snapshot() keeps working (and start() may be called again). Idempotent.
-  void stop();
-
-  bool running() const { return running_; }
   const MonitorConfig& config() const { return config_; }
 
-  /// Builds an immutable snapshot of the aggregated state. Never stops
-  /// mutator threads: it flushes the *calling* thread's staged write
-  /// counters (same contract as Session::report()), then drains all rings
-  /// under the consumer mutex shared with the aggregator thread. Works
-  /// whether or not the monitor is running.
+  /// Builds a snapshot of the runtime's current state. Never stops mutator
+  /// threads: it flushes the *calling* thread's staged write counters (same
+  /// contract as Session::report()), then walks the trackers and virtual
+  /// lines. Concurrent calls are serialized, so a higher `sequence` never
+  /// carries older counts.
   MonitorSnapshot snapshot();
 
   /// snapshot() rendered through format_snapshot().
   std::string snapshot_text();
 
-  /// Hot-path event publication (called by the runtime's slow path; see
-  /// runtime.cpp). Wait-free after the first event per thread: a TLS cache
-  /// hit plus one SPSC ring push.
-  void emit(MonitorEventType type, Address addr, std::uint64_t arg,
-            ThreadId tid) {
-    detail::MonitorTls& tls = detail::t_monitor_tls;
-    if (tls.monitor != this || tls.gen != runtime_generation()) [[unlikely]] {
-      bind_thread_ring();
-    }
-    tls.ring->push(MonitorEvent{addr, arg, tid, type});
-  }
-
  private:
-  /// Per-line aggregate, keyed by line start address.
-  struct LineAgg {
-    std::uint64_t invalidations = 0;
-    std::uint64_t samples = 0;
-    std::uint64_t sample_writes = 0;
-    std::uint64_t predictions = 0;
-    bool escalated = false;
-    // Sticky lazy attribution (resolved against the object registry the
-    // first time it succeeds).
-    bool attribution_tried = false;
-    bool attributed = false;
-    bool is_global = false;
-    Address object_start = 0;
-    CallsiteId callsite = kNoCallsite;
-    std::string label;
-  };
-
-  void bind_thread_ring();             // TLS miss path; allocates on demand
-  void aggregator_main();
-  void drain_all_locked();             // requires mu_
-  void fold_locked(const MonitorEvent& ev);
-  void resolve_attribution_locked(Address line_start, LineAgg& agg);
-  void refresh_topk_locked();
-  MonitorSnapshot build_snapshot_locked();
-
-  Runtime* runtime_;
+  const Runtime* runtime_;
   const MonitorConfig config_;
-
-  // Consumer-side state: rings list, aggregate maps, and the aggregator
-  // thread's lifecycle. One mutex serializes all consumers (the aggregator
-  // thread and snapshot callers); mutators only take it on their very first
-  // emit (ring creation).
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
-  bool running_ = false;
-  std::thread aggregator_;
-
-  std::vector<std::unique_ptr<EventRing>> rings_;
-  std::unordered_map<std::thread::id, EventRing*> ring_by_thread_;
-
-  std::unordered_map<Address, LineAgg> lines_;
-  std::vector<Address> topk_;  ///< current top-K line starts, sorted
-  std::uint64_t events_seen_ = 0;
-  std::uint64_t aggregation_passes_ = 0;
-  std::uint64_t snapshot_seq_ = 0;
-  std::uint64_t escalations_ = 0;
-  std::uint64_t invalidations_ = 0;
-  std::uint64_t samples_ = 0;
-  std::uint64_t predictions_ = 0;
-  std::uint64_t virtual_lines_ = 0;
+  std::mutex mu_;  ///< serializes snapshot(); guards sequence_
+  std::uint64_t sequence_ = 0;
 };
 
 }  // namespace pred

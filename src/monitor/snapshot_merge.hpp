@@ -1,7 +1,8 @@
 // Fleet merge algebra for MonitorSnapshots.
 //
 // A fleet client streams *cumulative* snapshots (every counter in a
-// MonitorSnapshot is monotone over the session's life, and `sequence`
+// MonitorSnapshot is monotone over the session's life — except a recycled
+// line's sampled counts, which restart with its tracker — and `sequence`
 // totally orders the snapshots of one client). That makes fleet
 // aggregation a lattice join rather than a sum: the collector's state is a
 // product of per-key "newest wins" semilattices —
@@ -18,12 +19,13 @@
 // tests/test_collector.cpp proves the algebra laws over randomized
 // snapshot sets.
 //
-// Drop reconciliation: rings shed events visibly (`events_dropped`), and a
-// shed event could have been an invalidation or sample anywhere, so the
-// rollup reports every count as a conservative interval
-// [exact, exact + dropped] — exact sums what survived aggregation, the
-// upper bound charges every dropped event in the fleet against the count.
-// A lossless oracle run always lands inside the interval.
+// Drop reconciliation: a snapshot may report events it lost
+// (`events_dropped`), and a lost event could have been an invalidation or
+// sample anywhere, so the rollup reports every count as a conservative
+// interval [exact, exact + dropped] — exact sums what the snapshots
+// counted, the upper bound charges every dropped event in the fleet
+// against the count. Monitor snapshots read the trackers and drop nothing,
+// so for them the interval is one value.
 //
 // One subtlety the per-line decomposition handles: a line can fall out of
 // a client's top-K between snapshots. Whole-snapshot newest-wins would
@@ -68,13 +70,13 @@ struct SiteRec {
 // ---------------------------------------------------------------------------
 
 /// The fleet-wide rollup served to operators: exact counts plus
-/// conservative [exact, upper] bounds that absorb ring drops.
+/// conservative [exact, upper] bounds that absorb reported drops.
 struct FleetRollup {
   std::uint64_t clients = 0;
   std::uint64_t events_seen = 0;
   std::uint64_t events_dropped = 0;
   std::uint64_t escalations = 0;
-  std::uint64_t invalidations = 0;        ///< exact (aggregated events only)
+  std::uint64_t invalidations = 0;        ///< exact (counted by snapshots)
   std::uint64_t invalidations_upper = 0;  ///< + events_dropped
   std::uint64_t samples = 0;
   std::uint64_t samples_upper = 0;

@@ -4,6 +4,14 @@
 
 namespace pred {
 
+namespace {
+
+/// Cap on the virtual lines one whole-object adjustment adds (keeps
+/// pathological objects bounded).
+constexpr std::size_t kMaxObjectLines = 64;
+
+}  // namespace
+
 void Predictor::attach(Runtime& rt) {
   rt.set_prediction_hook(
       [this](Runtime& r, ShadowSpace& region, std::size_t line_index) {
@@ -47,8 +55,7 @@ void Predictor::analyze_line(Runtime& rt, ShadowSpace& region,
       const std::size_t line_y = pair.y.address / geo.line_size;
       const std::size_t lo_line = std::min(line_x, line_y);
 
-      if (config_.predict_double_line && lo_line % 2 == 0 &&
-          line_x != line_y) {
+      if (lo_line % 2 == 0 && line_x != line_y) {
         // Doubled hardware lines pair even/odd indices: only lines 2i and
         // 2i+1 can form a double-size virtual line.
         const Address start = lo_line * geo.line_size;
@@ -56,22 +63,17 @@ void Predictor::analyze_line(Runtime& rt, ShadowSpace& region,
                  VirtualLineTracker::Kind::kDoubleLine, pair);
       }
 
-      if (config_.predict_shifted) {
-        const Address d = pair.y.address - pair.x.address;
-        if (d < geo.line_size) {
-          // Figure 4: leave equal slack before X and after Y, i.e. the
-          // virtual line [X - (sz-d)/2, Y + (sz-d)/2).
-          const Address slack = (geo.line_size - d) / 2;
-          Address start =
-              pair.x.address >= slack ? pair.x.address - slack : 0;
-          start -= start % geo.word_size;  // word-align the placement
-          start = std::max(start, region.base());
-          nominate(rt, region, line_index, start, geo.line_size,
-                   VirtualLineTracker::Kind::kShifted, pair);
-          if (config_.adjust_whole_object) {
-            adjust_object_lines(rt, region, line_index, start, pair);
-          }
-        }
+      const Address d = pair.y.address - pair.x.address;
+      if (d < geo.line_size) {
+        // Figure 4: leave equal slack before X and after Y, i.e. the
+        // virtual line [X - (sz-d)/2, Y + (sz-d)/2).
+        const Address slack = (geo.line_size - d) / 2;
+        Address start = pair.x.address >= slack ? pair.x.address - slack : 0;
+        start -= start % geo.word_size;  // word-align the placement
+        start = std::max(start, region.base());
+        nominate(rt, region, line_index, start, geo.line_size,
+                 VirtualLineTracker::Kind::kShifted, pair);
+        adjust_object_lines(rt, region, line_index, start, pair);
       }
     }
   }
@@ -94,7 +96,7 @@ void Predictor::adjust_object_lines(Runtime& rt, ShadowSpace& region,
   std::size_t created = 0;
   for (std::size_t i = first;
        i <= last && i < region.num_lines() &&
-       created < config_.max_object_lines;
+       created < kMaxObjectLines;
        ++i) {
     if (region.tracker(i) == nullptr) continue;  // cold line: nothing to see
     const Address start = region.line_start(i) + delta;

@@ -16,26 +16,8 @@
 
 namespace pred {
 
-struct PredictorConfig {
-  bool predict_double_line = true;  ///< Figure 3(b): 2x hardware line size
-  bool predict_shifted = true;      ///< Figure 3(c): different placement
-
-  /// Section 3.4: "all cache lines related to the same object must be
-  /// adjusted at the same time" — when a shifted virtual line is nominated
-  /// for a hot pair inside a *registered object*, the same shift is applied
-  /// across the object's other tracked lines, so verification sees the
-  /// whole object under the hypothetical placement rather than one isolated
-  /// window.
-  bool adjust_whole_object = true;
-  /// Cap on the additional per-object virtual lines (keeps pathological
-  /// objects bounded).
-  std::size_t max_object_lines = 64;
-};
-
 class Predictor {
  public:
-  explicit Predictor(PredictorConfig config = {}) : config_(config) {}
-
   /// Installs this predictor as the runtime's prediction hook. The predictor
   /// must outlive the runtime's use of the hook.
   void attach(Runtime& rt);
@@ -55,12 +37,14 @@ class Predictor {
                 const HotPair& pair);
 
   /// Applies a shifted placement across every tracked line of the object
-  /// containing the hot pair (Section 3.4's whole-object adjustment).
+  /// containing the hot pair (Section 3.4: "all cache lines related to the
+  /// same object must be adjusted at the same time"), so verification sees
+  /// the whole object under the hypothetical placement rather than one
+  /// isolated window.
   void adjust_object_lines(Runtime& rt, ShadowSpace& region,
                            std::size_t origin_line, Address shift_start,
                            const HotPair& pair);
 
-  PredictorConfig config_;
   Spinlock lock_;
   std::unordered_set<std::uint64_t> nominated_;  ///< dedup key: start^size
   std::atomic<std::uint64_t> candidates_{0};

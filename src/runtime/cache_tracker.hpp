@@ -262,12 +262,10 @@ class alignas(kCacheLineSize) CacheTracker {
   CacheTracker& operator=(const CacheTracker&) = delete;
 
   /// What one tracked access did: whether it fell inside the sampling
-  /// window (and was recorded in detail), and whether it registered as a
-  /// cache invalidation. The runtime uses `sampled` to decide virtual-line
-  /// fan-out and both fields to feed the live monitor's event stream.
+  /// window (and was recorded in detail). The runtime uses `sampled` to
+  /// decide virtual-line fan-out.
   struct AccessOutcome {
     bool sampled = false;
-    bool invalidated = false;
     /// Retired on the sync-aware fast state: the owner word matched
     /// (same thread, same epoch since its last sync event), so the access
     /// skipped the sampling clock and the history table entirely. Counted
@@ -383,7 +381,7 @@ class alignas(kCacheLineSize) CacheTracker {
 
   /// Completes escalation: from here on accesses advance the sampling clock.
   /// Idempotent; called by the runtime after tracker creation bookkeeping
-  /// (staged-count purge, monitor emission) is done.
+  /// (staged-count purge, prediction settling) is done.
   void arm() { armed_.store(true, std::memory_order_release); }
   bool armed() const { return armed_.load(std::memory_order_acquire); }
 
@@ -592,7 +590,6 @@ class alignas(kCacheLineSize) CacheTracker {
     atomic_words_[word_of()].record(tid, type);
     if (packed_history_.access(tid, type) == HistoryOutcome::kInvalidation) {
       Stripe::bump(st.invalidations);
-      outcome.invalidated = true;
     }
     return outcome;
   }

@@ -5,21 +5,6 @@
 
 #include "common/check.hpp"
 
-// Live-monitor emission. Compiled out wholesale with PREDATOR_DISABLE_MONITOR
-// (CMake option PREDATOR_MONITOR=OFF): no monitor header, no attached-monitor
-// load, no branch — the runtime is byte-identical to the pre-monitor build.
-#ifndef PREDATOR_DISABLE_MONITOR
-#include "monitor/monitor.hpp"
-#define PRED_MON_EMIT(type, addr, arg, tid)                          \
-  do {                                                               \
-    if (Monitor* mon__ = attached_monitor()) [[unlikely]] {          \
-      mon__->emit(MonitorEventType::type, (addr), (arg), (tid));     \
-    }                                                                \
-  } while (0)
-#else
-#define PRED_MON_EMIT(type, addr, arg, tid) ((void)0)
-#endif
-
 namespace pred {
 
 namespace detail {
@@ -189,18 +174,7 @@ void Runtime::handle_tracked(ShadowSpace& region, std::size_t line,
       track->handle_word(word, type, tid, stripe, config_.sample_window,
                          config_.sample_interval,
                          suppress ? thread_epoch(tid) : 0);
-  if (outcome.sampled) {
-    track->update_virtual_lines(word, type, tid);
-    // One event per sampled access: an invalidation event implies the
-    // sample (the aggregator counts it for both totals).
-    if (outcome.invalidated) {
-      PRED_MON_EMIT(kInvalidation, region.line_start(line),
-                    is_write(type) ? 1u : 0u, tid);
-    } else {
-      PRED_MON_EMIT(kSampleHit, region.line_start(line),
-                    is_write(type) ? 1u : 0u, tid);
-    }
-  }
+  if (outcome.sampled) track->update_virtual_lines(word, type, tid);
   // Until the line's prediction decision is made the shared counter must
   // see every write, so the threshold check below reads an exact count;
   // from then on the write counts in the thread's stripe, no RMW.
@@ -209,7 +183,6 @@ void Runtime::handle_tracked(ShadowSpace& region, std::size_t line,
         region.writes(line).fetch_add(1, std::memory_order_relaxed) + 1;
     if (w >= config_.prediction_threshold && config_.prediction_enabled &&
         hook_ && track->try_begin_prediction()) {
-      PRED_MON_EMIT(kPredictionStarted, region.line_start(line), w, tid);
       hook_(*this, region, line);
     }
   }
@@ -286,8 +259,6 @@ void Runtime::apply_staged(ShadowSpace& region, std::size_t line_index,
       now >= config_.prediction_threshold) {
     if (CacheTracker* t = region.tracker(line_index);
         t != nullptr && t->try_begin_prediction()) {
-      PRED_MON_EMIT(kPredictionStarted, region.line_start(line_index), now,
-                    kInvalidThread);
       hook_(*this, region, line_index);
     }
   }
@@ -296,10 +267,6 @@ void Runtime::apply_staged(ShadowSpace& region, std::size_t line_index,
 void Runtime::ensure_tracked_line(ShadowSpace& region,
                                   std::size_t line_index) {
   purge_staged(region, line_index);
-  // A lost race here (two threads both observe "no tracker") at worst emits
-  // a duplicate escalation event; the aggregator folds escalations
-  // idempotently per line.
-  const bool fresh = region.tracker(line_index) == nullptr;
   // Create the tracker disarmed: accesses racing this escalation are
   // counted but do not consume sampling-window positions (the seed burned
   // window slots on accesses that arrived mid-escalation). arm() below
@@ -308,10 +275,6 @@ void Runtime::ensure_tracked_line(ShadowSpace& region,
   // With prediction off there is no decision to wait for: tracked writes
   // count in stripes from the first one.
   if (!config_.prediction_enabled) track->settle_prediction();
-  if (fresh) {
-    PRED_MON_EMIT(kLineEscalated, region.line_start(line_index), 0,
-                  kInvalidThread);
-  }
   track->arm();
 }
 
@@ -371,7 +334,6 @@ VirtualLineTracker* Runtime::add_virtual_line(ShadowSpace& region,
     virtual_lines_.emplace_back(start, size, kind, origin_line, hot_x, hot_y);
     vl = &virtual_lines_.back();
   }
-  PRED_MON_EMIT(kVirtualLineNominated, start, size, kInvalidThread);
   // Register coverage with every physical line the range overlaps, creating
   // trackers where needed so future accesses are seen at all.
   const std::size_t first = region.line_index(start);

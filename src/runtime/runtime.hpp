@@ -41,8 +41,6 @@
 
 namespace pred {
 
-class Monitor;
-
 class Runtime {
  public:
   /// Upper bound on simultaneously tracked regions (the allocator heap plus
@@ -185,22 +183,6 @@ class Runtime {
     for (const VirtualLineTracker* vl : lines) fn(*vl);
   }
 
-  // --- live monitoring (src/monitor/) ---
-
-  /// Attaches/detaches the live monitor. While attached, the slow path and
-  /// write-stage drains publish compact events (escalations, invalidations,
-  /// sampling hits, prediction verdicts) into the monitor's per-thread
-  /// rings; the inline pre-threshold fast path above is untouched. Emission
-  /// compiles out entirely with PREDATOR_DISABLE_MONITOR (CMake option
-  /// PREDATOR_MONITOR=OFF), in which case an attached monitor simply sees
-  /// no events. Called by Monitor::start()/stop().
-  void set_monitor(Monitor* monitor) {
-    monitor_.store(monitor, std::memory_order_release);
-  }
-  Monitor* attached_monitor() const {
-    return monitor_.load(std::memory_order_relaxed);
-  }
-
   // --- shared services ---
 
   ObjectRegistry& objects() { return objects_; }
@@ -234,8 +216,8 @@ class Runtime {
   void escalate(ShadowSpace& region, std::size_t line_index);
 
   /// Purges the calling thread's staged counts for the line and gives it a
-  /// CacheTracker, emitting a monitor escalation event if the tracker is
-  /// new. Shared by escalate() and add_virtual_line().
+  /// CacheTracker. Shared by escalate(), handle_handoff() and
+  /// add_virtual_line().
   void ensure_tracked_line(ShadowSpace& region, std::size_t line_index);
 
   void handle_access_slow(Address addr, AccessType type, ThreadId tid,
@@ -248,8 +230,8 @@ class Runtime {
   /// The tracked path: one access to word `word` of `line`, whose tracker
   /// is `track`. `stripe` is track->find_stripe() for the calling thread
   /// (nullptr: not registered yet). Runs the sampling decision or the
-  /// sync-aware check, the virtual-line fan-out and monitor emission of a
-  /// sampled access, and the write count with its prediction threshold.
+  /// sync-aware check, the virtual-line fan-out of a sampled access, and
+  /// the write count with its prediction threshold.
   void handle_tracked(ShadowSpace& region, std::size_t line, std::size_t word,
                       CacheTracker* track, CacheTracker::Stripe* stripe,
                       AccessType type, ThreadId tid);
@@ -314,8 +296,6 @@ class Runtime {
   std::deque<VirtualLineTracker> virtual_lines_;  // stable addresses
 
   PredictionHook hook_;
-
-  std::atomic<Monitor*> monitor_{nullptr};
 };
 
 inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,

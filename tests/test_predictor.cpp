@@ -245,32 +245,5 @@ TEST_F(PredictorFixture, WholeObjectAdjustmentCoversOtherHotLines) {
   EXPECT_TRUE(covers_far_line);
 }
 
-TEST_F(PredictorFixture, WholeObjectAdjustmentCanBeDisabled) {
-  PredictorConfig cfg;
-  cfg.adjust_whole_object = false;
-  Predictor local(cfg);
-  Runtime rt2(config());
-  local.attach(rt2);
-  auto* region2 = rt2.register_region(reinterpret_cast<Address>(buf), 8192);
-  (void)region2;
-  ObjectInfo obj;
-  obj.start = addr(0);
-  obj.size = 256;
-  rt2.objects().add(obj);
-  const std::size_t base = even_base();
-  for (int i = 0; i < 400; ++i) {
-    rt2.handle_access(addr(base + 56), AccessType::kWrite, 0);
-    rt2.handle_access(addr(base + 64), AccessType::kWrite, 1);
-    rt2.handle_access(addr(base + 192), AccessType::kWrite, 2);
-  }
-  for (const auto& vl : rt2.virtual_lines()) {
-    if (vl.kind() != VirtualLineTracker::Kind::kShifted) continue;
-    // Without whole-object adjustment every shifted line must stay within
-    // one line of the hot pair's addresses.
-    EXPECT_LE(vl.start(), addr(base + 64));
-    EXPECT_GE(vl.start() + vl.size(), addr(base + 56));
-  }
-}
-
 }  // namespace
 }  // namespace pred

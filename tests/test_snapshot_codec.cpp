@@ -207,10 +207,8 @@ TEST(SessionPublish, ProducesDecodableSelfIdentifyingFrame) {
   opts.heap_size = 8 * 1024 * 1024;
   opts.session_uid = 777;
   Session session(opts);
-  session.monitor().start();
 
   const std::string frame = session.publish();
-  session.monitor().stop();
 
   DecodedSnapshot decoded;
   ASSERT_TRUE(SnapshotCodec::decode(

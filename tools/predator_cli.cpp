@@ -430,16 +430,15 @@ std::unique_ptr<FdSink> open_emit_sink(const std::string& path,
   return sink;
 }
 
-// `monitor` subcommand: run the workload live (real threads) with the
-// session monitor attached, print a rolling snapshot every interval, then
-// the final report. Demonstrates that snapshots are served while mutators
-// run — the printing happens from the main thread with no pauses. With
-// --emit-to, every printed snapshot is also published to the collector.
+// `monitor` subcommand: run the workload live (real threads), print a
+// rolling monitor snapshot every interval, then the final report.
+// Demonstrates that snapshots are served while mutators run — the printing
+// happens from the main thread with no pauses. With --emit-to, every
+// printed snapshot is also published to the collector.
 int run_monitor(const CliOptions& opt) {
   const wl::Workload* w = named_workload(opt, "monitor");
   if (w == nullptr) return 1;
   Session session(opt.session);
-  session.monitor().start();
 
   std::unique_ptr<FdSink> emit;
   if (!opt.emit_to.empty()) {
@@ -469,7 +468,6 @@ int run_monitor(const CliOptions& opt) {
     emit->send(session.publish());
     emit->send(session.goodbye_frame());
   }
-  session.monitor().stop();
 
   std::printf("=== final snapshot ===\n%s\n",
               session.monitor().snapshot_text().c_str());
@@ -626,7 +624,6 @@ int run_serve(const CliOptions& opt) {
 [[noreturn]] void run_fleet_client(const CliOptions& opt,
                                    const wl::Workload* w, int fd) {
   Session session(opt.session);
-  session.monitor().start();
   FdSink sink(fd);
   bool ok = sink.send(session.hello_frame());
   for (std::uint64_t r = 0; r < opt.monitor_repeat && ok; ++r) {
@@ -634,7 +631,6 @@ int run_serve(const CliOptions& opt) {
     ok = sink.send(session.publish());
   }
   if (ok) ok = sink.send(session.goodbye_frame());
-  session.monitor().stop();
   std::_Exit(ok ? 0 : 1);
 }
 
@@ -808,13 +804,11 @@ int run_default(const CliOptions& opt) {
         std::make_shared<const repair::RepairPlan>(std::move(loaded)));
   }
 
-  // --emit-to: publish this run's snapshots to a `serve` collector. The
-  // monitor must observe the replay, so start it before events flow.
+  // --emit-to: publish this run's snapshot to a `serve` collector.
   std::unique_ptr<FdSink> emit;
   if (!opt.emit_to.empty()) {
     emit = open_emit_sink(opt.emit_to, session);
     if (!emit) return 1;
-    session.monitor().start();
   }
 
   const auto traces = w->capture(session, opt.params);
@@ -859,7 +853,6 @@ int run_default(const CliOptions& opt) {
       emit->send(repair::encode_plan_frame(tagged));
     }
     emit->send(session.goodbye_frame());
-    session.monitor().stop();
   }
 
   if (opt.json) {
