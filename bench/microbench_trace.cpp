@@ -1,11 +1,10 @@
 // Trace codec microbench: the layers save_traces and load_traces spend
-// their time in. Every phase is timed in the thread's CPU time and keeps the
-// best of 3 passes.
+// their time in. Every phase keeps the best of 3 passes.
 //
 // Phase crc — wire::crc32 over MB MiB of pseudo-random bytes (default 64)
 //   against SeedCrc32, a copy of the byte-at-a-time table loop the codec
-//   used before slicing-by-16. The two must agree; crc_speedup is floored
-//   by check_bench.py.
+//   used before slicing-by-16, in the thread's CPU time. The two must
+//   agree; crc_speedup is floored by check_bench.py.
 // Phases save and load, on two inputs:
 //   random — 8 threads x 1M synthetic events at random 8-byte-aligned
 //     addresses in a 256 MiB range, so an address delta takes 4 or 5
@@ -15,14 +14,24 @@
 //   save_traces writes into a streambuf that drops what it is given, so the
 //   figure is the codec's own cost, not a caller's buffer growing;
 //   load_traces reads the saved bytes from an istringstream, and the loaded
-//   traces must equal the saved ones. Both report events/s, since MB/s of
-//   encoded bytes does not compare across encodings, and the encoded
-//   bytes_per_event. trace_compression is 16 / kmeans bytes_per_event (the
-//   16-byte event records read 1.0); check_bench.py floors it.
+//   traces must equal the saved ones. The codec encodes and decodes thread
+//   frames on one slot per CPU of the caller's affinity mask, so both are
+//   timed in wall time, once on every CPU the bench may use and once with
+//   the bench pinned to one of them (one slot, no worker thread). Both
+//   report events/s, since MB/s of encoded bytes does not compare across
+//   encodings, and the encoded bytes_per_event. trace_compression is 16 /
+//   kmeans bytes_per_event (the 16-byte event records read 1.0);
+//   save_parallel_speedup and load_parallel_speedup are kmeans's events/s
+//   on every CPU over those on one, and `cpus` is how many CPUs that is.
+//   check_bench.py floors trace_compression, and save_parallel_speedup when
+//   `cpus` is at least 2.
 //
 // Usage: microbench_trace [MB] [--json FILE]
+#include <sched.h>
+
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,18 +80,61 @@ class DiscardBuf : public std::streambuf {
   int_type overflow(int_type c) override { return traits_type::not_eof(c); }
 };
 
-/// Best CPU time of 3 runs of `fn`.
+double wall_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Best time of 3 runs of `fn`, read from `clock` (seconds).
 template <typename Fn>
-double best_of_3(Fn&& fn) {
+double best_of_3(double (*clock)(), Fn&& fn) {
   double best = 0;
   for (int pass = 0; pass < 3; ++pass) {
-    const double start = pred::bench::thread_cpu_seconds();
+    const double start = clock();
     fn();
-    const double s = pred::bench::thread_cpu_seconds() - start;
+    const double s = clock() - start;
     if (pass == 0 || s < best) best = s;
   }
   return best;
 }
+
+/// CPUs in the calling thread's affinity mask.
+int affinity_cpus() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  return sched_getaffinity(0, sizeof cpus, &cpus) == 0 ? CPU_COUNT(&cpus) : 1;
+}
+
+/// Pins the calling thread to the first CPU of its affinity mask while it
+/// lives, and restores the mask after.
+class OneCpu {
+ public:
+  OneCpu() {
+    CPU_ZERO(&saved_);
+    if (sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = sched_setaffinity(0, sizeof one, &one) == 0;
+  }
+  ~OneCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof saved_, &saved_);
+  }
+  OneCpu(const OneCpu&) = delete;
+  OneCpu& operator=(const OneCpu&) = delete;
+
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
 
 std::vector<pred::ThreadTrace> synthetic_traces(std::size_t threads,
                                                 std::size_t events) {
@@ -117,14 +169,14 @@ bool measure_codec(const std::vector<pred::ThreadTrace>& traces,
   DiscardBuf discard;
   std::ostream sink(&discard);
   bool ok = true;
-  const double save_s =
-      best_of_3([&] { ok = pred::save_traces(sink, traces) && ok; });
+  const double save_s = best_of_3(
+      wall_seconds, [&] { ok = pred::save_traces(sink, traces) && ok; });
   std::ostringstream encoded;
   if (!ok || !pred::save_traces(encoded, traces)) return false;
   const auto bytes = static_cast<double>(encoded.tellp());
   std::istringstream in(std::move(encoded).str());
   std::vector<pred::ThreadTrace> loaded;
-  const double load_s = best_of_3([&] {
+  const double load_s = best_of_3(wall_seconds, [&] {
     in.clear();
     in.seekg(0);
     ok = pred::load_traces(in, &loaded) && ok;
@@ -172,10 +224,12 @@ int main(int argc, char** argv) {
   }
   const SeedCrc32 seed_crc32;
   std::uint32_t crc = 0, seed_crc = 0;
-  const double crc_s =
-      best_of_3([&] { crc = pred::wire::crc32(buf.data(), buf.size()); });
-  const double seed_s =
-      best_of_3([&] { seed_crc = seed_crc32(buf.data(), buf.size()); });
+  const double crc_s = best_of_3(pred::bench::thread_cpu_seconds, [&] {
+    crc = pred::wire::crc32(buf.data(), buf.size());
+  });
+  const double seed_s = best_of_3(pred::bench::thread_cpu_seconds, [&] {
+    seed_crc = seed_crc32(buf.data(), buf.size());
+  });
   if (crc != seed_crc) {
     std::fprintf(stderr, "crc32 0x%08x disagrees with the seed's 0x%08x\n",
                  crc, seed_crc);
@@ -200,27 +254,52 @@ int main(int argc, char** argv) {
   inputs.emplace_back("kmeans",
                       pred::wl::find_workload("kmeans")->capture(
                           session, pred::bench::default_params()));
-  double kmeans_bytes_per_event = 0;
+  const int cpus = affinity_cpus();
+  CodecFigures kmeans, kmeans_one;
   for (const auto& [name, traces] : inputs) {
-    CodecFigures f;
-    if (!measure_codec(traces, &f)) {
+    CodecFigures f, one;
+    bool ok = measure_codec(traces, &f);
+    {
+      OneCpu pin;
+      if (!pin.pinned()) {
+        std::fprintf(stderr, "cannot pin the bench to one CPU\n");
+        return 1;
+      }
+      ok = measure_codec(traces, &one) && ok;
+    }
+    if (!ok) {
       std::fprintf(stderr, "%s: save_traces failed, or load_traces did not "
                    "return the saved traces\n", name.c_str());
       return 1;
     }
-    std::printf("%-6s %5.2fM events: save %6.1fM events/s, load %6.1fM "
-                "events/s, %.2f B/event\n",
-                name.c_str(), f.events / 1e6, f.save_events_per_s / 1e6,
-                f.load_events_per_s / 1e6, f.bytes_per_event);
+    std::printf("%-6s %5.2fM events, %.2f B/event: save %6.1fM events/s "
+                "(1 CPU %6.1fM), load %6.1fM events/s (1 CPU %6.1fM)\n",
+                name.c_str(), f.events / 1e6, f.bytes_per_event,
+                f.save_events_per_s / 1e6, one.save_events_per_s / 1e6,
+                f.load_events_per_s / 1e6, one.load_events_per_s / 1e6);
     json.add(name + "_save_events_per_s", f.save_events_per_s);
     json.add(name + "_load_events_per_s", f.load_events_per_s);
+    json.add(name + "_save_events_per_s_1cpu", one.save_events_per_s);
+    json.add(name + "_load_events_per_s_1cpu", one.load_events_per_s);
     json.add(name + "_bytes_per_event", f.bytes_per_event);
-    if (name == "kmeans") kmeans_bytes_per_event = f.bytes_per_event;
+    if (name == "kmeans") {
+      kmeans = f;
+      kmeans_one = one;
+    }
   }
-  const double compression = 16.0 / kmeans_bytes_per_event;
+  const double compression = 16.0 / kmeans.bytes_per_event;
+  const double save_speedup =
+      kmeans.save_events_per_s / kmeans_one.save_events_per_s;
+  const double load_speedup =
+      kmeans.load_events_per_s / kmeans_one.load_events_per_s;
   std::printf("trace_compression %.2fx (16-byte records / kmeans)\n",
               compression);
+  std::printf("kmeans on %d CPUs over 1: save %.2fx, load %.2fx\n", cpus,
+              save_speedup, load_speedup);
   json.add("trace_compression", compression);
+  json.add("cpus", cpus);
+  json.add("save_parallel_speedup", save_speedup);
+  json.add("load_parallel_speedup", load_speedup);
 
   if (!json_path.empty() && !json.write_file(json_path)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

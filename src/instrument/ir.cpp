@@ -267,7 +267,10 @@ std::string verify(const Module& module) {
 namespace {
 
 std::string instr_to_string(const Instr& in) {
-  auto r = [](Reg reg) { return "r" + std::to_string(reg); };
+  auto r = [](Reg reg) {
+    std::string s = "r";
+    return s.append(std::to_string(reg));
+  };
   const std::string mark = in.instrumented ? "* " : "  ";
   // " +Nr +Nw" suffix carrying the merge compensation counts.
   auto extras = [&in] {

@@ -63,11 +63,12 @@ MonitorSnapshot Monitor::snapshot() {
   std::vector<LineCounts> lines;
   rt.for_each_region([&](const ShadowSpace& region) {
     region.for_each_tracker([&](std::size_t idx, const CacheTracker* t) {
+      const CacheTracker::Counts counts = t->counts();
       LineCounts& c = lines.emplace_back();
       c.line_start = region.line_start(idx);
-      c.invalidations = t->invalidations();
-      c.sample_writes = t->sampled_writes();
-      c.samples = t->sampled_reads() + c.sample_writes;
+      c.invalidations = counts.invalidations;
+      c.sample_writes = counts.sampled_writes;
+      c.samples = counts.sampled_accesses();
       c.predictions = predicting && t->prediction_decided() ? 1 : 0;
     });
   });

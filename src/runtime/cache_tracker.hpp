@@ -408,6 +408,32 @@ class alignas(kCacheLineSize) CacheTracker {
   std::uint64_t sampled_writes() const { return sum(&Stripe::sampled_writes); }
   std::uint64_t sampled_reads() const { return sum(&Stripe::sampled_reads); }
 
+  /// The counts above that a report or a snapshot reads of a line, summed
+  /// in one walk of the stripe table.
+  struct Counts {
+    std::uint64_t invalidations = 0;
+    std::uint64_t sampled_reads = 0;
+    std::uint64_t sampled_writes = 0;
+    std::uint64_t total_accesses = 0;
+
+    std::uint64_t sampled_accesses() const {
+      return sampled_reads + sampled_writes;
+    }
+  };
+  Counts counts() const {
+    Counts c;
+    c.total_accesses = unarmed_accesses_.load(std::memory_order_relaxed);
+    for_each_stripe([&](const Stripe& s) {
+      c.invalidations += s.invalidations.load(std::memory_order_relaxed);
+      c.sampled_reads += s.sampled_reads.load(std::memory_order_relaxed);
+      c.sampled_writes += s.sampled_writes.load(std::memory_order_relaxed);
+      c.total_accesses += s.clock.count.load(std::memory_order_relaxed) +
+                          s.suppressed_reads.load(std::memory_order_relaxed) +
+                          s.suppressed_writes.load(std::memory_order_relaxed);
+    });
+    return c;
+  }
+
   /// Copy of the word histogram (size = words_per_line).
   std::vector<WordAccess> words_snapshot() const {
     std::vector<WordAccess> out(geometry_.words_per_line());

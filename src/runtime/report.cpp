@@ -104,17 +104,17 @@ Report build_report(const Runtime& rt) {
 
   rt.for_each_region([&](const ShadowSpace& region) {
     region.for_each_tracker([&](std::size_t idx, CacheTracker* t) {
-      const std::uint64_t inv = t->invalidations();
-      report.total_invalidations += inv;
-      if (inv < cfg.report_invalidation_threshold) return;
+      const CacheTracker::Counts counts = t->counts();
+      report.total_invalidations += counts.invalidations;
+      if (counts.invalidations < cfg.report_invalidation_threshold) return;
 
       LineFinding lf;
       lf.line_index = idx;
       lf.line_start = region.line_start(idx);
-      lf.invalidations = inv;
-      lf.sampled_accesses = t->sampled_accesses();
-      lf.sampled_writes = t->sampled_writes();
-      lf.total_accesses = t->total_accesses();
+      lf.invalidations = counts.invalidations;
+      lf.sampled_accesses = counts.sampled_accesses();
+      lf.sampled_writes = counts.sampled_writes;
+      lf.total_accesses = counts.total_accesses;
       lf.total_writes = region.writes_count(idx);
       const auto words = t->words_snapshot();
       for (std::size_t w = 0; w < words.size(); ++w) {
@@ -174,10 +174,11 @@ Report build_report(const Runtime& rt) {
     for (std::size_t i = first; i <= last && i < region->num_lines(); ++i) {
       CacheTracker* t = region->tracker(i);
       if (!t) continue;
-      of.total_accesses += t->total_accesses();
+      const CacheTracker::Counts counts = t->counts();
+      of.total_accesses += counts.total_accesses;
       of.total_writes += region->writes_count(i);
-      of.sampled_accesses += t->sampled_accesses();
-      of.sampled_writes += t->sampled_writes();
+      of.sampled_accesses += counts.sampled_accesses();
+      of.sampled_writes += counts.sampled_writes;
       const Address line_start = region->line_start(i);
       const auto words = t->words_snapshot();
       for (std::size_t wi = 0; wi < words.size(); ++wi) {

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/anon_mapping.hpp"
@@ -102,21 +103,22 @@ class ShadowSpace {
   /// Invokes fn(line_index, tracker) for every line escalated when the
   /// walk begins, in ascending line order. Walks the arena, not the
   /// CacheTracking array, so the cost is per tracker however large the
-  /// region is, and no untouched shadow page gets mapped. fn runs outside
-  /// the arena lock.
+  /// region is, and no untouched shadow page gets mapped. Each tracker's
+  /// line is read once, under the arena lock, and the sort reads only the
+  /// captured pairs; fn runs outside the lock.
   template <typename F>
   void for_each_tracker(F&& fn) const {
-    std::vector<CacheTracker*> escalated;
+    std::vector<std::pair<std::size_t, CacheTracker*>> escalated;
     {
       std::lock_guard<Spinlock> g(arena_lock_);
       escalated.reserve(arena_.size());
-      for (const auto& t : arena_) escalated.push_back(t.get());
+      for (const auto& t : arena_) {
+        escalated.emplace_back(t->line_index(), t.get());
+      }
     }
     std::sort(escalated.begin(), escalated.end(),
-              [](const CacheTracker* a, const CacheTracker* b) {
-                return a->line_index() < b->line_index();
-              });
-    for (CacheTracker* t : escalated) fn(t->line_index(), t);
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [idx, t] : escalated) fn(idx, t);
   }
 
   std::size_t tracker_count() const {

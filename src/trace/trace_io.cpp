@@ -1,10 +1,23 @@
 #include "trace/trace_io.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <condition_variable>
+#include <exception>
 #include <fstream>
+#include <functional>
 #include <istream>
+#include <mutex>
 #include <optional>
 #include <ostream>
+#include <string>
+#include <system_error>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "trace/wire_format.hpp"
 
@@ -141,6 +154,107 @@ bool read_fields(std::string_view payload, bool thread_frame,
   return !reader.malformed();
 }
 
+/// Slots for `frames` thread frames: one per CPU in the calling thread's
+/// affinity mask (one when the mask cannot be read), at most one per frame.
+std::size_t frame_slots(std::uint64_t frames) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int n =
+      sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 1;
+  const auto cpus = static_cast<std::uint64_t>(std::max(n, 1));
+  return static_cast<std::size_t>(std::min(frames, cpus));
+}
+
+/// Runs a job per thread frame on a fixed set of slots. Frame i goes to
+/// slot i % slots and a slot holds one frame at a time, so each slot's
+/// buffers are reused frame after frame and memory does not grow with the
+/// frame count. Every slot but 0 has a thread of its own; slot 0's jobs,
+/// and those of a slot whose thread cannot start, run on the caller inside
+/// wait(). With one slot no thread starts and the same code runs inline.
+class FrameWorkers {
+ public:
+  FrameWorkers(std::size_t slots, std::function<void(std::size_t)> job)
+      : job_(std::move(job)), slots_(slots) {
+    for (std::size_t s = 1; s < slots; ++s) {
+      try {
+        slots_[s].thread = std::thread([this, s] { serve(s); });
+      } catch (const std::system_error&) {
+        // Slot s runs on the caller, like slot 0.
+      }
+    }
+  }
+
+  /// Drops the jobs no thread has started, waits for those running, and
+  /// joins the threads.
+  ~FrameWorkers() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    for (Slot& slot : slots_) {
+      slot.cv.notify_one();
+      if (slot.thread.joinable()) slot.thread.join();
+    }
+  }
+
+  FrameWorkers(const FrameWorkers&) = delete;
+  FrameWorkers& operator=(const FrameWorkers&) = delete;
+
+  /// Hands slot `s` the frame the caller has just put in it.
+  void post(std::size_t s) {
+    Slot& slot = slots_[s];
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      slot.posted = true;
+    }
+    slot.cv.notify_one();
+  }
+
+  /// Returns once slot `s`'s job is done, running it here if the slot has
+  /// no thread; rethrows what the job threw.
+  void wait(std::size_t s) {
+    Slot& slot = slots_[s];
+    if (!slot.thread.joinable()) {
+      if (std::exchange(slot.posted, false)) job_(s);
+      return;
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    slot.cv.wait(lock, [&] { return !slot.posted; });
+    if (slot.error) std::rethrow_exception(std::exchange(slot.error, {}));
+  }
+
+ private:
+  struct Slot {
+    std::condition_variable cv;  ///< the caller and the thread, in turn
+    bool posted = false;         ///< guarded by mu_
+    std::exception_ptr error;    ///< what the last job threw
+    std::thread thread;
+  };
+
+  void serve(std::size_t s) {
+    Slot& slot = slots_[s];
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      slot.cv.wait(lock, [&] { return slot.posted || stop_; });
+      if (stop_) return;
+      lock.unlock();
+      try {
+        job_(s);
+      } catch (...) {
+        slot.error = std::current_exception();
+      }
+      lock.lock();
+      slot.posted = false;
+      slot.cv.notify_one();
+    }
+  }
+
+  const std::function<void(std::size_t)> job_;
+  std::mutex mu_;
+  bool stop_ = false;  ///< guarded by mu_
+  std::vector<Slot> slots_;
+};
+
 }  // namespace
 
 std::string encode_events(const ThreadTrace& trace) {
@@ -188,26 +302,58 @@ bool decode_events(std::string_view bytes, std::uint64_t count,
 }
 
 bool save_traces(std::ostream& out, const std::vector<ThreadTrace>& traces) {
-  // One payload buffer serves every frame: each thread's events are sized,
-  // then encoded straight into it, and write_frame sends it without another
-  // copy.
-  std::string payload;
-  wire::FieldWriter fields(&payload);
+  std::string header;
+  wire::FieldWriter fields(&header);
   fields.u64(kFieldThreadCount, traces.size());
   fields.u64(kFieldTotalEvents, total_events(traces));
-  if (!wire::write_frame(out, wire::FrameType::kTraceHeader, payload)) {
+  if (!wire::write_frame(out, wire::FrameType::kTraceHeader, header)) {
     return false;
   }
-  for (std::size_t t = 0; t < traces.size(); ++t) {
-    const ThreadTrace& trace = traces[t];
+
+  // Each slot sizes a thread's events, encodes them straight into its
+  // reused payload buffer and checksums the frame; the frames are written
+  // here in index order, without another copy, and a slot takes its next
+  // thread once its frame is written. A slot's buffer is freed with its
+  // last frame, so the stream's growth towards its final size does not
+  // meet every slot's buffer at once.
+  struct Encoded {
+    std::size_t thread = 0;
+    bool fits = false;
+    std::array<char, wire::kFrameHeaderSize> header{};
+    std::string payload;
+  };
+  const std::size_t slots = frame_slots(traces.size());
+  std::vector<Encoded> encoded(slots);
+  FrameWorkers workers(slots, [&](std::size_t s) {
+    Encoded& e = encoded[s];
+    const ThreadTrace& trace = traces[e.thread];
     const std::size_t bytes = encoded_size(trace);
-    if (bytes > wire::kMaxPayload - kThreadFieldBytes) return false;
-    payload.clear();
-    fields.u64(kFieldThreadIndex, t);
-    fields.u64(kFieldEventCount, trace.size());
-    encode_into(trace, fields.bytes_space(kFieldEvents, bytes));
-    if (!wire::write_frame(out, wire::FrameType::kThreadTrace, payload)) {
-      return false;
+    e.fits = bytes <= wire::kMaxPayload - kThreadFieldBytes;
+    if (!e.fits) return;
+    e.payload.clear();
+    wire::FieldWriter thread_fields(&e.payload);
+    thread_fields.u64(kFieldThreadIndex, e.thread);
+    thread_fields.u64(kFieldEventCount, trace.size());
+    encode_into(trace, thread_fields.bytes_space(kFieldEvents, bytes));
+    e.header = wire::frame_header(wire::FrameType::kThreadTrace, e.payload);
+  });
+  for (std::size_t s = 0; s < slots; ++s) {
+    encoded[s].thread = s;
+    workers.post(s);
+  }
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    const std::size_t s = t % slots;
+    workers.wait(s);
+    Encoded& e = encoded[s];
+    if (!e.fits) return false;
+    out.write(e.header.data(), e.header.size());
+    out.write(e.payload.data(), static_cast<std::streamsize>(e.payload.size()));
+    if (!out.good()) return false;
+    if (t + slots < traces.size()) {
+      e.thread = t + slots;
+      workers.post(s);
+    } else {
+      std::string().swap(e.payload);
     }
   }
   return true;
@@ -230,23 +376,59 @@ bool load_traces(std::istream& in, std::vector<ThreadTrace>* traces) {
     return false;
   }
 
-  // The header's counts are untrusted: threads are appended as their frames
-  // arrive, in the index order save_traces writes them, and their event
-  // counts must add up to the header's total.
+  // Thread frames are read here, in index order, each into the reused
+  // frame buffer of its slot, where its CRC check, field parse and decode
+  // run; the decoded threads are collected in order, and a slot takes its
+  // next frame once its last is collected. A slot frees its buffer once
+  // it has decoded its last frame, so the decoded threads do not meet
+  // every slot's buffer at once. The header's counts are
+  // untrusted: threads are appended as their frames arrive, in the index
+  // order save_traces writes them, and their event counts must add up to
+  // the header's total.
+  struct Decoded {
+    std::uint64_t index = 0;
+    wire::Frame frame;
+    std::uint32_t crc = 0;
+    bool ok = false;
+    ThreadTrace trace;
+  };
+  const std::uint64_t threads = *header.u64[kFieldThreadCount];
+  const std::size_t slots = frame_slots(threads);
+  std::vector<Decoded> decoded(slots);
   std::vector<ThreadTrace> loaded;
   std::uint64_t events = 0;
-  for (std::uint64_t i = 0; i < *header.u64[kFieldThreadCount]; ++i) {
+  FrameWorkers workers(slots, [&](std::size_t s) {
+    Decoded& d = decoded[s];
     PayloadFields body;
-    if (wire::read_frame(in, &frame) != wire::FrameError::kOk ||
-        frame.type != wire::FrameType::kThreadTrace ||
-        !read_fields(frame.payload, true, &body) ||
-        body.u64[kFieldThreadIndex] != i || !body.u64[kFieldEventCount] ||
-        !body.events ||
-        !decode_events(*body.events, *body.u64[kFieldEventCount],
-                       &loaded.emplace_back())) {
+    d.ok = wire::check_crc(d.frame.payload, d.crc) == wire::FrameError::kOk &&
+           read_fields(d.frame.payload, true, &body) &&
+           body.u64[kFieldThreadIndex] == d.index &&
+           body.u64[kFieldEventCount] && body.events &&
+           decode_events(*body.events, *body.u64[kFieldEventCount], &d.trace);
+    if (d.index + slots >= threads) std::string().swap(d.frame.payload);
+  });
+  const auto collect = [&](std::uint64_t i) {
+    Decoded& d = decoded[i % slots];
+    workers.wait(i % slots);
+    if (!d.ok) return false;
+    events += d.trace.size();
+    loaded.push_back(std::move(d.trace));
+    return true;
+  };
+  for (std::uint64_t i = 0; i < threads; ++i) {
+    if (i >= slots && !collect(i - slots)) return false;
+    Decoded& d = decoded[i % slots];
+    if (wire::read_frame_unchecked(in, &d.frame, &d.crc) !=
+            wire::FrameError::kOk ||
+        d.frame.type != wire::FrameType::kThreadTrace) {
       return false;
     }
-    events += loaded.back().size();
+    d.index = i;
+    workers.post(i % slots);
+  }
+  for (std::uint64_t i = threads - std::min<std::uint64_t>(threads, slots);
+       i < threads; ++i) {
+    if (!collect(i)) return false;
   }
   if (events != *header.u64[kFieldTotalEvents]) return false;
   *traces = std::move(loaded);

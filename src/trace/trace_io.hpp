@@ -51,10 +51,21 @@
 // archived. The pre-frame v1 layout (raw "PRTR" preamble) is not read
 // either.
 //
-// Saving sizes each thread's events exactly in a first pass, then encodes
-// them straight into one reused payload buffer and writes it after its
-// frame header, so events are copied once; a thread whose encoded events
-// do not fit the frame's u32 length makes save_traces fail.
+// Thread frames are independent (a frame's address deltas restart at 0),
+// so both directions process them on min(threads, CPUs) slots, counting
+// the CPUs in the calling thread's sched_getaffinity mask. Each slot has
+// one frame in flight, reuses its buffer for its frames and frees it with
+// its last, so memory grows with the CPU count, not with the thread count.
+// Saving: a slot sizes a thread's events exactly in a first pass, encodes
+// them straight into its payload buffer and checksums the frame; the
+// caller writes the frames in index order, so events are copied once and
+// the bytes do not depend on the CPU count. A thread whose encoded events
+// do not fit the frame's u32 length makes save_traces fail. Loading: the
+// caller reads the frames in order, and the slots check each frame's CRC,
+// parse its fields and decode its events. Every slot but the first runs on
+// a thread of its own that lives for the call; the first runs on the
+// caller, so with one CPU no thread starts. An exception thrown on a
+// slot's thread (std::bad_alloc) is rethrown to the caller.
 #pragma once
 
 #include <cstdint>

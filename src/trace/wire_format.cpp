@@ -74,15 +74,6 @@ std::uint64_t get_u64(const unsigned char* p) {
          (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
 }
 
-/// The kFrameHeaderSize bytes that precede `payload` in its frame.
-void store_header(char* p, FrameType type, std::string_view payload) {
-  store_u32(p, kFrameMagic);
-  store_u16(p + 4, kWireVersion);
-  store_u16(p + 6, static_cast<std::uint16_t>(type));
-  store_u32(p + 8, static_cast<std::uint32_t>(payload.size()));
-  store_u32(p + 12, crc32(payload));
-}
-
 /// Appends a field's (id, kind, length) header and `len` value bytes to
 /// `out`, and returns the value bytes.
 char* append_field(std::string* out, std::uint16_t id, FieldKind kind,
@@ -122,20 +113,30 @@ std::uint32_t crc32(const void* data, std::size_t size) {
   return c ^ 0xffffffffu;
 }
 
+std::array<char, kFrameHeaderSize> frame_header(FrameType type,
+                                                std::string_view payload) {
+  std::array<char, kFrameHeaderSize> h;
+  store_u32(h.data(), kFrameMagic);
+  store_u16(h.data() + 4, kWireVersion);
+  store_u16(h.data() + 6, static_cast<std::uint16_t>(type));
+  store_u32(h.data() + 8, static_cast<std::uint32_t>(payload.size()));
+  store_u32(h.data() + 12, crc32(payload));
+  return h;
+}
+
 std::string encode_frame(FrameType type, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
-  out.resize(kFrameHeaderSize);
-  store_header(out.data(), type, payload);
+  const auto header = frame_header(type, payload);
+  out.append(header.data(), header.size());
   out.append(payload);
   return out;
 }
 
 bool write_frame(std::ostream& out, FrameType type, std::string_view payload) {
   if (payload.size() > kMaxPayload) return false;
-  char header[kFrameHeaderSize];
-  store_header(header, type, payload);
-  out.write(header, sizeof header);
+  const auto header = frame_header(type, payload);
+  out.write(header.data(), header.size());
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   return out.good();
 }
@@ -170,6 +171,13 @@ FrameError parse_frame(std::string_view bytes, Frame* out,
 }
 
 FrameError read_frame(std::istream& in, Frame* out) {
+  std::uint32_t crc = 0;
+  const FrameError e = read_frame_unchecked(in, out, &crc);
+  return e == FrameError::kOk ? check_crc(out->payload, crc) : e;
+}
+
+FrameError read_frame_unchecked(std::istream& in, Frame* out,
+                                std::uint32_t* crc) {
   char header[kFrameHeaderSize];
   in.read(header, sizeof header);
   if (in.gcount() == 0) return FrameError::kTruncated;
@@ -185,7 +193,6 @@ FrameError read_frame(std::istream& in, Frame* out) {
   const std::uint16_t version = get_u16(p + 4);
   if (version > kWireVersion || version == 0) return FrameError::kVersionSkew;
   const std::uint32_t length = get_u32(p + 8);
-  const std::uint32_t crc = get_u32(p + 12);
   // The header's length is untrusted until its bytes arrive. Size the
   // payload at once only when the stream already holds that many bytes
   // (in_avail is exact for in-memory streams); otherwise read in bounded
@@ -207,9 +214,13 @@ FrameError read_frame(std::istream& in, Frame* out) {
       return FrameError::kTruncated;
     }
   }
-  if (crc32(payload) != crc) return FrameError::kBadCrc;
   out->type = static_cast<FrameType>(get_u16(p + 6));
+  *crc = get_u32(p + 12);
   return FrameError::kOk;
+}
+
+FrameError check_crc(std::string_view payload, std::uint32_t crc) {
+  return crc32(payload) == crc ? FrameError::kOk : FrameError::kBadCrc;
 }
 
 void FieldWriter::u64(std::uint16_t id, std::uint64_t v) {

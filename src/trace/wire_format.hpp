@@ -31,6 +31,7 @@
 // fields whose payload is itself a field sequence.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -81,6 +82,11 @@ inline constexpr std::size_t kFrameHeaderSize = 16;
 /// Largest payload the header's u32 length field can describe.
 inline constexpr std::size_t kMaxPayload = UINT32_MAX;
 
+/// The kFrameHeaderSize bytes that precede `payload` in its frame, its
+/// CRC-32 included. The payload must not exceed kMaxPayload.
+std::array<char, kFrameHeaderSize> frame_header(FrameType type,
+                                                std::string_view payload);
+
 /// Header + payload as a byte string, ready for a file or a pipe. The
 /// payload must not exceed kMaxPayload.
 std::string encode_frame(FrameType type, std::string_view payload);
@@ -92,9 +98,20 @@ bool write_frame(std::ostream& out, FrameType type, std::string_view payload);
 
 /// Reads one frame from a stream positioned at a frame boundary. The
 /// payload is read into `out->payload`, reusing its capacity, so a caller
-/// that reads many frames into one Frame allocates once; on an error it
-/// holds unspecified bytes.
+/// that reads many frames into one Frame allocates once; on an error
+/// `*out` holds unspecified contents. read_frame_unchecked, then
+/// check_crc.
 FrameError read_frame(std::istream& in, Frame* out);
+
+/// The read half of read_frame: reads the frame but leaves its payload
+/// unchecked, storing the header's checksum in `*crc`, so the check can
+/// run on another thread. Returns every error read_frame does but kBadCrc.
+FrameError read_frame_unchecked(std::istream& in, Frame* out,
+                                std::uint32_t* crc);
+
+/// The check half of read_frame: kOk when `payload`'s CRC-32 is `crc`,
+/// else kBadCrc.
+FrameError check_crc(std::string_view payload, std::uint32_t crc);
 
 /// Parses one frame out of `bytes`. On kOk, `*consumed` is the total
 /// encoded size. kTruncated means "need more bytes" — the incremental

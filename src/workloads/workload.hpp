@@ -184,7 +184,10 @@ class ReplayHarness {
   template <typename Body>
   void parallel(std::uint32_t n, Body&& body) {
     for (std::uint32_t t = 0; t < n; ++t) {
+      // A kernel's threads are alike: starting each trace at the previous
+      // one's final size spares it the regrowth and copies of its events.
       ThreadTrace trace;
+      if (!traces_.empty()) trace.reserve(traces_.back().size());
       TraceSink sink{&trace};
       body(t, sink);
       traces_.push_back(std::move(trace));

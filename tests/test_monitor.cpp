@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <set>
 #include <thread>
@@ -275,6 +276,20 @@ TEST(Monitor, SnapshotsRaceFreeUnderMutators) {
       }
     });
   }
+
+  // Under load the mutators' windows can drift apart and pair no hot words
+  // for a while, so they sweep until the predictor has nominated a virtual
+  // line (within a deadline that fails the test); the snapshots below then
+  // race both escalations and nominations.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool nominated = false;
+  while (!nominated && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const MonitorSnapshot snap = session.monitor().snapshot();
+    nominated = snap.predictions > 0 && snap.virtual_lines > 0;
+  }
+  EXPECT_TRUE(nominated) << "no virtual line nominated within 60 s";
 
   MonitorSnapshot last;
   for (int round = 0; round < 40; ++round) {

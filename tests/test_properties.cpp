@@ -72,7 +72,8 @@ TEST_P(ThreadSweep, CleanWorkloadStaysCleanAtAnyConcurrency) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweep, ::testing::Values(2, 4, 8),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           std::string name = "t";
+                           return name.append(std::to_string(info.param));
                          });
 
 // --- the single-thread invariant -------------------------------------------

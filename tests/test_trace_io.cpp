@@ -3,16 +3,63 @@
 // record-once / analyze-many workflow (saved traces replayed under
 // different detector configurations give the same verdicts as live capture).
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "trace/trace_io.hpp"
 #include "trace/wire_format.hpp"
 #include "workloads/workload.hpp"
+
+namespace {
+/// Allocations of at least this many bytes throw std::bad_alloc, so a test
+/// can make the codec fail on a thread of its choosing (see
+/// FailingAllocations).
+std::atomic<std::size_t> g_fail_new_from{SIZE_MAX};
+}  // namespace
+
+// Every non-aligned form of new and delete is replaced, so memory from any
+// of them is freed by a matching one (sanitizer runtimes check the pairs).
+// GCC would flag the free() calls wherever it inlines a delete.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (n >= g_fail_new_from.load(std::memory_order_relaxed)) {
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace pred {
 namespace {
@@ -498,6 +545,216 @@ TEST(TraceIo, RecordOnceAnalyzeMany) {
       recorder.report(), recorder.runtime().callsites(),
       w->traits().sites[0].where, &only_predicted));
   EXPECT_TRUE(only_predicted);
+}
+
+// --- the codec on one CPU and on all of them ------------------------------
+
+/// Pins the calling thread to the first CPU of its affinity mask while it
+/// lives, so save_traces and load_traces run on one slot and start no
+/// thread; the mask is restored on destruction.
+class OneCpu {
+ public:
+  OneCpu() {
+    CPU_ZERO(&saved_);
+    if (sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = sched_setaffinity(0, sizeof one, &one) == 0;
+  }
+  ~OneCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof saved_, &saved_);
+  }
+  OneCpu(const OneCpu&) = delete;
+  OneCpu& operator=(const OneCpu&) = delete;
+
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
+
+/// CPUs in the calling thread's affinity mask.
+int affinity_cpus() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  return sched_getaffinity(0, sizeof cpus, &cpus) == 0 ? CPU_COUNT(&cpus) : 1;
+}
+
+/// `threads` threads of varied events and lengths; every third is empty
+/// unless `all_busy`.
+std::vector<ThreadTrace> many_threads(std::size_t threads,
+                                      bool all_busy = false) {
+  std::vector<ThreadTrace> traces;
+  for (std::size_t t = 0; t < threads; ++t) {
+    traces.push_back(t % 3 == 1 && !all_busy
+                         ? ThreadTrace{}
+                         : varied_trace(1 + (t * 389) % 3000,
+                                        0x10000 * (t + 1)));
+  }
+  return traces;
+}
+
+std::string saved(const std::vector<ThreadTrace>& traces) {
+  std::stringstream buf;
+  EXPECT_TRUE(save_traces(buf, traces));
+  return buf.str();
+}
+
+bool same_traces(const std::vector<ThreadTrace>& a,
+                 const std::vector<ThreadTrace>& b) {
+  const auto same = [](const TraceEvent& x, const TraceEvent& y) {
+    return x.addr == y.addr && x.think_cycles == y.think_cycles &&
+           x.type == y.type && x.size == y.size;
+  };
+  if (a.size() != b.size()) return false;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    if (!std::equal(a[t].begin(), a[t].end(), b[t].begin(), b[t].end(),
+                    same)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// How many CPUs the codec runs on changes neither the bytes it writes nor
+// what it reads back: each trace set is saved and loaded with the test
+// thread pinned to one CPU, then on every CPU it may use.
+TEST(TraceIo, BytesAndLoadsDoNotDependOnCpus) {
+  for (const std::size_t threads : {0, 1, 3, 8, 64}) {
+    const std::vector<ThreadTrace> traces = many_threads(threads);
+    std::string one_cpu_bytes;
+    std::vector<ThreadTrace> one_cpu_loaded;
+    {
+      OneCpu pin;
+      ASSERT_TRUE(pin.pinned());
+      ASSERT_EQ(affinity_cpus(), 1);
+      one_cpu_bytes = saved(traces);
+      std::stringstream in(one_cpu_bytes);
+      ASSERT_TRUE(load_traces(in, &one_cpu_loaded)) << threads;
+    }
+    const std::string all_cpus_bytes = saved(traces);
+    EXPECT_EQ(one_cpu_bytes, all_cpus_bytes) << threads << " threads";
+    std::stringstream in(all_cpus_bytes);
+    std::vector<ThreadTrace> all_cpus_loaded;
+    ASSERT_TRUE(load_traces(in, &all_cpus_loaded)) << threads;
+    EXPECT_TRUE(same_traces(one_cpu_loaded, traces)) << threads;
+    EXPECT_TRUE(same_traces(all_cpus_loaded, traces)) << threads;
+  }
+}
+
+// A fault in any thread frame rejects the whole stream on one CPU and on
+// all of them: in the first frame, in the first frame past the first batch
+// of slots (one per CPU) and in the last frame, whether the frame fails its
+// CRC, has a torn field sequence or holds a bad event.
+TEST(TraceIo, RejectsFaultInAnyFrame) {
+  const std::size_t threads =
+      std::max<std::size_t>(9, static_cast<std::size_t>(affinity_cpus()) + 2);
+  const std::string clean = saved(many_threads(threads, /*all_busy=*/true));
+  // Each thread frame's start, after the header frame.
+  std::vector<std::size_t> frame_at;
+  for (std::size_t at = 0; at < clean.size();) {
+    wire::Frame frame;
+    std::size_t consumed = 0;
+    ASSERT_EQ(wire::parse_frame(std::string_view(clean).substr(at), &frame,
+                                &consumed),
+              wire::FrameError::kOk);
+    if (frame.type == wire::FrameType::kThreadTrace) frame_at.push_back(at);
+    at += consumed;
+  }
+  ASSERT_EQ(frame_at.size(), threads);
+
+  enum class Fault { kCrc, kTornField, kBadEvent };
+  for (const bool one_cpu : {true, false}) {
+    std::optional<OneCpu> pin;
+    if (one_cpu) {
+      pin.emplace();
+      ASSERT_TRUE(pin->pinned());
+    }
+    const auto first_past_batch = static_cast<std::size_t>(affinity_cpus());
+    for (const std::size_t frame : {std::size_t{0}, first_past_batch,
+                                    threads - 1}) {
+      for (const Fault fault :
+           {Fault::kCrc, Fault::kTornField, Fault::kBadEvent}) {
+        std::string bytes = clean;
+        const std::size_t at = frame_at[frame];
+        const std::size_t payload = at + wire::kFrameHeaderSize;
+        std::uint32_t len = 0;
+        std::memcpy(&len, bytes.data() + at + 8, 4);
+        // Payload layout: fields 1 and 2 (16 bytes each), then field 4's
+        // header, whose u32 length sits at offset 36, and its events.
+        switch (fault) {
+          case Fault::kCrc: bytes[payload + 40] ^= 0x01; break;
+          case Fault::kTornField: bytes[payload + 36] ^= 0x01; break;
+          case Fault::kBadEvent: bytes[payload + 40] |= 0x20; break;
+        }
+        if (fault != Fault::kCrc) {
+          const std::uint32_t crc = wire::crc32(bytes.data() + payload, len);
+          for (int k = 0; k < 4; ++k) {
+            bytes[at + 12 + k] = static_cast<char>(crc >> (8 * k));
+          }
+        }
+        std::stringstream in(bytes);
+        std::vector<ThreadTrace> loaded{make_trace(3, 0)};
+        EXPECT_FALSE(load_traces(in, &loaded))
+            << "frame " << frame << " fault " << static_cast<int>(fault)
+            << (one_cpu ? " on one CPU" : " on all CPUs");
+        EXPECT_TRUE(loaded.empty());
+      }
+    }
+  }
+}
+
+/// Makes every allocation of at least `bytes` throw std::bad_alloc while it
+/// lives.
+class FailingAllocations {
+ public:
+  explicit FailingAllocations(std::size_t bytes) {
+    g_fail_new_from.store(bytes, std::memory_order_relaxed);
+  }
+  ~FailingAllocations() {
+    g_fail_new_from.store(SIZE_MAX, std::memory_order_relaxed);
+  }
+  FailingAllocations(const FailingAllocations&) = delete;
+  FailingAllocations& operator=(const FailingAllocations&) = delete;
+};
+
+// An exception thrown while a frame is encoded or decoded reaches the
+// caller of save_traces or load_traces, on one CPU and on all of them. The
+// first thread is small and the second large, so on more than one CPU the
+// failing allocation is made on a worker thread.
+TEST(TraceIo, AllocationFailuresReachTheCaller) {
+  std::vector<ThreadTrace> traces{varied_trace(10, 0x1000)};
+  for (int t = 1; t < 6; ++t) traces.push_back(varied_trace(200000, 0x1000));
+  const std::string bytes = saved(traces);
+  // A large thread's payload is about 1.2 MB and its decoded events 3.2 MB;
+  // the saved stream is copied into `in` before a limit is set, so the
+  // limits below fail only those allocations.
+  for (const bool one_cpu : {true, false}) {
+    std::optional<OneCpu> pin;
+    if (one_cpu) {
+      pin.emplace();
+      ASSERT_TRUE(pin->pinned());
+    }
+    std::stringstream in(bytes);
+    std::vector<ThreadTrace> loaded;
+    {
+      FailingAllocations fail(3 << 20);
+      EXPECT_THROW(load_traces(in, &loaded), std::bad_alloc);
+    }
+    EXPECT_TRUE(loaded.empty());
+    std::stringstream out;
+    {
+      FailingAllocations fail(512 << 10);
+      EXPECT_THROW(save_traces(out, traces), std::bad_alloc);
+    }
+  }
 }
 
 }  // namespace
