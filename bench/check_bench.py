@@ -50,11 +50,19 @@ point, except the fan-out):
                        when it never hits (in practice scheduling streaks
                        make it win outright).
   fanout_speedup_t4    virtual-line fan-out at 4 threads: the per-word
-                       fan-out tables over the seed's fan-out (every
-                       virtual line scanned, a shared access counter per
-                       covering line). 1.76-3.05 over 23 runs on a shared
-                       4-vCPU host (median 2.4), 1.91-2.92 over 5 runs
-                       pinned to 2 CPUs; the floor asks for 1.5x.
+                       fan-out tables, onto history words packed by anchor
+                       line with per-token counts, over the seed's fan-out
+                       (every virtual line scanned, a shared access counter
+                       per covering line). 2.19-4.69 over 30 runs on a
+                       shared 4-vCPU host (20 consecutive, median 2.68, and
+                       10 more, median 2.88; 1.76-3.05 over 23 runs when
+                       each virtual line had a host line of its own); the
+                       floor asks for 1.5x.
+  fanout_adjacent_speedup_t2 (not floored) the same bench's two-thread
+                       adjacent-word row, the old one-line-per-virtual-line
+                       layout over the packed one: 0.93-1.36 over the same
+                       30 runs (medians 1.17 and 1.14), under 1.0 twice, so
+                       no floor would hold on that host.
 
 Trace codec (microbench_trace, best of 3 passes; the CRC in one thread's
 CPU time, save and load in wall time):

@@ -45,12 +45,31 @@
 //              shifted line at each word offset. Full sampling, prediction
 //              settled; each access runs the tracker, then the fan-out, as
 //              Runtime::handle_tracked does for a sampled access.
-//              `fanout_speedup_tN` = the per-word fan-out tables over
-//              SeedFanOut below (a pointer vector scanned with a range
-//              check per virtual line, a shared access counter per covering
-//              line, and 72-byte lines that share host lines).
+//              `fanout_speedup_tN` = the production fan-out (per-word
+//              tables onto history words packed by anchor line, counts in
+//              per-token tables) over SeedFanOut below (a pointer vector
+//              scanned with a range check per virtual line, a shared access
+//              counter per covering line, and 72-byte lines that share host
+//              lines).
+//   adjacent   two threads, pinned to two CPUs when there are two, make
+//              read+write pairs on adjacent words (3 and 4) of one line,
+//              fully sampled, covered as `churn` covers its counters:
+//              shifted lines at five offsets anchored on the line and on
+//              the line before it, and the double line, six covering lines
+//              per word. Each thread times its own loop; a pass counts only
+//              when the two loops overlapped for 90% of the longer one, and
+//              each layout reports the median ns/access of its kept passes
+//              (passes alternate between layouts). `fanout_adjacent_
+//              speedup_t2` = OwnLineFanOut below (the layout before history
+//              words were packed: a host line per virtual line holding its
+//              history word and a shared invalidation counter) over the
+//              production layout: two history blocks written per access
+//              instead of six lines.
 //
 // Usage: microbench_tracked [writes_per_thread] [--json FILE]
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -417,15 +436,16 @@ struct TrackedPair {
 
 /// The production fan-out: per-word tables inside the trackers.
 struct TableFan : TrackedPair {
-  std::deque<pred::VirtualLineTracker> vls;
+  pred::VirtualLineStore vls{kGeo};
   TableFan() {
     for (const auto& [start, size] : fanout_placements()) {
-      vls.emplace_back(start, size, pred::VirtualLineTracker::Kind::kShifted,
-                       0, start, start + size - kGeo.word_size);
+      const pred::VirtualLineTracker& vl =
+          *vls.add(start, size, pred::VirtualLineTracker::Kind::kShifted,
+                   start, start + size - kGeo.word_size);
       for (std::size_t i = 0; i < lines.size(); ++i) {
         const std::uint32_t words =
-            vls.back().covered_words(i * kGeo.line_size, kGeo);
-        if (words != 0) lines[i]->add_virtual_line(&vls.back(), words);
+            vl.covered_words(i * kGeo.line_size, kGeo);
+        if (words != 0) lines[i]->add_virtual_line(vl, words);
       }
     }
   }
@@ -506,6 +526,194 @@ double best_fanout(std::uint32_t nthreads, std::uint64_t writes_per_thread) {
     best = std::max(best, run_fanout<Fan>(nthreads, writes_per_thread));
   }
   return best;
+}
+
+// The layout before history words were packed by anchor line: each
+// virtual line on a host line of its own, holding its history word and an
+// invalidation counter that every covering thread's fetch_add writes,
+// reached through a per-word fan-out table like the production one.
+struct alignas(pred::kCacheLineSize) OwnLineVirtualLine {
+  pred::PackedHistoryTable history;
+  std::atomic<std::uint64_t> invalidations{0};
+};
+
+class OwnLineFanOut {
+ public:
+  void add_virtual_line(OwnLineVirtualLine* vl, std::uint32_t words) {
+    entries_.push_back({words, vl});
+  }
+
+  void update_virtual_lines(std::size_t word, pred::AccessType type,
+                            pred::ThreadId tid) {
+    const std::uint32_t bit = std::uint32_t{1} << word;
+    for (const Entry& e : entries_) {
+      if ((e.words & bit) != 0 && e.vl->history.access(tid, type) ==
+                                      pred::HistoryOutcome::kInvalidation) {
+        e.vl->invalidations.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t words;
+    OwnLineVirtualLine* vl;
+  };
+  std::vector<Entry> entries_;  ///< filled before any access
+};
+
+/// The adjacent row's coverage over lines 0..2 (line 1 is written): shifted
+/// lines at five offsets anchored on lines 0 and 1, and the double line
+/// [0, 128).
+std::vector<std::pair<pred::Address, std::size_t>> adjacent_placements() {
+  std::vector<std::pair<pred::Address, std::size_t>> out;
+  for (std::size_t anchor = 0; anchor < 2; ++anchor) {
+    for (std::size_t w = 2; w <= 6; ++w) {
+      out.emplace_back(kLineBase + anchor * kGeo.line_size + w * kGeo.word_size,
+                       kGeo.line_size);
+    }
+  }
+  out.emplace_back(kLineBase, 2 * kGeo.line_size);
+  return out;
+}
+
+/// Line 1, tracked with prediction settled.
+struct HotLine {
+  pred::CacheTracker line{1, kGeo};
+  HotLine() { line.settle_prediction(); }
+};
+
+struct PackedAdjacent : HotLine {
+  pred::VirtualLineStore vls{kGeo};
+  PackedAdjacent() {
+    for (const auto& [start, size] : adjacent_placements()) {
+      const pred::VirtualLineTracker& vl =
+          *vls.add(start, size, pred::VirtualLineTracker::Kind::kShifted,
+                   start, start + size - kGeo.word_size);
+      line.add_virtual_line(vl, vl.covered_words(kGeo.line_size, kGeo));
+    }
+  }
+  void fan_out(std::size_t word, pred::AccessType type, pred::ThreadId tid) {
+    line.update_virtual_lines(word, type, tid);
+  }
+};
+
+struct OwnLineAdjacent : HotLine {
+  std::deque<OwnLineVirtualLine> vls;
+  OwnLineFanOut fanout;
+  OwnLineAdjacent() {
+    for (const auto& [start, size] : adjacent_placements()) {
+      OwnLineVirtualLine& vl = vls.emplace_back();
+      std::uint32_t words = 0;
+      for (std::size_t k = 0; k < kGeo.words_per_line(); ++k) {
+        const pred::Address a = kGeo.line_size + k * kGeo.word_size;
+        if (a >= start && a < start + size) words |= std::uint32_t{1} << k;
+      }
+      fanout.add_virtual_line(&vl, words);
+    }
+  }
+  void fan_out(std::size_t word, pred::AccessType type, pred::ThreadId tid) {
+    fanout.update_virtual_lines(word, type, tid);
+  }
+};
+
+/// CPUs the calling thread may run on, in order.
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+struct AdjacentPass {
+  double ns_per_access;  ///< the two threads' mean
+  bool overlapped;       ///< the loops overlapped for 90% of the longer
+};
+
+/// One pass of the adjacent row: threads 0 and 1 each make `pairs`
+/// read+write pairs on words 3 and 4 of line 1, each access fanned out.
+template <typename Layout>
+AdjacentPass run_adjacent(std::uint64_t pairs, const std::vector<int>& cpus) {
+  Layout layout;
+  const std::uint64_t window = g_window;
+  const std::uint64_t interval = g_interval;
+  using Clock = std::chrono::steady_clock;
+  std::array<Clock::time_point, 2> begin{};
+  std::array<Clock::time_point, 2> end{};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      if (cpus.size() >= 2) {
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        CPU_SET(cpus[t], &set);
+        pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+      }
+      const std::size_t word = 3 + t;
+      const pred::Address addr = kGeo.line_size + word * kGeo.word_size;
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < 2) {
+      }
+      begin[t] = Clock::now();
+      for (std::uint64_t i = 0; i < pairs; ++i) {
+        for (pred::AccessType type :
+             {pred::AccessType::kRead, pred::AccessType::kWrite}) {
+          if (layout.line.handle_access(addr, type, t, window, interval)
+                  .sampled) {
+            layout.fan_out(word, type, t);
+          }
+        }
+      }
+      end[t] = Clock::now();
+    });
+  }
+  for (auto& th : threads) th.join();
+  if (layout.line.sampled_accesses() != 4 * pairs) {
+    std::fprintf(stderr, "adjacent conservation violated: %" PRIu64
+                 " sampled of %" PRIu64 "\n",
+                 layout.line.sampled_accesses(), 4 * pairs);
+    std::exit(1);
+  }
+  double ns = 0.0;
+  double longest = 0.0;
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    const double d = std::chrono::duration<double, std::nano>(end[t] - begin[t])
+                         .count();
+    ns += d / static_cast<double>(2 * pairs) / 2.0;
+    longest = std::max(longest, d);
+  }
+  const double overlap = std::chrono::duration<double, std::nano>(
+                             std::min(end[0], end[1]) -
+                             std::max(begin[0], begin[1]))
+                             .count();
+  return {ns, overlap >= 0.9 * longest};
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+/// Median ns/access over the kept passes (all passes when none kept).
+struct AdjacentResult {
+  double ns;
+  int kept;
+};
+AdjacentResult summarize(const std::vector<AdjacentPass>& passes) {
+  std::vector<double> kept;
+  std::vector<double> all;
+  for (const AdjacentPass& p : passes) {
+    all.push_back(p.ns_per_access);
+    if (p.overlapped) kept.push_back(p.ns_per_access);
+  }
+  if (kept.empty()) return {median(all), 0};
+  return {median(kept), static_cast<int>(kept.size())};
 }
 
 }  // namespace
@@ -609,6 +817,37 @@ int main(int argc, char** argv) {
     std::snprintf(key, sizeof(key), "fanout_speedup_t%u", t);
     json.add(key, speedup);
   }
+
+  // Pairs per thread: a quarter of the writes, so each thread makes about
+  // half as many accesses as a fan-out pass.
+  const std::uint64_t pairs = writes / 4 > 0 ? writes / 4 : 1;
+  const std::vector<int> cpus = allowed_cpus();
+  std::printf("\nadjacent fan-out: two threads, read+write pairs on adjacent "
+              "words, %zu virtual lines, %" PRIu64 " pairs/thread%s\n\n",
+              adjacent_placements().size(), pairs,
+              cpus.size() >= 2 ? ", pinned" : "");
+  constexpr int kAdjacentPasses = 7;
+  run_adjacent<PackedAdjacent>(pairs / 8 > 0 ? pairs / 8 : 1, cpus);
+  run_adjacent<OwnLineAdjacent>(pairs / 8 > 0 ? pairs / 8 : 1, cpus);
+  std::vector<AdjacentPass> packed_passes;
+  std::vector<AdjacentPass> own_passes;
+  for (int pass = 0; pass < kAdjacentPasses; ++pass) {
+    packed_passes.push_back(run_adjacent<PackedAdjacent>(pairs, cpus));
+    own_passes.push_back(run_adjacent<OwnLineAdjacent>(pairs, cpus));
+  }
+  const AdjacentResult packed = summarize(packed_passes);
+  const AdjacentResult own = summarize(own_passes);
+  const double adjacent_speedup = own.ns / packed.ns;
+  std::printf("%8s %18s %18s %9s\n", "threads", "own-line ns", "packed ns",
+              "speedup");
+  std::printf("%8u %18.1f %18.1f %8.2fx   (kept %d and %d of %d passes)\n",
+              2u, own.ns, packed.ns, adjacent_speedup, own.kept, packed.kept,
+              kAdjacentPasses);
+  json.add("fanout_adjacent_ownline_ns", own.ns);
+  json.add("fanout_adjacent_packed_ns", packed.ns);
+  json.add("fanout_adjacent_kept_passes",
+           static_cast<double>(std::min(own.kept, packed.kept)));
+  json.add("fanout_adjacent_speedup_t2", adjacent_speedup);
 
   if (!json_path.empty()) {
     if (!json.write_file(json_path)) {

@@ -59,7 +59,7 @@ void Predictor::analyze_line(Runtime& rt, ShadowSpace& region,
         // Doubled hardware lines pair even/odd indices: only lines 2i and
         // 2i+1 can form a double-size virtual line.
         const Address start = lo_line * geo.line_size;
-        nominate(rt, region, line_index, start, 2 * geo.line_size,
+        nominate(rt, region, start, 2 * geo.line_size,
                  VirtualLineTracker::Kind::kDoubleLine, pair);
       }
 
@@ -71,16 +71,15 @@ void Predictor::analyze_line(Runtime& rt, ShadowSpace& region,
         Address start = pair.x.address >= slack ? pair.x.address - slack : 0;
         start -= start % geo.word_size;  // word-align the placement
         start = std::max(start, region.base());
-        nominate(rt, region, line_index, start, geo.line_size,
+        nominate(rt, region, start, geo.line_size,
                  VirtualLineTracker::Kind::kShifted, pair);
-        adjust_object_lines(rt, region, line_index, start, pair);
+        adjust_object_lines(rt, region, start, pair);
       }
     }
   }
 }
 
 void Predictor::adjust_object_lines(Runtime& rt, ShadowSpace& region,
-                                    std::size_t origin_line,
                                     Address shift_start, const HotPair& pair) {
   const LineGeometry& geo = region.geometry();
   const auto object = rt.objects().find(pair.x.address);
@@ -109,15 +108,14 @@ void Predictor::adjust_object_lines(Runtime& rt, ShadowSpace& region,
       if (!nominated_.insert(key).second) continue;
     }
     rt.add_virtual_line(region, start, geo.line_size,
-                        VirtualLineTracker::Kind::kShifted, origin_line,
-                        pair.x.address, pair.y.address);
+                        VirtualLineTracker::Kind::kShifted, pair.x.address,
+                        pair.y.address);
     candidates_.fetch_add(1, std::memory_order_relaxed);
     ++created;
   }
 }
 
-void Predictor::nominate(Runtime& rt, ShadowSpace& region,
-                         std::size_t origin_line, Address start,
+void Predictor::nominate(Runtime& rt, ShadowSpace& region, Address start,
                          std::size_t size, VirtualLineTracker::Kind kind,
                          const HotPair& pair) {
   const std::uint64_t key =
@@ -126,7 +124,7 @@ void Predictor::nominate(Runtime& rt, ShadowSpace& region,
     std::lock_guard<Spinlock> g(lock_);
     if (!nominated_.insert(key).second) return;  // already tracking
   }
-  rt.add_virtual_line(region, start, size, kind, origin_line, pair.x.address,
+  rt.add_virtual_line(region, start, size, kind, pair.x.address,
                       pair.y.address);
   candidates_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -32,8 +32,8 @@ class Predictor {
   }
 
  private:
-  void nominate(Runtime& rt, ShadowSpace& region, std::size_t origin_line,
-                Address start, std::size_t size, VirtualLineTracker::Kind kind,
+  void nominate(Runtime& rt, ShadowSpace& region, Address start,
+                std::size_t size, VirtualLineTracker::Kind kind,
                 const HotPair& pair);
 
   /// Applies a shifted placement across every tracked line of the object
@@ -42,8 +42,7 @@ class Predictor {
   /// the whole object under the hypothetical placement rather than one
   /// isolated window.
   void adjust_object_lines(Runtime& rt, ShadowSpace& region,
-                           std::size_t origin_line, Address shift_start,
-                           const HotPair& pair);
+                           Address shift_start, const HotPair& pair);
 
   Spinlock lock_;
   std::unordered_set<std::uint64_t> nominated_;  ///< dedup key: start^size

@@ -28,63 +28,36 @@
 // ShadowSpace arena slots that own them — never falsely share with each
 // other; each per-thread sampling stripe is likewise padded to one host
 // line. Inside the tracker, the first host line holds what every tracked
-// access reads — the armed and prediction flags and the stripe-table and
-// fan-out pointers — and no access writes it; the history and sync words
-// that sampled and synced accesses CAS sit on the next line, so those CASes
-// never invalidate the line the inline exits read. The stripe table and
-// the fan-out table are one GrowOnlyTable type: a header and its entries
-// in one allocation, so a lookup is tracker → table → entry.
+// access reads — the armed and prediction flags, the stripe-table and
+// fan-out pointers and the virtual-line store — and no access writes it;
+// the history and sync words that sampled and synced accesses CAS sit on
+// the next line, so those CASes never invalidate the line the inline exits
+// read. The stripe table and the fan-out table are one GrowOnlyTable type
+// (runtime/grow_only_table.hpp): a header and its entries in one
+// allocation, so a lookup is tracker → table → entry. A fan-out entry
+// points straight at its virtual line's history word, which sits in a
+// host-line block shared only with lines of the same anchor
+// (runtime/virtual_line.hpp).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <new>
-#include <type_traits>
 #include <vector>
 
 #include "common/cacheline.hpp"
 #include "common/check.hpp"
 #include "common/spinlock.hpp"
 #include "runtime/config.hpp"
+#include "runtime/grow_only_table.hpp"
 #include "runtime/history_table.hpp"
+#include "runtime/stripe_token.hpp"
 #include "runtime/virtual_line.hpp"
 #include "runtime/word_access.hpp"
 
 namespace pred {
-
-namespace detail {
-inline constexpr std::uint32_t kNoStripeToken = 0xffffffffu;
-/// The calling OS thread's stripe token, kNoStripeToken until its first
-/// tracked access. Constant-initialized, so the hot path is a TLS load +
-/// compare with no thread_local initialization guard.
-inline thread_local std::uint32_t t_stripe_token = kNoStripeToken;
-
-/// Gives the calling thread a token and stores it in t_stripe_token. The
-/// thread takes the most recently released token from a process-wide free
-/// list, or a new one when the list is empty, and returns it to the list
-/// when it exits; ownership passes through the list's mutex, so the next
-/// holder sees every stripe update the last one made. A thread whose token
-/// was already returned (an access from a thread_local destructor that runs
-/// after the release) gets a new token that is never returned.
-std::uint32_t acquire_stripe_token();
-
-/// Small dense token identifying the calling OS thread, used to index its
-/// private sampling stripe. Token values are bounded by the peak number of
-/// threads alive at once, not by threads-ever, and so is every tracker's
-/// stripe table. A stripe has one writer at a time: the thread holding its
-/// token. A thread keeps its token for life, so a deterministic
-/// single-OS-thread replay uses one stripe and samples exactly like one
-/// `n % interval < window` counter per line.
-inline std::uint32_t stripe_token() {
-  const std::uint32_t token = t_stripe_token;
-  if (token == kNoStripeToken) [[unlikely]] return acquire_stripe_token();
-  return token;
-}
-}  // namespace detail
 
 /// Division-free sampling clock: decides "is access number n inside the
 /// first `window` of its `interval`?" by maintaining the base of the
@@ -136,75 +109,6 @@ struct SampleClock {
     count.store(0, std::memory_order_relaxed);
     interval_begin.store(0, std::memory_order_relaxed);
   }
-};
-
-/// A grow-only table in one allocation: a small header followed by
-/// `capacity` entries, so a reader reaches an entry from the owner's table
-/// pointer with no further indirection. Writers are serialized by the
-/// owner: an entry is written in place, then `size` (one past the highest
-/// entry written) is release-stored. An index past the capacity first
-/// replaces the table with a copy that has room for twice the index
-/// (with_room); the owner publishes the copy with one release store. A
-/// superseded table stays alive, reachable through prev(), until the owner
-/// frees the chain with destroy(), because a reader may still hold it.
-/// Capacities run from i + 1 to at least 2(c + 1), so a table written at
-/// indices below n leaves at most ⌈log2 n⌉ + 1 tables behind.
-template <typename Entry>
-class GrowOnlyTable {
-  static_assert(std::is_trivially_copyable_v<Entry> &&
-                std::is_trivially_destructible_v<Entry>);
-
- public:
-  /// `table` if it has room for entry `index`; otherwise a new,
-  /// unpublished table holding `table`'s entries and size, superseding it.
-  /// Entries past the copied ones are value-initialized.
-  static GrowOnlyTable* with_room(GrowOnlyTable* table, std::uint32_t index) {
-    static_assert(sizeof(GrowOnlyTable) % alignof(Entry) == 0 &&
-                  alignof(Entry) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
-    if (table != nullptr && index < table->capacity_) return table;
-    const std::uint32_t capacity =
-        table == nullptr ? index + 1 : 2 * (index + 1);
-    void* mem =
-        ::operator new(sizeof(GrowOnlyTable) + capacity * sizeof(Entry));
-    auto* next = new (mem) GrowOnlyTable(capacity, table);
-    Entry* e = next->entries();
-    for (std::uint32_t i = 0; i < capacity; ++i) new (e + i) Entry{};
-    if (table != nullptr) {
-      std::copy_n(table->entries(), table->capacity_, e);
-      next->size.store(table->size.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    }
-    return next;
-  }
-
-  /// Frees `newest` and every table it superseded.
-  static void destroy(GrowOnlyTable* newest) {
-    while (newest != nullptr) {
-      GrowOnlyTable* prev = newest->prev_;
-      newest->~GrowOnlyTable();
-      ::operator delete(newest);
-      newest = prev;
-    }
-  }
-
-  std::uint32_t capacity() const { return capacity_; }
-  /// The table this one superseded, or nullptr.
-  const GrowOnlyTable* prev() const { return prev_; }
-  /// The entries, stored right after the header.
-  Entry* entries() const {
-    return std::launder(reinterpret_cast<Entry*>(
-        const_cast<GrowOnlyTable*>(this) + 1));
-  }
-
-  /// One past the highest entry written.
-  std::atomic<std::uint32_t> size{0};
-
- private:
-  GrowOnlyTable(std::uint32_t capacity, GrowOnlyTable* prev)
-      : capacity_(capacity), prev_(prev) {}
-
-  const std::uint32_t capacity_;
-  GrowOnlyTable* const prev_;
 };
 
 class alignas(kCacheLineSize) CacheTracker {
@@ -464,21 +368,28 @@ class alignas(kCacheLineSize) CacheTracker {
 
   // --- virtual line coverage (prediction verification, Section 3.4) ---
 
-  /// Registers a virtual line that covers the words of this physical line
-  /// whose bits are set in `words` (bit k: word k). The tracker does not own
-  /// the virtual line; the runtime does. The fan-out table is append-only:
-  /// the entry is written, then the table's size is release-stored, so
-  /// sampled-access fan-out reads it without any lock. A full table is
-  /// replaced by a larger copy (GrowOnlyTable), so a tracker with k virtual
-  /// lines retains at most ceil(log2 k) + 1 tables and fewer than 3k
-  /// filled entries.
-  void add_virtual_line(VirtualLineTracker* vl, std::uint32_t words) {
+  /// Registers virtual line `vl` as covering the words of this physical
+  /// line whose bits are set in `words` (bit k: word k). The entry keeps
+  /// the line's index and points at its history word; the tracker does not
+  /// own either, `vl`'s store does, and every line a tracker covers comes
+  /// from one store. The fan-out table is append-only: the entry is
+  /// written, then the table's size is release-stored, so sampled-access
+  /// fan-out reads it without any lock. A full table is replaced by a
+  /// larger copy (GrowOnlyTable), so a tracker with k virtual lines retains
+  /// at most ceil(log2 k) + 1 tables and fewer than 3k filled entries.
+  void add_virtual_line(const VirtualLineTracker& vl, std::uint32_t words) {
+    VirtualLineStore& store = vl.store();
+    PackedHistoryTable* history = store.history_word(vl);
     std::lock_guard<Spinlock> g(lock_);
+    // Written before the first table is published and never again, so
+    // fan-out reads it after the table's acquire load.
+    if (vl_store_ == nullptr) vl_store_ = &store;
+    PRED_CHECK(vl_store_ == &store);
     FanOutTable* cur = fanout_.load(std::memory_order_relaxed);
     const std::uint32_t n =
         cur == nullptr ? 0 : cur->size.load(std::memory_order_relaxed);
     FanOutTable* table = FanOutTable::with_room(cur, n);
-    table->entries()[n] = {words, vl};
+    table->entries()[n] = {words, vl.index(), history};
     table->size.store(n + 1, std::memory_order_release);
     if (table != cur) fanout_.store(table, std::memory_order_release);
   }
@@ -488,9 +399,11 @@ class alignas(kCacheLineSize) CacheTracker {
   }
 
   /// Forwards a sampled access to word `word` to the virtual lines that
-  /// cover it; the others are never touched. Read-only scan of the
-  /// published table; concurrent nominations become visible on the next
-  /// sampled access.
+  /// cover it; the others are never touched. A read-only scan of the
+  /// published table that writes only the covering lines' history words
+  /// (when their state changes) and, for an invalidation, the calling
+  /// thread's own count (VirtualLineStore::count_invalidation); concurrent
+  /// nominations become visible on the next sampled access.
   void update_virtual_lines(std::size_t word, AccessType type, ThreadId tid) {
     const FanOutTable* table = fanout_.load(std::memory_order_acquire);
     if (table == nullptr) return;
@@ -498,7 +411,10 @@ class alignas(kCacheLineSize) CacheTracker {
     const std::uint32_t n = table->size.load(std::memory_order_acquire);
     const FanOutEntry* e = table->entries();
     for (std::uint32_t i = 0; i < n; ++i) {
-      if ((e[i].words & bit) != 0) e[i].vl->access(type, tid);
+      if ((e[i].words & bit) != 0 &&
+          e[i].history->access(tid, type) == HistoryOutcome::kInvalidation) {
+        vl_store_->count_invalidation(e[i].line);
+      }
     }
   }
 
@@ -555,7 +471,8 @@ class alignas(kCacheLineSize) CacheTracker {
   /// One virtual line and the words of this line it covers.
   struct FanOutEntry {
     std::uint32_t words;  ///< bit k: the virtual line covers word k
-    VirtualLineTracker* vl;
+    std::uint32_t line;   ///< the virtual line's index in its store
+    PackedHistoryTable* history;  ///< its word in its anchor's block
   };
   using FanOutTable = GrowOnlyTable<FanOutEntry>;
 
@@ -704,6 +621,7 @@ class alignas(kCacheLineSize) CacheTracker {
   // nominated, or the tracker is armed or decides its prediction.
   alignas(kCacheLineSize) std::atomic<StripeTable*> stripe_table_{nullptr};
   std::atomic<FanOutTable*> fanout_{nullptr};  ///< the newest table
+  VirtualLineStore* vl_store_ = nullptr;  ///< where fan-out counts
   std::atomic<bool> armed_;
   std::atomic<bool> prediction_done_{false};
   const std::size_t line_index_;

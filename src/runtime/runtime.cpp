@@ -36,7 +36,8 @@ void WriteStage::flush() {
   staged_since_epoch = 0;
 }
 
-Runtime::Runtime(RuntimeConfig config) : config_(config) {
+Runtime::Runtime(RuntimeConfig config)
+    : config_(config), virtual_lines_(config_.geometry) {
   PRED_CHECK(config_.tracking_threshold >= 1);
   PRED_CHECK(config_.prediction_threshold >= config_.tracking_threshold);
   PRED_CHECK(config_.sample_window >= 1);
@@ -321,19 +322,14 @@ void Runtime::handle_handoff(Address addr, std::size_t len, ThreadId tid) {
 VirtualLineTracker* Runtime::add_virtual_line(ShadowSpace& region,
                                               Address start, std::size_t size,
                                               VirtualLineTracker::Kind kind,
-                                              std::size_t origin_line,
                                               Address hot_x, Address hot_y) {
   // Coverage is registered as masks of whole words (covered_words), so the
   // range must start and end on word boundaries: the predictor word-aligns
   // its shifted placements, and double lines are line-aligned.
   const LineGeometry& geo = region.geometry();
   PRED_CHECK(start % geo.word_size == 0 && size % geo.word_size == 0);
-  VirtualLineTracker* vl = nullptr;
-  {
-    std::lock_guard<Spinlock> g(vl_lock_);
-    virtual_lines_.emplace_back(start, size, kind, origin_line, hot_x, hot_y);
-    vl = &virtual_lines_.back();
-  }
+  VirtualLineTracker* vl =
+      virtual_lines_.add(start, size, kind, hot_x, hot_y);
   // Register coverage with every physical line the range overlaps, creating
   // trackers where needed so future accesses are seen at all.
   const std::size_t first = region.line_index(start);
@@ -341,7 +337,7 @@ VirtualLineTracker* Runtime::add_virtual_line(ShadowSpace& region,
   for (std::size_t i = first; i <= last && i < region.num_lines(); ++i) {
     ensure_tracked_line(region, i);
     region.tracker(i)->add_virtual_line(
-        vl, vl->covered_words(region.line_start(i), geo));
+        *vl, vl->covered_words(region.line_start(i), geo));
   }
   return vl;
 }
@@ -357,22 +353,14 @@ std::size_t Runtime::touched_metadata_bytes(
       bytes += t->metadata_bytes();
     });
   });
-  {
-    std::lock_guard<Spinlock> g(vl_lock_);
-    bytes += virtual_lines_.size() * sizeof(VirtualLineTracker);
-  }
-  return bytes;
+  return bytes + virtual_lines_.metadata_bytes();
 }
 
 std::size_t Runtime::metadata_bytes() const {
   std::size_t bytes = 0;
   for_each_region(
       [&](const ShadowSpace& region) { bytes += region.metadata_bytes(); });
-  {
-    std::lock_guard<Spinlock> g(vl_lock_);
-    bytes += virtual_lines_.size() * sizeof(VirtualLineTracker);
-  }
-  return bytes;
+  return bytes + virtual_lines_.metadata_bytes();
 }
 
 }  // namespace pred

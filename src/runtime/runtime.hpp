@@ -20,16 +20,16 @@
 //   4. tracked path (handle_tracked, the one entry both paths share) —
 //      lock-free: per-OS-thread striped sampling clocks, CAS-packed
 //      history table, atomic word histogram, per-word virtual-line fan-out
-//      tables (runtime/cache_tracker.hpp).
+//      tables (runtime/cache_tracker.hpp) onto history words packed by
+//      anchor line, with per-token invalidation counts
+//      (runtime/virtual_line.hpp).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <vector>
+#include <utility>
 
 #include "common/cacheline.hpp"
 #include "common/spinlock.hpp"
@@ -152,35 +152,25 @@ class Runtime {
       std::function<void(Runtime&, ShadowSpace&, std::size_t line_index)>;
   void set_prediction_hook(PredictionHook hook) { hook_ = std::move(hook); }
 
-  /// Creates a virtual line tracker, registers it with every physical line
-  /// it overlaps (so subsequent sampled accesses feed it), and retains
-  /// ownership. Returns the tracker for inspection.
+  /// Nominates a virtual line in the runtime's VirtualLineStore and
+  /// registers its coverage with every physical line it overlaps (so
+  /// subsequent sampled accesses feed it). Returns its descriptor, which
+  /// the store owns.
   VirtualLineTracker* add_virtual_line(ShadowSpace& region, Address start,
                                        std::size_t size,
                                        VirtualLineTracker::Kind kind,
-                                       std::size_t origin_line, Address hot_x,
-                                       Address hot_y);
+                                       Address hot_x, Address hot_y);
 
-  /// Every nominated virtual line. Nominations append to the deque, so
-  /// iterate it only when no prediction hook can run concurrently; a walk
-  /// during a run goes through for_each_virtual_line.
-  const std::deque<VirtualLineTracker>& virtual_lines() const {
-    return virtual_lines_;
-  }
+  /// Every nominated virtual line (iterable, in nomination order). Iterate
+  /// it only when no prediction hook can run concurrently; a walk during a
+  /// run goes through for_each_virtual_line.
+  const VirtualLineStore& virtual_lines() const { return virtual_lines_; }
 
   /// Invokes fn(const VirtualLineTracker&) for every virtual line nominated
-  /// when the walk begins, in nomination order. The pointers are copied
-  /// under the nomination lock and fn runs outside it; deque references
-  /// stay valid while nominations append.
+  /// when the walk begins, in nomination order (VirtualLineStore::for_each).
   template <typename F>
   void for_each_virtual_line(F&& fn) const {
-    std::vector<const VirtualLineTracker*> lines;
-    {
-      std::lock_guard<Spinlock> g(vl_lock_);
-      lines.reserve(virtual_lines_.size());
-      for (const VirtualLineTracker& vl : virtual_lines_) lines.push_back(&vl);
-    }
-    for (const VirtualLineTracker* vl : lines) fn(*vl);
+    virtual_lines_.for_each(std::forward<F>(fn));
   }
 
   // --- shared services ---
@@ -292,8 +282,7 @@ class Runtime {
   ObjectRegistry objects_;
   CallsiteTable callsites_;
 
-  mutable Spinlock vl_lock_;
-  std::deque<VirtualLineTracker> virtual_lines_;  // stable addresses
+  VirtualLineStore virtual_lines_;
 
   PredictionHook hook_;
 };

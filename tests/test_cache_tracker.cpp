@@ -13,6 +13,7 @@
 #include "common/prng.hpp"
 #include "runtime/cache_tracker.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/virtual_line.hpp"
 
 namespace pred {
 namespace {
@@ -104,10 +105,12 @@ TEST(CacheTracker, ResetForReuseClearsRecordingState) {
 
 TEST(CacheTracker, VirtualLineFanOut) {
   auto t = make_tracker();
-  VirtualLineTracker vl(kLineBase + 32, 64, VirtualLineTracker::Kind::kShifted,
-                        10, kLineBase + 32, kLineBase + 72);
+  VirtualLineStore store(kGeo);
+  const VirtualLineTracker& vl =
+      *store.add(kLineBase + 32, 64, VirtualLineTracker::Kind::kShifted,
+                 kLineBase + 32, kLineBase + 72);
   EXPECT_FALSE(t.has_virtual_lines());
-  t.add_virtual_line(&vl, 0xf0);  // [672, 736) covers words 4..7 of line 10
+  t.add_virtual_line(vl, 0xf0);  // [672, 736) covers words 4..7 of line 10
   EXPECT_TRUE(t.has_virtual_lines());
   // Only accesses to covered words reach the virtual table: had thread 1's
   // write arrived, it would have invalidated thread 0's entry.
@@ -418,11 +421,11 @@ TEST(CacheTracker, ExitTimeAccessNeverReusesTheReleasedToken) {
 // fan-out is simply picked up by the next sampled access.
 TEST(CacheTracker, VirtualLineSnapshotGrowsUnderFanOut) {
   auto t = make_tracker();
-  std::vector<std::unique_ptr<VirtualLineTracker>> vls;
+  VirtualLineStore store(kGeo);
+  std::vector<VirtualLineTracker*> vls;
   for (int i = 0; i < 4; ++i) {
-    vls.push_back(std::make_unique<VirtualLineTracker>(
-        kLineBase, 64, VirtualLineTracker::Kind::kShifted, 10, kLineBase,
-        kLineBase + 56));
+    vls.push_back(store.add(kLineBase, 64, VirtualLineTracker::Kind::kShifted,
+                            kLineBase, kLineBase + 56));
   }
   std::atomic<bool> stop{false};
   std::thread fanout([&] {
@@ -430,13 +433,13 @@ TEST(CacheTracker, VirtualLineSnapshotGrowsUnderFanOut) {
       t.update_virtual_lines(1, W, 1);
     }
   });
-  for (auto& vl : vls) {
-    t.add_virtual_line(vl.get(), 0xff);
+  for (const VirtualLineTracker* vl : vls) {
+    t.add_virtual_line(*vl, 0xff);
   }
   stop.store(true, std::memory_order_relaxed);
   fanout.join();
   t.update_virtual_lines(1, W, 2);
-  for (auto& vl : vls) {
+  for (const VirtualLineTracker* vl : vls) {
     // Every nominated line sees the tail access.
     EXPECT_TRUE(vl->history().owned_write_by(2));
   }
@@ -449,11 +452,11 @@ TEST(CacheTracker, FanOutTableGrowsUnderConcurrentFanOut) {
   auto t = make_tracker();
   constexpr int kLines = 64;
   constexpr int kReaders = 4;
-  std::vector<std::unique_ptr<VirtualLineTracker>> vls;
+  VirtualLineStore store(kGeo);
+  std::vector<VirtualLineTracker*> vls;
   for (int i = 0; i < kLines; ++i) {
-    vls.push_back(std::make_unique<VirtualLineTracker>(
-        kLineBase, 64, VirtualLineTracker::Kind::kShifted, 10, kLineBase,
-        kLineBase + 56));
+    vls.push_back(store.add(kLineBase, 64, VirtualLineTracker::Kind::kShifted,
+                            kLineBase, kLineBase + 56));
   }
   std::atomic<bool> stop{false};
   std::array<std::atomic<std::uint64_t>, kReaders> passes{};
@@ -466,7 +469,7 @@ TEST(CacheTracker, FanOutTableGrowsUnderConcurrentFanOut) {
       }
     });
   }
-  for (auto& vl : vls) t.add_virtual_line(vl.get(), 0xff);
+  for (const VirtualLineTracker* vl : vls) t.add_virtual_line(*vl, 0xff);
   // Two more passes per reader: the second began after the last nomination,
   // so it reached every line.
   for (int r = 0; r < kReaders; ++r) {
@@ -511,7 +514,7 @@ void run_fanout_differential(const LineGeometry geo, std::uint64_t seed) {
   std::vector<VirtualLineTracker*> vls;
   auto nominate = [&](Address start, std::size_t size,
                       VirtualLineTracker::Kind kind) {
-    vls.push_back(rt.add_virtual_line(*region, start, size, kind, 0, start,
+    vls.push_back(rt.add_virtual_line(*region, start, size, kind, start,
                                       start + size - geo.word_size));
   };
   for (std::size_t w = 1; w < wpl; ++w) {
@@ -575,6 +578,235 @@ TEST(CacheTracker, FanOutMatchesRangeCoverage128ByteLines) {
   }
 }
 
+// Threads take turns through one turn counter and call
+// Runtime::handle_access on adjacent words of one line, so the runtime sees
+// one global order while each invalidation is counted in its winner's own
+// token table. Virtual lines shaped like the predictor's (shifted lines
+// anchored on the line and on the line before it, and the double line) are
+// nominated through the runtime, half before the run and half by the thread
+// whose turn it is, so count tables grow while they hold counts. Each
+// generation of threads exits before the next starts, so the next reuses the
+// released tokens and must carry their counts on. Every virtual line, and
+// the physical line, must count exactly what a reference HistoryTable fed
+// the same order counts.
+void run_turn_differential(std::uint32_t threads, std::uint64_t seed) {
+  constexpr std::size_t kLinesInRegion = 8;
+  constexpr std::size_t kHot = 3;  // the line the threads write
+  constexpr std::uint32_t kGenerations = 4;
+  constexpr std::uint32_t kTurnsPerThread = 150;  // per generation
+  alignas(64) static std::uint8_t buffer[kLinesInRegion * 64];
+  const Address base = reinterpret_cast<Address>(buffer);
+  RuntimeConfig cfg;
+  cfg.set_sampling_rate(1.0);
+  Runtime rt(cfg);
+  ShadowSpace* region = rt.register_region(base, sizeof(buffer));
+  ASSERT_NE(region, nullptr);
+
+  struct Placement {
+    Address start;
+    std::size_t size;
+    VirtualLineTracker::Kind kind;
+  };
+  std::vector<Placement> placements;
+  for (std::size_t w = 1; w < kGeo.words_per_line(); ++w) {
+    for (std::size_t anchor : {kHot - 1, kHot}) {
+      placements.push_back({region->line_start(anchor) + w * kGeo.word_size,
+                            kGeo.line_size, VirtualLineTracker::Kind::kShifted});
+    }
+  }
+  placements.push_back({region->line_start(kHot - 1), 2 * kGeo.line_size,
+                        VirtualLineTracker::Kind::kDoubleLine});
+  Xorshift64 rng(seed);
+  for (std::size_t i = placements.size() - 1; i > 0; --i) {
+    std::swap(placements[i], placements[rng.next_below(i + 1)]);
+  }
+  auto nominate = [&](const Placement& p) {
+    rt.add_virtual_line(*region, p.start, p.size, p.kind, p.start,
+                        p.start + p.size - kGeo.word_size);
+  };
+  const std::size_t upfront = placements.size() / 2;
+  for (std::size_t i = 0; i < upfront; ++i) nominate(placements[i]);
+
+  // Turn t belongs to slot t % threads of generation t / (threads *
+  // kTurnsPerThread); each generation's threads have their own thread ids.
+  // The other placements are nominated at evenly spaced turns.
+  const std::uint64_t turns =
+      std::uint64_t{kGenerations} * threads * kTurnsPerThread;
+  struct Op {
+    Address addr;
+    AccessType type;
+    ThreadId tid;
+    int nominate;  ///< index into placements, or -1
+  };
+  std::vector<Op> ops(turns);
+  const std::uint64_t stride = turns / (placements.size() - upfront + 1);
+  for (std::uint64_t t = 0; t < turns; ++t) {
+    const auto slot = static_cast<std::uint32_t>(t % threads);
+    const auto gen = static_cast<std::uint32_t>(t / threads / kTurnsPerThread);
+    // Mostly the slot's own word, sometimes its neighbour's.
+    const std::size_t word = 2 + slot + rng.next_below(4) / 3;
+    ops[t] = {region->line_start(kHot) + word * kGeo.word_size,
+              rng.next_below(2) == 0 ? R : W, gen * threads + slot, -1};
+    const std::uint64_t k = t / stride;
+    if (t % stride == 0 && k >= 1 && upfront + k - 1 < placements.size()) {
+      ops[t].nominate = static_cast<int>(upfront + k - 1);
+    }
+  }
+
+  std::atomic<std::uint64_t> turn{0};
+  std::vector<std::uint32_t> tokens(std::size_t{kGenerations} * threads);
+  for (std::uint32_t gen = 0; gen < kGenerations; ++gen) {
+    std::vector<std::thread> workers;
+    for (std::uint32_t slot = 0; slot < threads; ++slot) {
+      workers.emplace_back([&, gen, slot] {
+        tokens[gen * threads + slot] = detail::stripe_token();
+        for (std::uint32_t j = 0; j < kTurnsPerThread; ++j) {
+          const std::uint64_t t =
+              (std::uint64_t{gen} * kTurnsPerThread + j) * threads + slot;
+          while (turn.load(std::memory_order_acquire) != t) {
+            std::this_thread::yield();
+          }
+          const Op& op = ops[t];
+          if (op.nominate >= 0) nominate(placements[op.nominate]);
+          rt.handle_access(op.addr, op.type, op.tid, kGeo.word_size);
+          turn.store(t + 1, std::memory_order_release);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+  ASSERT_EQ(turn.load(), turns);
+  // Every later generation ran on the tokens the first one released.
+  for (std::size_t i = threads; i < tokens.size(); ++i) {
+    EXPECT_NE(std::find(tokens.begin(), tokens.begin() + threads, tokens[i]),
+              tokens.begin() + threads)
+        << "token " << tokens[i];
+  }
+
+  // The reference: a line nominated at turn t sees turn t's access on.
+  std::vector<const VirtualLineTracker*> vls;
+  rt.for_each_virtual_line(
+      [&](const VirtualLineTracker& vl) { vls.push_back(&vl); });
+  ASSERT_EQ(vls.size(), placements.size());
+  struct Reference {
+    HistoryTable history;
+    std::uint64_t invalidations = 0;
+    void access(ThreadId tid, AccessType type) {
+      invalidations +=
+          history.access(tid, type) == HistoryOutcome::kInvalidation;
+    }
+  };
+  std::vector<Reference> ref(vls.size());
+  Reference physical;
+  std::size_t live = upfront;
+  for (std::uint64_t t = 0; t < turns; ++t) {
+    const Op& op = ops[t];
+    if (op.nominate >= 0) ++live;
+    physical.access(op.tid, op.type);
+    for (std::size_t i = 0; i < live; ++i) {
+      if (vls[i]->covers(op.addr)) ref[i].access(op.tid, op.type);
+    }
+  }
+  ASSERT_EQ(live, placements.size());
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < vls.size(); ++i) {
+    EXPECT_EQ(vls[i]->invalidations(), ref[i].invalidations)
+        << "virtual line " << i << " at +" << vls[i]->start() - base
+        << " size " << vls[i]->size();
+    total += ref[i].invalidations;
+  }
+  EXPECT_GT(total, 0u);
+  EXPECT_EQ(region->tracker(kHot)->invalidations(), physical.invalidations);
+}
+
+TEST(VirtualLineStore, CountsMatchReferenceAcrossThreadTurns) {
+  for (std::uint32_t threads = 2; threads <= 4; ++threads) {
+    run_turn_differential(threads, threads);
+  }
+}
+
+// The store's state grows with the lines it holds and the tokens that
+// count, not with accesses or threads-ever: at most ceil(n / 8) + anchors
+// history blocks for n lines, and at most twice n counts, in host lines of
+// eight, per token that counted, all of it in Runtime::metadata_bytes().
+TEST(VirtualLineStore, StateIsBoundedByLinesAndLiveTokens) {
+  constexpr std::size_t kLinesInRegion = 16;
+  constexpr std::uint32_t kThreads = 3;
+  constexpr int kGenerations = 12;
+  alignas(64) static std::uint8_t buffer[kLinesInRegion * 64];
+  const Address base = reinterpret_cast<Address>(buffer);
+  RuntimeConfig cfg;
+  cfg.set_sampling_rate(1.0);
+  Runtime rt(cfg);
+  ShadowSpace* region = rt.register_region(base, sizeof(buffer));
+  ASSERT_NE(region, nullptr);
+  auto nominate = [&](Address start, std::size_t size,
+                      VirtualLineTracker::Kind kind) {
+    rt.add_virtual_line(*region, start, size, kind, start,
+                        start + size - kGeo.word_size);
+  };
+  // Anchors 2..9: five shifted lines each, and the double line on the even
+  // ones (one block each); anchor 12: nine lines (two blocks).
+  std::size_t anchors = 0;
+  for (std::size_t a = 2; a <= 9; ++a, ++anchors) {
+    for (std::size_t w = 1; w <= 5; ++w) {
+      nominate(region->line_start(a) + w * kGeo.word_size, kGeo.line_size,
+               VirtualLineTracker::Kind::kShifted);
+    }
+    if (a % 2 == 0) {
+      nominate(region->line_start(a), 2 * kGeo.line_size,
+               VirtualLineTracker::Kind::kDoubleLine);
+    }
+  }
+  for (std::size_t w = 0; w < kGeo.words_per_line(); ++w) {
+    nominate(region->line_start(12) + w * kGeo.word_size, kGeo.line_size,
+             VirtualLineTracker::Kind::kShifted);
+  }
+  nominate(region->line_start(12), 2 * kGeo.line_size,
+           VirtualLineTracker::Kind::kDoubleLine);
+  ++anchors;
+  const VirtualLineStore& store = rt.virtual_lines();
+  const std::size_t n = store.size();
+  ASSERT_EQ(n, 8 * 5 + 4 + 9u);
+  EXPECT_EQ(store.history_blocks(), 10u);
+  EXPECT_LE(store.history_blocks(), (n + 7) / 8 + anchors);
+  EXPECT_EQ(store.count_table_bytes(), 0u);
+
+  // Generations of kThreads threads, alive together, each writing every
+  // word of lines 2..13; each generation reuses the last one's tokens.
+  for (int gen = 0; gen < kGenerations; ++gen) {
+    std::vector<std::thread> workers;
+    for (std::uint32_t k = 0; k < kThreads; ++k) {
+      workers.emplace_back([&, k] {
+        const auto tid = static_cast<ThreadId>(gen * kThreads + k);
+        for (int round = 0; round < 20; ++round) {
+          for (std::size_t line = 2; line <= 13; ++line) {
+            for (std::size_t w = 0; w < kGeo.words_per_line(); ++w) {
+              rt.handle_access(region->line_start(line) + w * kGeo.word_size,
+                               W, tid, kGeo.word_size);
+            }
+          }
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+  std::uint64_t invalidations = 0;
+  for (const VirtualLineTracker& vl : store) invalidations += vl.invalidations();
+  EXPECT_GT(invalidations, 0u);
+  EXPECT_GT(store.count_table_bytes(), 0u);
+  EXPECT_LE(store.count_table_bytes(), kThreads * ((n + 7) / 8) * kCacheLineSize * 2);
+
+  std::size_t regions = 0;
+  rt.for_each_region(
+      [&](const ShadowSpace& r) { regions += r.metadata_bytes(); });
+  EXPECT_EQ(rt.metadata_bytes(), regions + store.metadata_bytes());
+  EXPECT_GE(store.metadata_bytes(),
+            n * sizeof(VirtualLineTracker) +
+                store.history_blocks() * kCacheLineSize +
+                store.count_table_bytes());
+}
+
 TEST(CacheTracker, PredictionBeginsExactlyOnce) {
   auto t = make_tracker();
   EXPECT_TRUE(t.try_begin_prediction());
@@ -583,10 +815,14 @@ TEST(CacheTracker, PredictionBeginsExactlyOnce) {
 }
 
 TEST(VirtualLineTracker, CountsInvalidationsLikePhysicalLines) {
-  VirtualLineTracker vl(128, 64, VirtualLineTracker::Kind::kDoubleLine, 2,
-                        128, 184);
+  VirtualLineStore store(kGeo);
+  const VirtualLineTracker& vl = *store.add(
+      128, 64, VirtualLineTracker::Kind::kDoubleLine, 128, 184);
+  CacheTracker t(2, kGeo);  // line 2 is [128, 192)
+  t.add_virtual_line(vl, 0xff);
   for (int i = 0; i < 100; ++i) {
-    vl.access(AccessType::kWrite, static_cast<ThreadId>(i % 2));
+    t.update_virtual_lines(i % 8, AccessType::kWrite,
+                           static_cast<ThreadId>(i % 2));
   }
   EXPECT_EQ(vl.invalidations(), 99u);
   EXPECT_TRUE(vl.history().owned_write_by(1));  // the last write's thread
@@ -772,7 +1008,7 @@ TEST(VirtualLineTracker, IgnoresOutOfRange) {
   ShadowSpace* region = rt.register_region(base, sizeof(buffer));
   VirtualLineTracker* vl =
       rt.add_virtual_line(*region, base + 160, 64,
-                          VirtualLineTracker::Kind::kShifted, 2, base + 160,
+                          VirtualLineTracker::Kind::kShifted, base + 160,
                           base + 216);
   EXPECT_FALSE(vl->covers(base + 159));
   EXPECT_FALSE(vl->covers(base + 224));

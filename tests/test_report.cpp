@@ -225,8 +225,8 @@ TEST_F(ReportBuildTest, PredictedFindingFromVirtualLine) {
   rt_.objects().add(obj);
 
   auto* vl = rt_.add_virtual_line(*region_, addr(32), 64,
-                                  VirtualLineTracker::Kind::kShifted, 0,
-                                  addr(56), addr(64));
+                                  VirtualLineTracker::Kind::kShifted, addr(56),
+                                  addr(64));
   ASSERT_NE(vl, nullptr);
   // Threads 0 and 1 write words on *different* physical lines inside the
   // virtual range: no physical invalidations, only virtual ones.

@@ -252,8 +252,8 @@ TEST(Runtime, VirtualLineRegistrationCoversAllOverlappedLines) {
   const Address base = reinterpret_cast<Address>(g_buffer);
   // A shifted virtual line straddling lines 1 and 2.
   auto* vl = rt.add_virtual_line(*region, base + 96, 64,
-                                 VirtualLineTracker::Kind::kShifted, 1,
-                                 base + 96, base + 136);
+                                 VirtualLineTracker::Kind::kShifted, base + 96,
+                                 base + 136);
   ASSERT_NE(vl, nullptr);
   ASSERT_NE(region->tracker(1), nullptr);
   ASSERT_NE(region->tracker(2), nullptr);

@@ -175,7 +175,7 @@ TEST(Stress, ReportingWhileNominatingVirtualLines) {
     for (int i = 0; i < kNominations; ++i) {
       const Address start = base + (i % 63) * 64 + (i % 8) * 8;
       rt.add_virtual_line(*region, start, 64,
-                          VirtualLineTracker::Kind::kShifted, i % 63, start,
+                          VirtualLineTracker::Kind::kShifted, start,
                           start + 56);
     }
     done.store(true, std::memory_order_release);
