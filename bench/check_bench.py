@@ -2,12 +2,19 @@
 """CI guard over the microbenches' JSON output.
 
 Fails (exit 1) when a key throughput ratio drops below its floor, so a
-regression on the inline fast path, the tracked path or the sync-aware
-suppression fast path turns the bench-smoke job red instead of sliding by
-as a number nobody reads. Floors are deliberately conservative: CI machines are slow, shared,
-and 2-core, so they sit well under the ratios seen on real hardware — the
-guard catches "the fast path stopped being fast" (a lost suppression hit,
-an accidental lock on the hit path), not single-digit noise.
+regression on the inline fast path, the tracked path, virtual-line fan-out
+or the trace codec turns the bench-smoke job red instead of sliding by as
+a number nobody reads. Floors are deliberately conservative: CI machines
+are slow, shared, and 2-core, so they sit well under the ratios seen on
+real hardware — the guard catches "the fast path stopped being fast" (an
+exit that no longer retires, an accidental lock on the hit path), not
+single-digit noise.
+
+Each floor belongs to the bench JSON that measures it, named as CI writes
+it (BENCH_fastpath.json, BENCH_tracked.json, ...): a file's name selects
+its floors, and a floored key missing from its own file fails, so a bench
+that stops emitting a key (a deleted phase) cannot drop its floor
+silently. A file whose name owns no floors fails too.
 
 Inline exits (microbench_fastpath, 4 threads, throughput in thread CPU
 time relative to the staged-write exit `full` of the same run; ranges over
@@ -27,41 +34,33 @@ re-entered the slow path's region lookup, tracker load and divisions):
                            0.099-0.177 through the slow path. The floor
                            (0.15) catches a collapse of the sampled path,
                            not a return to the slow path.
-  tracked_synced_ratio     the same sweeps by threads with a non-zero sync
-                           epoch (the sync-aware check, mostly suppressed
-                           hits): 0.295-0.452 through handle_tracked,
-                           0.169-0.291 through the slow path; the floor
-                           asks for 0.25.
+  tracked_synced_ratio     the tracked_unsampled sweeps by threads that
+                           call Session::sync first. A sync changes nothing
+                           the detector records, so these accesses take
+                           the same inline exit as tracked_unsampled, and
+                           the floor is the same 0.33. 0.467-1.098 (median
+                           0.822) over 20 runs on a shared 4-vCPU host,
+                           with tracked_unsampled_ratio 0.521-0.914 in the
+                           same runs; 0.32-0.39 over 3 runs when synced
+                           threads took the sync-aware check instead.
 
-Tracked path (microbench_tracked, at 8 threads, the acceptance-criteria
-point, except the fan-out):
-  speedup_t8           lock-free tracker over spinlock reference
-  handoff_speedup_t8   epoch-passing over PR 3 signature on the lock-
-                       handoff phase: the suppression WIN. A turn counter
-                       per line passes it from thread to thread, so every
-                       tenure keeps its ownership and each thread sums the
-                       wall time of its own tenures: 2.09-2.70 over 25
-                       consecutive runs on a shared 4-vCPU host, where the
-                       drifting schedule before it read 0.97-5.41 over 30
-                       (3 below the floor). The floor asks for 1.3x.
-  multiline_ratio_t8   sync over base on the fall-through phase: the
-                       suppression COST. >= 0.7 means the extra
-                       load-and-CAS eats at most ~30% of throughput even
-                       when it never hits (in practice scheduling streaks
-                       make it win outright).
+Tracked path (microbench_tracked):
+  speedup_t8           lock-free tracker over spinlock reference, at 8
+                       threads
   fanout_speedup_t4    virtual-line fan-out at 4 threads: the per-word
                        fan-out tables, onto history words packed by anchor
                        line with per-token counts, over the seed's fan-out
                        (every virtual line scanned, a shared access counter
-                       per covering line). 2.19-4.69 over 30 runs on a
-                       shared 4-vCPU host (20 consecutive, median 2.68, and
-                       10 more, median 2.88; 1.76-3.05 over 23 runs when
-                       each virtual line had a host line of its own); the
-                       floor asks for 1.5x.
+                       per covering line). Each thread times its own loop:
+                       2.22-4.61 (median 3.02) over 20 runs on a shared
+                       4-vCPU host. Timed as one wall-clock span over all
+                       threads it read 2.19-4.69 over 30 runs, but 1.21
+                       and 1.47 in 60 others. The floor asks for 1.5x.
   fanout_adjacent_speedup_t2 (not floored) the same bench's two-thread
                        adjacent-word row, the old one-line-per-virtual-line
-                       layout over the packed one: 0.93-1.36 over the same
-                       30 runs (medians 1.17 and 1.14), under 1.0 twice, so
+                       layout over the packed one: 0.93-1.36 over 30 runs
+                       (medians 1.17 and 1.14), under 1.0 twice, and
+                       0.91-1.33 (median 1.16) over the 20 runs above, so
                        no floor would hold on that host.
 
 Trace codec (microbench_trace, best of 3 passes; the CRC in one thread's
@@ -98,81 +97,87 @@ CPU time, save and load in wall time):
                        The floor asks for 1.3x and applies only when the
                        JSON's `cpus` is at least 2.
 
-Usage: check_bench.py BENCH_fastpath.json BENCH_tracked.json [more.json ...]
+Usage: check_bench.py BENCH_fastpath.json [BENCH_tracked.json ...]
 Stdlib only — CI and the local tree both have bare python3.
 """
 import json
+import os
 import sys
 
-# key -> (floor, meaning of a failure)
+# bench JSON file name -> {key: (floor, meaning of a failure)}
 FLOORS = {
-    "untracked_read_ratio": (
-        0.8,
-        "reads of untracked lines no longer retire on the inline fast path",
-    ),
-    "tracked_unsampled_ratio": (
-        0.33,
-        "unsampled tracked accesses no longer retire on the inline fast path",
-    ),
-    "tracked_sampled_ratio": (
-        0.15,
-        "sampled tracked accesses collapsed on their way to the tracker",
-    ),
-    "tracked_synced_ratio": (
-        0.25,
-        "tracked accesses of synced threads no longer reach the tracker "
-        "in one call",
-    ),
-    "speedup_t8": (
-        1.0,
-        "lock-free tracked path no faster than the spinlock reference",
-    ),
-    "handoff_speedup_t8": (
-        1.3,
-        "sync-aware suppression lost its win on the lock-handoff phase",
-    ),
-    "multiline_ratio_t8": (
-        0.7,
-        "suppression fall-through cost exceeds ~30% on unstable ownership",
-    ),
-    "fanout_speedup_t4": (
-        1.5,
-        "virtual-line fan-out no faster than scanning every virtual line",
-    ),
-    "crc_speedup": (
-        3.0,
-        "trace codec CRC-32 no longer folds 16 bytes per step",
-    ),
-    "trace_compression": (
-        3.0,
-        "trace events no longer encode at least 3x smaller than "
-        "16-byte records",
-    ),
-    "save_parallel_speedup": (
-        1.3,
-        "save_traces no longer encodes thread frames on more than one CPU",
-    ),
-    "predict_recall": (
-        1.0,
-        "static predictor missed a planted false-sharing line",
-    ),
-    "predict_modules_per_sec": (
-        20.0,
-        "whole-module static prediction throughput collapsed",
-    ),
+    "BENCH_fastpath.json": {
+        "untracked_read_ratio": (
+            0.8,
+            "reads of untracked lines no longer retire on the inline fast "
+            "path",
+        ),
+        "tracked_unsampled_ratio": (
+            0.33,
+            "unsampled tracked accesses no longer retire on the inline fast "
+            "path",
+        ),
+        "tracked_sampled_ratio": (
+            0.15,
+            "sampled tracked accesses collapsed on their way to the tracker",
+        ),
+        "tracked_synced_ratio": (
+            0.33,
+            "unsampled tracked accesses of threads that synced no longer "
+            "retire on the inline fast path",
+        ),
+    },
+    "BENCH_tracked.json": {
+        "speedup_t8": (
+            1.0,
+            "lock-free tracked path no faster than the spinlock reference",
+        ),
+        "fanout_speedup_t4": (
+            1.5,
+            "virtual-line fan-out no faster than scanning every virtual line",
+        ),
+    },
+    "BENCH_trace.json": {
+        "crc_speedup": (
+            3.0,
+            "trace codec CRC-32 no longer folds 16 bytes per step",
+        ),
+        "trace_compression": (
+            3.0,
+            "trace events no longer encode at least 3x smaller than "
+            "16-byte records",
+        ),
+        "save_parallel_speedup": (
+            1.3,
+            "save_traces no longer encodes thread frames on more than one CPU",
+        ),
+    },
+    "BENCH_predict.json": {
+        "predict_recall": (
+            1.0,
+            "static predictor missed a planted false-sharing line",
+        ),
+        "predict_modules_per_sec": (
+            20.0,
+            "whole-module static prediction throughput collapsed",
+        ),
+    },
     # Deterministic latency-model ratios from microbench_sim: modeled cycles
     # are a pure function of the traces and topology, so these floors are
     # immune to CI machine speed.
-    "sim_remote_local_ratio": (
-        2.0,
-        "two-level topology stopped pricing cross-socket ping-pong >= 2x",
-    ),
-    # The hierarchical model pays for 512-core sharer masks and directory
-    # lookups; ~0.2x of flat is expected, the floor catches a collapse.
-    "sim_numa_overhead_ratio": (
-        0.08,
-        "hierarchical simulator > ~12x slower than flat per access",
-    ),
+    "BENCH_sim.json": {
+        "sim_remote_local_ratio": (
+            2.0,
+            "two-level topology stopped pricing cross-socket ping-pong >= 2x",
+        ),
+        # The hierarchical model pays for 512-core sharer masks and
+        # directory lookups; ~0.2x of flat is expected, the floor catches a
+        # collapse.
+        "sim_numa_overhead_ratio": (
+            0.08,
+            "hierarchical simulator > ~12x slower than flat per access",
+        ),
+    },
 }
 
 
@@ -184,6 +189,12 @@ MIN_CPUS = {
 
 
 def check(path: str) -> int:
+    name = os.path.basename(path)
+    floors = FLOORS.get(name)
+    if floors is None:
+        print(f"check_bench: {path}: no floors belong to {name} (known: "
+              f"{', '.join(sorted(FLOORS))})", file=sys.stderr)
+        return 1
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
@@ -191,10 +202,12 @@ def check(path: str) -> int:
         print(f"check_bench: cannot read {path}: {e}", file=sys.stderr)
         return 1
     failures = 0
-    for key, (floor, meaning) in FLOORS.items():
+    for key, (floor, meaning) in floors.items():
         if key not in data:
-            # Older bench binaries (or other bench JSONs passed alongside)
-            # simply lack the key; only enforce what the file measures.
+            print(f"check_bench: {path}: {key} missing FAIL")
+            print(f"check_bench:   -> the bench no longer measures {key}",
+                  file=sys.stderr)
+            failures += 1
             continue
         cpus = int(data.get("cpus", 0))
         if cpus < MIN_CPUS.get(key, 0):

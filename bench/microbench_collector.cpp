@@ -1,7 +1,7 @@
 // Collector pipeline microbench: the three costs a fleet deployment pays.
 //
 // Phase A — codec: SnapshotCodec encode/decode of a realistic snapshot
-//   (16 hot lines, 8 callsites, 4 rings), measured separately. This bounds
+//   (16 hot lines, 8 callsites), measured separately. This bounds
 //   the per-publish cost a client adds to its monitor thread and the
 //   per-frame cost the collector pays before merging.
 //
@@ -32,13 +32,11 @@ constexpr std::uint32_t kIngestThreads = 4;
 constexpr std::size_t kClients = 32;
 
 // A snapshot shaped like a busy client's: full top-K, attributed lines,
-// sites with labels, a few rings.
+// sites with labels.
 pred::MonitorSnapshot make_snapshot(std::uint64_t client, std::uint64_t seq) {
   pred::MonitorSnapshot s;
   s.sequence = seq;
   s.events_seen = 100000 * seq;
-  s.events_dropped = 17 * seq;
-  s.aggregation_passes = 50 * seq;
   s.escalations = 12;
   s.invalidations = 9000 * seq;
   s.samples = 40000 * seq;
@@ -67,7 +65,6 @@ pred::MonitorSnapshot make_snapshot(std::uint64_t client, std::uint64_t seq) {
     ce.lines = 2;
     s.callsites.push_back(ce);
   }
-  for (int i = 0; i < 4; ++i) s.rings.push_back({5000 * seq, 4990 * seq, 10 * seq});
   return s;
 }
 

@@ -12,10 +12,10 @@
 //   tracked_sampled    the same sweeps at full sampling: every access is
 //                      recorded in detail (stripe clock and counters, word
 //                      histogram, history table)
-//   tracked_synced     the tracked_unsampled sweeps by threads that synced
-//                      at the start of the pass (non-zero epoch): every
-//                      access takes the sync-aware check, and repeated
-//                      accesses to a line the thread owns are suppressed
+//   tracked_synced     the tracked_unsampled sweeps by threads that call
+//                      Session::sync at the start of each pass; a sync
+//                      changes nothing the detector records, so these
+//                      accesses take the same inline exit
 //
 // Every phase but `full` also reports its throughput relative to `full`,
 // which bench/check_bench.py floors. Throughput is counted in
@@ -47,7 +47,7 @@ struct Phase {
   const char* key;  ///< JSON field stem for --json output
   Pattern pattern;
   pred::RuntimeConfig config;
-  bool synced = false;  ///< threads sync before each pass
+  bool synced = false;  ///< threads call Session::sync before each pass
 };
 
 pred::AccessType access_type(Pattern pattern, std::uint64_t i) {
@@ -67,7 +67,7 @@ pred::AccessType access_type(Pattern pattern, std::uint64_t i) {
 /// aggregate accesses per second. Each thread times its loop in its own
 /// CPU time, so a thread the host deschedules for other work does not
 /// count against the layer under test; the aggregate is the sum of the
-/// threads' rates. With `synced`, each thread issues a sync event first.
+/// threads' rates. With `synced`, each thread calls Session::sync first.
 double run_pass(pred::Session& session, const std::vector<long*>& blocks,
                 Pattern pattern, bool synced,
                 std::uint64_t accesses_per_thread) {

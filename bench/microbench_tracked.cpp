@@ -14,29 +14,19 @@
 // sampling so every access takes the detail path. Reported as accesses/sec
 // per thread count for both modes; `speedup_tN` = lockfree / spin.
 //
-// Two further phases measure the sync-aware suppression fast path (the
-// epoch/ownership word in front of the lock-free detail path):
+// A second phase measures ownership handoffs:
 //
 //   handoff    line ownership rotates between threads in bursts, the
 //              lock-handoff shape — each tenure claims via
-//              claim_for_handoff then retires a same-owner write burst.
-//              A turn counter per line passes the line from thread to
-//              thread, so each tenure starts when the previous one on the
-//              line ends and the schedule does not depend on the host.
-//              `handoff_speedup_tN` = epoch-passing (suppressed) over the
-//              PR 3 signature (full detail path): the suppression WIN.
-//              Each thread sums the wall time of its tenures (waiting for a
-//              turn is not counted), and each mode keeps the best of three
-//              passes, so a pass a shared host slowed down does not decide
-//              the ratio.
-//   multiline  two threads alternate on each of T/2 lines with epochs
-//              flowing but ownership never settling, so nearly every
-//              access takes the suppression check and falls through.
-//              `multiline_ratio_tN` = sync aps / base aps: the
-//              FALL-THROUGH COST (≈1.0 means the check is free; below 1.0
-//              the failed check is eating throughput).
+//              claim_for_handoff then makes a same-owner write burst, each
+//              write on the full sampled path. A turn counter per line
+//              passes the line from thread to thread, so each tenure starts
+//              when the previous one on the line ends and the schedule does
+//              not depend on the host. `handoff_tN_aps` sums the threads'
+//              rates, each over the wall time of its own tenures (waiting
+//              for a turn is not counted), best of three passes.
 //
-// A last phase measures virtual-line fan-out, the step that forwards each
+// The last phases measure virtual-line fan-out, the step that forwards each
 // sampled access to the virtual lines verifying a predicted placement:
 //
 //   fanout     two adjacent tracked lines, thread t writing its own 8-byte
@@ -44,7 +34,10 @@
 //              the predictor nominates for them: the double line and a
 //              shifted line at each word offset. Full sampling, prediction
 //              settled; each access runs the tracker, then the fan-out, as
-//              Runtime::handle_tracked does for a sampled access.
+//              Runtime::handle_tracked does for a sampled access. The
+//              threads start together and each times its own loop; a
+//              pass's rate is the sum of the threads' rates, and each
+//              layout keeps the best of three passes.
 //              `fanout_speedup_tN` = the production fan-out (per-word
 //              tables onto history words packed by anchor line, counts in
 //              per-token tables) over SeedFanOut below (a pointer vector
@@ -186,16 +179,12 @@ double run_mode(std::uint32_t nthreads, std::uint64_t writes_per_thread) {
 // Phase 2: lock handoff. Thread t's r-th tenure runs on tracker
 // (t + r) % T, whose r-th tenure it is: the thread waits until the line's
 // turn counter reaches r, claims the line (claim_for_handoff — the
-// receiver's synthetic first write, run in BOTH modes so the histories
-// match), retires a burst of same-owner writes, and passes the turn on.
-// With `sync_mode` the writes carry the tenure's epoch and ride the
-// suppression fast path; without, they take the PR 3 five-argument
-// signature and walk the full sampled detail path. Every tenure has its
-// line to itself, so ownership survives each one whatever the host's
+// receiver's synthetic first write), makes a burst of same-owner writes on
+// the full sampled path, and passes the turn on. Every tenure has its line
+// to itself, so ownership survives each one whatever the host's
 // scheduling. Returns the aggregate accesses/s: the sum of the threads'
 // rates, each over the wall time of its own tenures.
-double run_handoff(bool sync_mode, std::uint32_t nthreads,
-                   std::uint64_t bursts_per_thread) {
+double run_handoff(std::uint32_t nthreads, std::uint64_t bursts_per_thread) {
   constexpr std::uint64_t kBurst = 64;
   struct alignas(pred::kCacheLineSize) Turn {
     std::atomic<std::uint64_t> tenures{0};  ///< tenures finished on the line
@@ -214,7 +203,7 @@ double run_handoff(bool sync_mode, std::uint32_t nthreads,
   std::vector<std::thread> threads;
   for (std::uint32_t t = 0; t < nthreads; ++t) {
     threads.emplace_back([&trackers, &turns, &rates, t, nthreads,
-                          bursts_per_thread, window, interval, sync_mode] {
+                          bursts_per_thread, window, interval] {
       const pred::Address word = kLineBase + (t % 8) * 8;
       std::chrono::steady_clock::duration busy{};
       for (std::uint64_t r = 0; r < bursts_per_thread; ++r) {
@@ -225,18 +214,10 @@ double run_handoff(bool sync_mode, std::uint32_t nthreads,
         }
         const auto start = std::chrono::steady_clock::now();
         pred::CacheTracker& track = *trackers[line];
-        // Epoch 0 is reserved ("this thread never synced"), so tenures
-        // count from 1, exactly as Runtime::handle_sync would.
-        const std::uint32_t epoch = static_cast<std::uint32_t>(r + 1);
-        track.claim_for_handoff(t, epoch);
+        track.claim_for_handoff(t);
         for (std::uint64_t i = 0; i < kBurst; ++i) {
-          if (sync_mode) {
-            track.handle_access(word, pred::AccessType::kWrite, t, window,
-                                interval, epoch);
-          } else {
-            track.handle_access(word, pred::AccessType::kWrite, t, window,
-                                interval);
-          }
+          track.handle_access(word, pred::AccessType::kWrite, t, window,
+                              interval);
         }
         busy += std::chrono::steady_clock::now() - start;
         turn.store(r + 1, std::memory_order_release);
@@ -247,27 +228,17 @@ double run_handoff(bool sync_mode, std::uint32_t nthreads,
   }
   for (auto& th : threads) th.join();
 
-  // Conservation: every delivered write is either sampled or suppressed
-  // (claims themselves deliver no access), and with every tenure alone on
-  // its line, a synced tenure suppresses all of its writes — except one
-  // tenure in 65536 per thread, whose epoch's low 16 bits are zero, the
-  // never-synced state (CacheTracker::pack_sync).
+  // Conservation: every delivered write is sampled (claims themselves
+  // deliver no access).
   const std::uint64_t total =
       static_cast<std::uint64_t>(nthreads) * bursts_per_thread * kBurst;
-  const std::uint64_t unsynced =
-      static_cast<std::uint64_t>(nthreads) * (bursts_per_thread >> 16) * kBurst;
   std::uint64_t sampled = 0;
-  std::uint64_t suppressed = 0;
-  for (const auto& tr : trackers) {
-    sampled += tr->sampled_accesses();
-    suppressed += tr->suppressed_accesses();
-  }
-  if (sampled + suppressed != total ||
-      suppressed != (sync_mode ? total - unsynced : 0)) {
+  for (const auto& tr : trackers) sampled += tr->sampled_accesses();
+  if (sampled != total) {
     std::fprintf(stderr,
-                 "handoff conservation violated: %" PRIu64 " sampled + %"
-                 PRIu64 " suppressed of %" PRIu64 "\n",
-                 sampled, suppressed, total);
+                 "handoff conservation violated: %" PRIu64 " sampled of %"
+                 PRIu64 "\n",
+                 sampled, total);
     std::exit(1);
   }
   double rate = 0.0;
@@ -276,78 +247,16 @@ double run_handoff(bool sync_mode, std::uint32_t nthreads,
 }
 
 // One warm-up pass, then the best of three measured passes.
-double best_handoff(bool sync_mode, std::uint32_t nthreads,
-                    std::uint64_t bursts_per_thread) {
-  run_handoff(sync_mode, nthreads,
-              bursts_per_thread / 8 > 0 ? bursts_per_thread / 8 : 1);
+double best_handoff(std::uint32_t nthreads, std::uint64_t bursts_per_thread) {
+  run_handoff(nthreads, bursts_per_thread / 8 > 0 ? bursts_per_thread / 8 : 1);
   double best = 0.0;
   for (int pass = 0; pass < 3; ++pass) {
-    best = std::max(best, run_handoff(sync_mode, nthreads, bursts_per_thread));
+    best = std::max(best, run_handoff(nthreads, bursts_per_thread));
   }
   return best;
 }
 
-// Phase 3: fall-through cost. Two threads alternate writes on each line
-// (T/2 lines), every access carrying a live epoch — the suppression check
-// runs on each access but ownership never stabilizes, so the fast path
-// almost never hits and the measured difference against the five-argument
-// signature is the pure cost of the extra load-and-CAS.
-double run_multiline(bool sync_mode, std::uint32_t nthreads,
-                     std::uint64_t writes_per_thread) {
-  const std::uint32_t nlines = nthreads > 1 ? nthreads / 2 : 1;
-  std::vector<std::unique_ptr<pred::CacheTracker>> trackers;
-  trackers.reserve(nlines);
-  for (std::uint32_t i = 0; i < nlines; ++i) {
-    trackers.push_back(
-        std::make_unique<pred::CacheTracker>(0, kGeo));
-  }
-  const std::uint64_t window = g_window;
-  const std::uint64_t interval = g_interval;
-
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (std::uint32_t t = 0; t < nthreads; ++t) {
-    threads.emplace_back([&trackers, t, nlines, writes_per_thread, window,
-                          interval, sync_mode] {
-      pred::CacheTracker& track = *trackers[t % nlines];
-      const pred::Address word = kLineBase + ((t / nlines) % 8) * 8;
-      // One sync at thread start: the epoch is live (non-zero) for every
-      // access, so the suppression gate is evaluated each time.
-      const std::uint32_t epoch = 1;
-      for (std::uint64_t i = 0; i < writes_per_thread; ++i) {
-        if (sync_mode) {
-          track.handle_access(word, pred::AccessType::kWrite, t, window,
-                              interval, epoch);
-        } else {
-          track.handle_access(word, pred::AccessType::kWrite, t, window,
-                              interval);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const auto end = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(end - start).count();
-
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(nthreads) * writes_per_thread;
-  std::uint64_t sampled = 0;
-  std::uint64_t suppressed = 0;
-  for (const auto& tr : trackers) {
-    sampled += tr->sampled_accesses();
-    suppressed += tr->suppressed_accesses();
-  }
-  if (sampled + suppressed != total || (!sync_mode && suppressed != 0)) {
-    std::fprintf(stderr,
-                 "multiline conservation violated: %" PRIu64 " sampled + %"
-                 PRIu64 " suppressed of %" PRIu64 "\n",
-                 sampled, suppressed, total);
-    std::exit(1);
-  }
-  return static_cast<double>(total) / secs;
-}
-
-// Phase 4: virtual-line fan-out. SeedFanOut keeps the fan-out the runtime
+// Phase 3: virtual-line fan-out. SeedFanOut keeps the fan-out the runtime
 // used before per-word tables: every nomination copies the whole pointer
 // vector and keeps the copy, and every sampled access scans all of the
 // line's virtual lines, checks each range, and bumps a shared access
@@ -485,26 +394,37 @@ struct SeedFan : TrackedPair {
   }
 };
 
+/// One pass: the threads start together and each times its own loop, so a
+/// thread the host delays before or after its loop does not stretch the
+/// others' time. Returns the sum of the threads' rates.
 template <typename Fan>
 double run_fanout(std::uint32_t nthreads, std::uint64_t writes_per_thread) {
   Fan fan;
   const std::uint64_t window = g_window;
   const std::uint64_t interval = g_interval;
 
-  const auto start = std::chrono::steady_clock::now();
+  std::vector<double> rates(nthreads, 0.0);
+  std::atomic<std::uint32_t> ready{0};
   std::vector<std::thread> threads;
   for (std::uint32_t t = 0; t < nthreads; ++t) {
-    threads.emplace_back([&fan, t, writes_per_thread, window, interval] {
+    threads.emplace_back([&, t] {
       const pred::Address slot = fanout_slot(t);
       const std::size_t line = kGeo.line_index(slot);
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < nthreads) {
+        std::this_thread::yield();
+      }
+      const auto start = std::chrono::steady_clock::now();
       for (std::uint64_t i = 0; i < writes_per_thread; ++i) {
         fan.access(line, slot, t, window, interval);
       }
+      rates[t] = static_cast<double>(writes_per_thread) /
+                 std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
     });
   }
   for (auto& th : threads) th.join();
-  const auto end = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(end - start).count();
 
   const std::uint64_t total =
       static_cast<std::uint64_t>(nthreads) * writes_per_thread;
@@ -513,7 +433,9 @@ double run_fanout(std::uint32_t nthreads, std::uint64_t writes_per_thread) {
                  " sampled of %" PRIu64 "\n", fan.sampled(), total);
     std::exit(1);
   }
-  return static_cast<double>(total) / secs;
+  double rate = 0.0;
+  for (double r : rates) rate += r;
+  return rate;
 }
 
 // One warm-up pass, then the best of three measured passes.
@@ -762,41 +684,13 @@ int main(int argc, char** argv) {
   std::printf("\nlock handoff: ownership rotates in 64-write tenures, %"
               PRIu64 " tenures/thread\n\n",
               bursts);
-  std::printf("%8s %18s %18s %9s\n", "threads", "base aps", "sync aps",
-              "speedup");
+  std::printf("%8s %18s\n", "threads", "aps");
   for (std::uint32_t t : kThreadCounts) {
-    const double base = best_handoff(false, t, bursts);
-    const double sync = best_handoff(true, t, bursts);
-    const double speedup = sync / base;
-    std::printf("%8u %18.0f %18.0f %8.2fx\n", t, base, sync, speedup);
+    const double aps = best_handoff(t, bursts);
+    std::printf("%8u %18.0f\n", t, aps);
     char key[40];
-    std::snprintf(key, sizeof(key), "handoff_base_t%u_aps", t);
-    json.add(key, base);
-    std::snprintf(key, sizeof(key), "handoff_sync_t%u_aps", t);
-    json.add(key, sync);
-    std::snprintf(key, sizeof(key), "handoff_speedup_t%u", t);
-    json.add(key, speedup);
-  }
-
-  std::printf("\nmulti-line fall-through: live epochs, unstable ownership, %"
-              PRIu64 " writes/thread\n\n",
-              writes);
-  std::printf("%8s %18s %18s %9s\n", "threads", "base aps", "sync aps",
-              "ratio");
-  for (std::uint32_t t : kThreadCounts) {
-    run_multiline(false, t, writes / 8);
-    const double base = run_multiline(false, t, writes);
-    run_multiline(true, t, writes / 8);
-    const double sync = run_multiline(true, t, writes);
-    const double ratio = sync / base;
-    std::printf("%8u %18.0f %18.0f %8.2fx\n", t, base, sync, ratio);
-    char key[40];
-    std::snprintf(key, sizeof(key), "multiline_base_t%u_aps", t);
-    json.add(key, base);
-    std::snprintf(key, sizeof(key), "multiline_sync_t%u_aps", t);
-    json.add(key, sync);
-    std::snprintf(key, sizeof(key), "multiline_ratio_t%u", t);
-    json.add(key, ratio);
+    std::snprintf(key, sizeof(key), "handoff_t%u_aps", t);
+    json.add(key, aps);
   }
 
   std::printf("\nvirtual-line fan-out: two tracked lines, %zu virtual "

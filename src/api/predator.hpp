@@ -115,18 +115,17 @@ class Session {
                               count);
   }
 
-  /// Synchronization event by `tid` (lock acquire/release, barrier): bumps
-  /// its epoch so the sync-aware suppression fast state stops matching
-  /// ownership words claimed before the event. Harmless no-op in effect
-  /// when RuntimeConfig::sync_suppression is off.
-  void sync(ThreadId tid) { runtime_->handle_sync(tid); }
+  /// A stub that does nothing: a synchronization event (lock
+  /// acquire/release, barrier) changes nothing the detector records.
+  /// perfbench still calls it; the next change to the benchmark removes it.
+  void sync(ThreadId /*tid*/) {}
 
   /// Ownership handoff of [p, p+len) to thread `tid` (e.g. a producer
-  /// publishing a buffer to a consumer under a lock). Bumps the receiver's
-  /// epoch and delivers a synthetic ownership claim to every tracked line
-  /// the range overlaps, standing in for the receiver's first write when
-  /// static sync-scoped pruning removed it. Runs in every mode so reports
-  /// stay comparable across pruning and suppression settings.
+  /// publishing a buffer to a consumer under a lock). Delivers a synthetic
+  /// ownership claim to every line the range overlaps, escalating untracked
+  /// lines first, standing in for the receiver's first write when static
+  /// sync-scoped pruning removed it, so pruned and unpruned runs count the
+  /// same invalidations.
   void handoff(const void* p, std::size_t len, ThreadId tid) {
     runtime_->handle_handoff(reinterpret_cast<Address>(p), len, tid);
   }

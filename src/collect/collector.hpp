@@ -14,7 +14,7 @@
 //                            │  per-client / per-line / per-site
 //                            │  newest-wins join (snapshot_merge.hpp)
 //                            ▼
-//                     rollup(): [exact, exact+dropped] fleet view
+//                     rollup(): the fleet view
 //
 // One mutex guards the fleet state, the merged plan and the stats. Frames
 // are decoded before the lock is taken, so concurrent ingests serialize

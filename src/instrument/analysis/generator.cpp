@@ -169,9 +169,9 @@ class FunctionGen {
     }
   }
 
-  /// Acquire/release bracket around an ordinary access run: the epochs
-  /// rotate but no ownership transfers, so sync-scoped pruning must leave
-  /// every access alone.
+  /// Acquire/release bracket around an ordinary access run: no ownership
+  /// transfers and no claim leaves a line in the {owner, W} state, so
+  /// sync-scoped pruning must leave every access alone.
   void emit_sync_bracket() {
     b_.acquire();
     emit_access_run(opts_.accesses_per_block);

@@ -182,8 +182,8 @@ RoleFootprint collect_footprint(const Module& module, std::uint32_t fidx,
       vn.seed_constants(consts.block_entry[b]);
     }
     // Block-local held handoff claims, mirroring apply_sync_scoped exactly:
-    // the runtime suppression guarantee the pruner relies on is the same
-    // happens-order evidence the predictor uses to exclude conflicts.
+    // the claim's {owner, W} automaton state the pruner relies on is the
+    // same happens-order evidence the predictor uses to exclude conflicts.
     struct Held {
       Value::Base base;
       std::uint32_t id;
@@ -259,8 +259,9 @@ RoleFootprint collect_footprint(const Module& module, std::uint32_t fidx,
           const AccessSummary* s = callee < summaries.per_function.size()
                                        ? &summaries.per_function[callee]
                                        : nullptr;
-          // A syncing callee rotates epochs mid-call: close held claims
-          // BEFORE rebasing its entries so they register as unordered.
+          // A syncing callee may publish a held range to another thread
+          // mid-call: close held claims BEFORE rebasing its entries so they
+          // register as unordered.
           if (s == nullptr || !s->exact || s->syncs) {
             held.clear();
             if (s != nullptr && s->syncs) ++segment;

@@ -176,7 +176,7 @@ class Summarizer {
         case Opcode::kHandoff:
           // Sync intrinsics deliver no instrumentation, so exactness is
           // preserved — but record their presence: batching a syncing
-          // callee would collapse its epoch rotations and handoff claims.
+          // callee would collapse its brackets and handoff claims.
           syncs_ = true;
           break;
         case Opcode::kBr:

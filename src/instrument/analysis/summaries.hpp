@@ -48,8 +48,8 @@ struct AccessSummary {
   /// The callee (or something it transitively calls) executes a sync
   /// intrinsic. Sync intrinsics deliver no instrumentation, so they do not
   /// break exactness — but a caller must not *batch* such a callee (its
-  /// epoch bumps and handoff claims would be collapsed), and sync-scoped
-  /// pruning must treat the call as a sync boundary.
+  /// acquire/release brackets and handoff claims would be collapsed), and
+  /// sync-scoped pruning must treat the call as a sync boundary.
   bool syncs = false;
   std::vector<Entry> entries;  ///< sorted, coalesced by (arg,offset,width,kind)
 

@@ -250,11 +250,8 @@ std::int64_t Interpreter::execute(const Module* module, const Function& fn,
       }
       case Opcode::kAcquire:
       case Opcode::kRelease:
-        // Epoch bump for the executing thread; touches no memory, so the
-        // touch/delivery observers stay silent. Runs whether or not the
-        // function was instrumented — sync structure is program semantics,
-        // not instrumentation.
-        if (session_) session_->sync(tid);
+        // Touches no memory and records nothing at run time; the static
+        // passes read the bracket (a held handoff range ends here).
         break;
       case Opcode::kHandoff: {
         const Address addr = static_cast<Address>(regs[in.a] + in.imm);

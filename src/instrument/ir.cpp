@@ -158,7 +158,8 @@ bool defines_register(Opcode op) {
 
 bool reads_a(Opcode op) {
   // Operand-less opcodes: constants and unconditional branches, plus the
-  // epoch-only sync intrinsics (kHandoff does read a — its base register).
+  // operand-less sync intrinsics (kHandoff does read a — its base
+  // register).
   return op != Opcode::kConst && op != Opcode::kBr &&
          op != Opcode::kAcquire && op != Opcode::kRelease;
 }

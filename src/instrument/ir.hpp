@@ -39,14 +39,15 @@ enum class Opcode : std::uint8_t {
   kBr,       // jump to block `target`
   kCondBr,   // regs[a] != 0 ? block target : block target2
   kRet,      // return regs[a]
-  kAcquire,  // synchronization: bump the executing thread's epoch (lock
-             // acquire / barrier entry); touches no memory
-  kRelease,  // synchronization: bump the executing thread's epoch (lock
-             // release / barrier exit); touches no memory
+  kAcquire,  // synchronization: lock acquire / barrier entry; touches no
+             // memory and records nothing at run time
+  kRelease,  // synchronization: lock release / barrier exit; touches no
+             // memory and records nothing at run time
   kHandoff,  // transfer ownership of [regs[a] + imm, + regs[b]) to the
-             // executing thread: bumps its epoch and delivers a synthetic
-             // ownership claim to tracked lines in the range (stands in for
-             // the first post-handoff write when pruning removed it)
+             // executing thread: delivers a synthetic ownership claim to
+             // every line in the range, leaving each in the {owner, W}
+             // history state (stands in for the first post-handoff write
+             // when pruning removed it)
 };
 
 /// True for the opcodes the instrumentation pass cares about (the memory
@@ -60,9 +61,9 @@ constexpr bool is_memory_intrinsic(Opcode op) {
 /// Pure instrumentation annotation: touches no memory, computes nothing,
 /// only feeds the runtime when executed.
 constexpr bool is_report(Opcode op) { return op == Opcode::kReport; }
-/// Synchronization intrinsics: move no data, define no register; they feed
-/// the runtime's epoch/ownership machinery (Session::sync / handoff) and
-/// scope the sync-aware pruning pass.
+/// Synchronization intrinsics: move no data, define no register; they scope
+/// the sync-aware pruning pass, and kHandoff feeds the runtime's ownership
+/// claim (Session::handoff).
 constexpr bool is_sync_intrinsic(Opcode op) {
   return op == Opcode::kAcquire || op == Opcode::kRelease ||
          op == Opcode::kHandoff;
@@ -169,7 +170,7 @@ class FunctionBuilder {
   /// instrumented — a report that calls nothing is dead weight.
   void report(Reg base, Reg count, bool is_write, std::int64_t offset = 0,
               std::uint32_t size = 8);
-  /// Sync intrinsics: epoch bumps for the executing thread.
+  /// Sync intrinsics: an acquire/release bracket for the executing thread.
   void acquire();
   void release();
   /// handoff [regs[base] + offset, + regs[len]) to the executing thread.

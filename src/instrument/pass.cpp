@@ -285,13 +285,14 @@ void batch_loops(Function& fn, PassStats& stats, InterprocCtx* ctx) {
         const AccessSummary& s = ctx->summaries.per_function[callee];
         // A syncing callee (s.syncs) is still batchable: the "$bare" clone
         // keeps its kAcquire/kRelease/kHandoff ops — sync structure is
-        // program semantics, not instrumentation — so epoch rotations and
-        // handoff claims execute per iteration either way. Bulk delivery
-        // relocates same-thread accesses across same-thread claims, which
-        // can shift WHICH accesses the runtime suppresses (histogram
-        // detail) but never the first-event transition that decides an
-        // invalidation. The syncs bit matters to sync-scoped pruning (a
-        // held range must not survive a syncing call), not to batching.
+        // program semantics, not instrumentation — so handoff claims
+        // execute per iteration either way. Bulk delivery relocates
+        // same-thread accesses across same-thread claims; a claim leaves
+        // the line in the {owner, W} state, where the relocated accesses
+        // by the owner are no-ops for the automaton, so the first-event
+        // transition that decides an invalidation never moves. The syncs
+        // bit matters to sync-scoped pruning (a held range must not survive
+        // a syncing call), not to batching.
         if (s.exact && !s.entries.empty()) {
           CallHoist ch{&in, callee, {}};
           ch.bases.reserve(s.entries.size());
@@ -435,7 +436,8 @@ void apply_escape(Function& fn, const std::vector<std::uint64_t>& confined,
 ///
 /// The proof obligation is temporal, so a held range dies at anything that
 /// could republish ownership to another thread: a later kAcquire/kRelease
-/// (epoch rotation), a call unless its callee summary is exact and
+/// (a bracket another thread may enter), a call unless its callee summary
+/// is exact and
 /// sync-free, and the end of the block. Ranges are tracked as value-numbered
 /// (base, [lo, hi)) intervals, so aliased registers and offsets split
 /// between register and immediate cannot defeat the membership test, and a
@@ -450,8 +452,8 @@ void apply_escape(Function& fn, const std::vector<std::uint64_t>& confined,
 /// handoff evidence prunes accesses no local kHandoff could cover. The
 /// ranges obey the same lifetime rules as local claims (they die at syncs,
 /// unsummarized calls, and the entry block's end — later blocks may execute
-/// after an in-function epoch rotation, so the entry promise cannot reach
-/// them).
+/// after an in-function acquire or release, so the entry promise cannot
+/// reach them).
 void apply_sync_scoped(Function& fn, const SummaryTable* summaries,
                        const std::vector<std::uint64_t>* transfer,
                        PassStats& stats) {
@@ -482,10 +484,10 @@ void apply_sync_scoped(Function& fn, const SummaryTable* summaries,
     for (Instr& in : fn.blocks[b].instrs) {
       switch (in.op) {
         case Opcode::kHandoff: {
-          // A handoff bumps the receiving thread's epoch before claiming, so
-          // sync words installed by EARLIER claims go stale on any line the
-          // new claim does not re-cover — previously held ranges lose their
-          // runtime suppression guarantee and must close here.
+          // One claim is held at a time: the pass reasons about the
+          // {owner, W} state the newest claim leaves on its own lines, so
+          // ranges held from EARLIER claims close here, even where the new
+          // claim does not re-cover them (conservative, never unsound).
           held.clear();
           // Only a compile-time-constant positive length gives a provable
           // claimed range; a dynamic length opens nothing.

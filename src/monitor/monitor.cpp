@@ -59,7 +59,6 @@ MonitorSnapshot Monitor::snapshot() {
 
   MonitorSnapshot snap;
   snap.sequence = ++sequence_;
-  snap.aggregation_passes = sequence_;
   std::vector<LineCounts> lines;
   rt.for_each_region([&](const ShadowSpace& region) {
     region.for_each_tracker([&](std::size_t idx, const CacheTracker* t) {

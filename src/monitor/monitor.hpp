@@ -64,9 +64,9 @@ struct MonitorSnapshot {
     std::uint64_t samples = 0;
     std::size_t lines = 0;  ///< distinct hot lines attributed here
   };
-  /// Per-producer event counts. Monitor snapshots read the trackers and
-  /// fill none; the field stays for the wire format and the fleet's drop
-  /// bounds.
+  /// A stub: per-producer event counts, which no snapshot fills, the wire
+  /// format does not carry and the fleet merge ignores. perfbench's `churn`
+  /// still reads `rings`; the next change to the benchmark removes both.
   struct RingEntry {
     std::uint64_t produced = 0;
     std::uint64_t consumed = 0;
@@ -77,8 +77,6 @@ struct MonitorSnapshot {
   /// escalations + samples + predictions + virtual_lines: what a lossless
   /// event stream would have delivered.
   std::uint64_t events_seen = 0;
-  std::uint64_t events_dropped = 0;      ///< lost uncounted; 0 from Monitor
-  std::uint64_t aggregation_passes = 0;  ///< snapshots built so far
 
   std::uint64_t escalations = 0;  ///< trackers across all regions
   std::uint64_t invalidations = 0;
@@ -89,7 +87,7 @@ struct MonitorSnapshot {
   std::size_t lines_tracked = 0;  ///< lines with a tracker
   std::vector<LineEntry> top_lines;       ///< by invalidations, then samples
   std::vector<CallsiteEntry> callsites;   ///< by invalidations, descending
-  std::vector<RingEntry> rings;           ///< empty from Monitor
+  std::vector<RingEntry> rings;           ///< always empty (a stub)
 };
 
 /// Renders a snapshot as a compact periodic-status block (`watch`-friendly).

@@ -41,13 +41,6 @@ int compare_site_entries(const MonitorSnapshot::CallsiteEntry& a,
   return cmp(a.lines, b.lines);
 }
 
-int compare_ring_entries(const MonitorSnapshot::RingEntry& a,
-                         const MonitorSnapshot::RingEntry& b) {
-  if (int c = cmp(a.produced, b.produced)) return c;
-  if (int c = cmp(a.consumed, b.consumed)) return c;
-  return cmp(a.dropped, b.dropped);
-}
-
 template <typename T, typename Cmp>
 int compare_vectors(const std::vector<T>& a, const std::vector<T>& b,
                     Cmp&& compare) {
@@ -63,8 +56,6 @@ int compare_vectors(const std::vector<T>& a, const std::vector<T>& b,
 int compare_snapshots(const MonitorSnapshot& a, const MonitorSnapshot& b) {
   if (int c = cmp(a.sequence, b.sequence)) return c;
   if (int c = cmp(a.events_seen, b.events_seen)) return c;
-  if (int c = cmp(a.events_dropped, b.events_dropped)) return c;
-  if (int c = cmp(a.aggregation_passes, b.aggregation_passes)) return c;
   if (int c = cmp(a.escalations, b.escalations)) return c;
   if (int c = cmp(a.invalidations, b.invalidations)) return c;
   if (int c = cmp(a.samples, b.samples)) return c;
@@ -74,10 +65,7 @@ int compare_snapshots(const MonitorSnapshot& a, const MonitorSnapshot& b) {
   if (int c = compare_vectors(a.top_lines, b.top_lines, compare_line_entries)) {
     return c;
   }
-  if (int c = compare_vectors(a.callsites, b.callsites, compare_site_entries)) {
-    return c;
-  }
-  return compare_vectors(a.rings, b.rings, compare_ring_entries);
+  return compare_vectors(a.callsites, b.callsites, compare_site_entries);
 }
 
 /// Stable per-client key of a callsite rollup entry ("c:<id>" for interned
@@ -151,7 +139,6 @@ FleetRollup FleetState::rollup(std::size_t top_k) const {
   for (const auto& [uid, rec] : clients_) {
     (void)uid;
     out.events_seen += rec.latest.events_seen;
-    out.events_dropped += rec.latest.events_dropped;
     out.escalations += rec.latest.escalations;
     out.invalidations += rec.latest.invalidations;
     out.samples += rec.latest.samples;
@@ -159,10 +146,6 @@ FleetRollup FleetState::rollup(std::size_t top_k) const {
     out.virtual_lines += rec.latest.virtual_lines;
     out.lines_tracked += rec.latest.lines_tracked;
   }
-  // Every dropped event could have been one invalidation (or one sample)
-  // anywhere in the fleet — the interval is loose but sound.
-  out.invalidations_upper = out.invalidations + out.events_dropped;
-  out.samples_upper = out.samples + out.events_dropped;
 
   out.top_lines.reserve(lines_.size());
   for (const auto& [key, rec] : lines_) {
@@ -170,11 +153,8 @@ FleetRollup FleetState::rollup(std::size_t top_k) const {
     l.client_uid = key.first;
     const auto cit = clients_.find(key.first);
     l.client_pid = cit != clients_.end() ? cit->second.pid : 0;
-    const std::uint64_t client_dropped =
-        cit != clients_.end() ? cit->second.latest.events_dropped : 0;
     l.line_start = rec.entry.line_start;
     l.invalidations = rec.entry.invalidations;
-    l.invalidations_upper = rec.entry.invalidations + client_dropped;
     l.samples = rec.entry.samples;
     l.sample_writes = rec.entry.sample_writes;
     l.predictions = rec.entry.predictions;
@@ -216,11 +196,7 @@ FleetRollup FleetState::rollup(std::size_t top_k) const {
     }
   }
   out.sites.reserve(by_label.size());
-  for (auto& [label, site] : by_label) {
-    site.invalidations_upper = site.invalidations + out.events_dropped;
-    site.samples_upper = site.samples + out.events_dropped;
-    out.sites.push_back(std::move(site));
-  }
+  for (auto& [label, site] : by_label) out.sites.push_back(std::move(site));
   std::sort(out.sites.begin(), out.sites.end(),
             [](const FleetRollup::Site& a, const FleetRollup::Site& b) {
               if (a.invalidations != b.invalidations) {
@@ -236,23 +212,20 @@ std::string format_rollup(const FleetRollup& r) {
   std::string out;
   append_fmt(out,
              "=== fleet rollup: %" PRIu64 " client(s) ===\n"
-             "events: %" PRIu64 " aggregated, %" PRIu64 " dropped\n"
-             "totals: %" PRIu64 " escalated lines, invalidations [%" PRIu64
-             ", %" PRIu64 "], samples [%" PRIu64 ", %" PRIu64 "], %" PRIu64
+             "events: %" PRIu64 " aggregated\n"
+             "totals: %" PRIu64 " escalated lines, %" PRIu64
+             " invalidations, %" PRIu64 " samples, %" PRIu64
              " predictions, %" PRIu64 " virtual lines, %" PRIu64
              " lines tracked\n",
-             r.clients, r.events_seen, r.events_dropped, r.escalations,
-             r.invalidations, r.invalidations_upper, r.samples,
-             r.samples_upper, r.predictions, r.virtual_lines,
-             r.lines_tracked);
+             r.clients, r.events_seen, r.escalations, r.invalidations,
+             r.samples, r.predictions, r.virtual_lines, r.lines_tracked);
   if (!r.top_lines.empty()) {
     append_fmt(out, "top %zu lines:\n", r.top_lines.size());
     for (const auto& l : r.top_lines) {
       append_fmt(out,
-                 "  pid %-7" PRIu64 " 0x%012" PRIxPTR "  inv [%-6" PRIu64
-                 ", %-6" PRIu64 "] samples %-8" PRIu64 "%s",
-                 l.client_pid, l.line_start, l.invalidations,
-                 l.invalidations_upper, l.samples,
+                 "  pid %-7" PRIu64 " 0x%012" PRIxPTR "  inv %-6" PRIu64
+                 " samples %-8" PRIu64 "%s",
+                 l.client_pid, l.line_start, l.invalidations, l.samples,
                  l.escalated ? " [tracked]" : "");
       if (l.attributed) {
         append_fmt(out, " %s %s", l.is_global ? "global" : "heap",
@@ -265,10 +238,10 @@ std::string format_rollup(const FleetRollup& r) {
     out += "hot callsites (fleet-wide):\n";
     for (const auto& s : r.sites) {
       append_fmt(out,
-                 "  %-40s inv [%-6" PRIu64 ", %-6" PRIu64 "] samples %-8"
-                 PRIu64 " (%" PRIu64 " line(s), %" PRIu64 " client(s))\n",
-                 s.label.c_str(), s.invalidations, s.invalidations_upper,
-                 s.samples, s.lines, s.clients);
+                 "  %-40s inv %-6" PRIu64 " samples %-8" PRIu64
+                 " (%" PRIu64 " line(s), %" PRIu64 " client(s))\n",
+                 s.label.c_str(), s.invalidations, s.samples, s.lines,
+                 s.clients);
     }
   }
   return out;

@@ -19,14 +19,6 @@
 // tests/test_collector.cpp proves the algebra laws over randomized
 // snapshot sets.
 //
-// Drop reconciliation: a snapshot may report events it lost
-// (`events_dropped`), and a lost event could have been an invalidation or
-// sample anywhere, so the rollup reports every count as a conservative
-// interval [exact, exact + dropped] — exact sums what the snapshots
-// counted, the upper bound charges every dropped event in the fleet
-// against the count. Monitor snapshots read the trackers and drop nothing,
-// so for them the interval is one value.
-//
 // One subtlety the per-line decomposition handles: a line can fall out of
 // a client's top-K between snapshots. Whole-snapshot newest-wins would
 // forget it; per-(client, line) newest-wins retains its last published
@@ -69,17 +61,14 @@ struct SiteRec {
 // Fleet state
 // ---------------------------------------------------------------------------
 
-/// The fleet-wide rollup served to operators: exact counts plus
-/// conservative [exact, upper] bounds that absorb reported drops.
+/// The fleet-wide rollup served to operators: the sums of the clients'
+/// exact counts.
 struct FleetRollup {
   std::uint64_t clients = 0;
   std::uint64_t events_seen = 0;
-  std::uint64_t events_dropped = 0;
   std::uint64_t escalations = 0;
-  std::uint64_t invalidations = 0;        ///< exact (counted by snapshots)
-  std::uint64_t invalidations_upper = 0;  ///< + events_dropped
+  std::uint64_t invalidations = 0;
   std::uint64_t samples = 0;
-  std::uint64_t samples_upper = 0;
   std::uint64_t predictions = 0;
   std::uint64_t virtual_lines = 0;
   std::uint64_t lines_tracked = 0;  ///< across clients
@@ -89,7 +78,6 @@ struct FleetRollup {
     std::uint64_t client_pid = 0;
     Address line_start = 0;
     std::uint64_t invalidations = 0;
-    std::uint64_t invalidations_upper = 0;
     std::uint64_t samples = 0;
     std::uint64_t sample_writes = 0;
     std::uint64_t predictions = 0;
@@ -98,20 +86,18 @@ struct FleetRollup {
     bool is_global = false;
     std::string label;
   };
-  /// Fleet-wide top-K lines by exact invalidations (then samples, then
+  /// Fleet-wide top-K lines by invalidations (then samples, then
   /// (uid, line) for determinism).
   std::vector<Line> top_lines;
 
   struct Site {
     std::string label;  ///< symbolic source location, stable fleet-wide
     std::uint64_t invalidations = 0;
-    std::uint64_t invalidations_upper = 0;
     std::uint64_t samples = 0;
-    std::uint64_t samples_upper = 0;
     std::uint64_t lines = 0;    ///< distinct hot lines across the fleet
     std::uint64_t clients = 0;  ///< clients reporting this site
   };
-  /// Callsite rollup grouped by label across clients, sorted by exact
+  /// Callsite rollup grouped by label across clients, sorted by
   /// invalidations descending.
   std::vector<Site> sites;
 };

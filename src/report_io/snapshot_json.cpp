@@ -10,8 +10,6 @@ std::string snapshot_json(const MonitorSnapshot& snap) {
   w.begin_object();
   w.field("sequence", snap.sequence);
   w.field("events_seen", snap.events_seen);
-  w.field("events_dropped", snap.events_dropped);
-  w.field("aggregation_passes", snap.aggregation_passes);
   w.field("escalations", snap.escalations);
   w.field("invalidations", snap.invalidations);
   w.field("samples", snap.samples);
@@ -51,16 +49,6 @@ std::string snapshot_json(const MonitorSnapshot& snap) {
   }
   w.end_array();
 
-  w.key("rings").begin_array();
-  for (const auto& ring : snap.rings) {
-    w.begin_object();
-    w.field("produced", ring.produced);
-    w.field("consumed", ring.consumed);
-    w.field("dropped", ring.dropped);
-    w.end_object();
-  }
-  w.end_array();
-
   w.end_object();
   return w.str();
 }
@@ -71,12 +59,9 @@ std::string rollup_json(const FleetRollup& rollup,
   w.begin_object();
   w.field("clients", rollup.clients);
   w.field("events_seen", rollup.events_seen);
-  w.field("events_dropped", rollup.events_dropped);
   w.field("escalations", rollup.escalations);
   w.field("invalidations", rollup.invalidations);
-  w.field("invalidations_upper", rollup.invalidations_upper);
   w.field("samples", rollup.samples);
-  w.field("samples_upper", rollup.samples_upper);
   w.field("predictions", rollup.predictions);
   w.field("virtual_lines", rollup.virtual_lines);
   w.field("lines_tracked", rollup.lines_tracked);
@@ -88,7 +73,6 @@ std::string rollup_json(const FleetRollup& rollup,
     w.field("client_pid", line.client_pid);
     w.field("line_start", line.line_start);
     w.field("invalidations", line.invalidations);
-    w.field("invalidations_upper", line.invalidations_upper);
     w.field("samples", line.samples);
     w.field("sample_writes", line.sample_writes);
     w.field("predictions", line.predictions);
@@ -105,9 +89,7 @@ std::string rollup_json(const FleetRollup& rollup,
     w.begin_object();
     w.field("label", site.label);
     w.field("invalidations", site.invalidations);
-    w.field("invalidations_upper", site.invalidations_upper);
     w.field("samples", site.samples);
-    w.field("samples_upper", site.samples_upper);
     w.field("lines", site.lines);
     w.field("clients", site.clients);
     w.end_object();

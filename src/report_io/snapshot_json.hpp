@@ -13,14 +13,13 @@
 
 namespace pred {
 
-/// One MonitorSnapshot as a JSON object (scalars, top_lines, callsites,
-/// rings) — the JSON twin of Monitor::snapshot_text().
+/// One MonitorSnapshot as a JSON object (scalars, top_lines, callsites) —
+/// the JSON twin of Monitor::snapshot_text().
 std::string snapshot_json(const MonitorSnapshot& snap);
 
-/// A fleet rollup as a JSON object; every count that has a drop-absorbing
-/// upper bound is emitted as "<name>" and "<name>_upper". When `plan` is
-/// non-null (Collector::merged_plan()), the fleet's merged repair advice
-/// rides along under "repair_plan".
+/// A fleet rollup as a JSON object. When `plan` is non-null
+/// (Collector::merged_plan()), the fleet's merged repair advice rides along
+/// under "repair_plan".
 std::string rollup_json(const FleetRollup& rollup,
                         const repair::RepairPlan* plan = nullptr);
 

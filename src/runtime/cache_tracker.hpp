@@ -30,9 +30,9 @@
 // line. Inside the tracker, the first host line holds what every tracked
 // access reads — the armed and prediction flags, the stripe-table and
 // fan-out pointers and the virtual-line store — and no access writes it;
-// the history and sync words that sampled and synced accesses CAS sit on
-// the next line, so those CASes never invalidate the line the inline exits
-// read. The stripe table and the fan-out table are one GrowOnlyTable type
+// the history word that sampled accesses CAS sits on the next line, so
+// those CASes never invalidate the line the inline exits read. The stripe
+// table and the fan-out table are one GrowOnlyTable type
 // (runtime/grow_only_table.hpp): a header and its entries in one
 // allocation, so a lookup is tracker → table → entry. A fan-out entry
 // points straight at its virtual line's history word, which sits in a
@@ -129,11 +129,6 @@ class alignas(kCacheLineSize) CacheTracker {
     std::atomic<std::uint64_t> sampled_reads{0};
     std::atomic<std::uint64_t> sampled_writes{0};
     std::atomic<std::uint64_t> invalidations{0};
-    /// Accesses retired on the sync-aware ownership word. Kept here — in
-    /// owner-exclusive memory — rather than in the shared word itself, so
-    /// total_accesses() stays exact without any RMW on the fast hit.
-    std::atomic<std::uint64_t> suppressed_reads{0};
-    std::atomic<std::uint64_t> suppressed_writes{0};
     /// Tracked writes issued after the line's prediction decision; they no
     /// longer touch the region's shared counter (see count_write).
     std::atomic<std::uint64_t> writes{0};
@@ -170,50 +165,30 @@ class alignas(kCacheLineSize) CacheTracker {
   /// decide virtual-line fan-out.
   struct AccessOutcome {
     bool sampled = false;
-    /// Retired on the sync-aware fast state: the owner word matched
-    /// (same thread, same epoch since its last sync event), so the access
-    /// skipped the sampling clock and the history table entirely. Counted
-    /// toward totals via the owner stripe's suppressed counters.
-    bool suppressed = false;
   };
 
   /// Records one access at `addr` (a byte of this line): handle_word on
   /// the word it falls in, divided out only if the access is sampled, and
-  /// the calling thread's stripe.
+  /// the calling thread's stripe. The trailing argument is a stub that is
+  /// ignored: perfbench still passes Runtime::thread_epoch(tid), and the
+  /// next change to the benchmark removes it.
   AccessOutcome handle_access(Address addr, AccessType type, ThreadId tid,
                               std::uint64_t sample_window,
                               std::uint64_t sample_interval,
-                              std::uint32_t epoch = 0) {
+                              std::uint32_t /*epoch (stub)*/ = 0) {
     return record([&] { return geometry_.word_in_line(addr); }, type, tid,
-                  find_stripe(), sample_window, sample_interval, epoch);
+                  find_stripe(), sample_window, sample_interval);
   }
 
   /// Records one access to word `word` of the line. `stripe` is the calling
   /// thread's stripe as find_stripe() returned it; nullptr registers one
   /// when the access needs it. Accesses that arrive while the line is still
   /// being escalated are counted but leave the sampling phase untouched.
-  ///
-  /// `epoch` is the thread's sync epoch under
-  /// RuntimeConfig::sync_suppression, 0 without it. A non-zero epoch
-  /// consults the packed ownership word first. A fast hit needs three
-  /// loads and no RMW: the ownership word must name (tid, tid's current
-  /// epoch) — i.e. this thread claimed the line and has not synchronized
-  /// since — and the history automaton must be exactly {tid, W}, the state
-  /// in which any further access by tid is a provable no-op. The
-  /// epoch/ownership word is the *policy* gate (threads that never sync
-  /// have epoch 0 and never match, so sync-free workloads keep
-  /// bit-identical sampling fidelity; a sync event rotates the epoch and
-  /// forces one full-path access per line to refresh sampling); the history
-  /// confirmation is the *soundness* gate (invalidation counts stay exact
-  /// under every interleaving — see PackedHistoryTable::owned_write_by).
-  /// Suppressed accesses are still counted, in owner-exclusive stripe
-  /// counters, so total_accesses() stays exact.
   AccessOutcome handle_word(std::size_t word, AccessType type, ThreadId tid,
                             Stripe* stripe, std::uint64_t sample_window,
-                            std::uint64_t sample_interval,
-                            std::uint32_t epoch) {
+                            std::uint64_t sample_interval) {
     return record([word] { return word; }, type, tid, stripe, sample_window,
-                  sample_interval, epoch);
+                  sample_interval);
   }
 
   /// Synthetic ownership claim delivered at a handoff point
@@ -222,14 +197,16 @@ class alignas(kCacheLineSize) CacheTracker {
   /// removed. Runs the history automaton (so any invalidation the pruned
   /// write would have caused is still counted) but touches neither the
   /// sampling clock nor the word histogram — the claim is not a sampled
-  /// access. Returns true if the claim registered an invalidation.
-  bool claim_for_handoff(ThreadId tid, std::uint32_t epoch) {
+  /// access. Afterwards the automaton is exactly {tid, W}, the state in
+  /// which any further access by `tid` changes nothing until another thread
+  /// touches the line. Returns true if the claim registered an
+  /// invalidation.
+  bool claim_for_handoff(ThreadId tid) {
     const bool invalidated = packed_history_.access(tid, AccessType::kWrite) ==
                              HistoryOutcome::kInvalidation;
     if (invalidated) {
       Stripe::bump(stripe_or_register(find_stripe()).invalidations);
     }
-    sync_word_.store(pack_sync(tid, epoch), std::memory_order_relaxed);
     return invalidated;
   }
 
@@ -252,8 +229,7 @@ class alignas(kCacheLineSize) CacheTracker {
   /// full path (Runtime::handle_tracked): a disarmed tracker, a thread with
   /// no stripe yet, a sampled access, or a write while the line's
   /// prediction decision is pending (its count must reach the shared
-  /// counter the threshold check reads). The caller guarantees the
-  /// sync-aware path would not apply (epoch 0).
+  /// counter the threshold check reads).
   bool try_retire_unsampled(Stripe* stripe, AccessType type,
                             std::uint64_t sample_window,
                             std::uint64_t sample_interval) {
@@ -295,17 +271,16 @@ class alignas(kCacheLineSize) CacheTracker {
 
   std::uint64_t invalidations() const { return sum(&Stripe::invalidations); }
   std::uint64_t total_accesses() const {
-    std::uint64_t n = unarmed_accesses_.load(std::memory_order_relaxed) +
-                      suppressed_accesses();
+    std::uint64_t n = unarmed_accesses_.load(std::memory_order_relaxed);
     for_each_stripe([&](const Stripe& s) {
       n += s.clock.count.load(std::memory_order_relaxed);
     });
     return n;
   }
-  /// Accesses retired on the sync-aware ownership word.
-  std::uint64_t suppressed_accesses() const {
-    return sum(&Stripe::suppressed_reads) + sum(&Stripe::suppressed_writes);
-  }
+  /// A stub that reads 0: no access is suppressed. perfbench still reports
+  /// it as `runtime.suppressed_frac`; the next change to the benchmark
+  /// removes it.
+  std::uint64_t suppressed_accesses() const { return 0; }
   std::uint64_t sampled_accesses() const {
     return sampled_reads() + sampled_writes();
   }
@@ -331,9 +306,7 @@ class alignas(kCacheLineSize) CacheTracker {
       c.invalidations += s.invalidations.load(std::memory_order_relaxed);
       c.sampled_reads += s.sampled_reads.load(std::memory_order_relaxed);
       c.sampled_writes += s.sampled_writes.load(std::memory_order_relaxed);
-      c.total_accesses += s.clock.count.load(std::memory_order_relaxed) +
-                          s.suppressed_reads.load(std::memory_order_relaxed) +
-                          s.suppressed_writes.load(std::memory_order_relaxed);
+      c.total_accesses += s.clock.count.load(std::memory_order_relaxed);
     });
     return c;
   }
@@ -394,10 +367,6 @@ class alignas(kCacheLineSize) CacheTracker {
     if (table != cur) fanout_.store(table, std::memory_order_release);
   }
 
-  bool has_virtual_lines() const {
-    return fanout_.load(std::memory_order_acquire) != nullptr;
-  }
-
   /// Forwards a sampled access to word `word` to the virtual lines that
   /// cover it; the others are never touched. A read-only scan of the
   /// published table that writes only the covering lines' history words
@@ -438,11 +407,8 @@ class alignas(kCacheLineSize) CacheTracker {
       s.sampled_reads.store(0, std::memory_order_relaxed);
       s.sampled_writes.store(0, std::memory_order_relaxed);
       s.invalidations.store(0, std::memory_order_relaxed);
-      s.suppressed_reads.store(0, std::memory_order_relaxed);
-      s.suppressed_writes.store(0, std::memory_order_relaxed);
     });
     unarmed_accesses_.store(0, std::memory_order_relaxed);
-    sync_word_.store(0, std::memory_order_relaxed);
   }
 
   /// Marks that the predictor already analyzed this line (step 3 of the
@@ -476,49 +442,18 @@ class alignas(kCacheLineSize) CacheTracker {
   };
   using FanOutTable = GrowOnlyTable<FanOutEntry>;
 
-  /// handle_word's body; `word_of()` yields the word index and runs only
-  /// when the access is sampled.
+  /// handle_word's body: the sampling decision on the calling thread's
+  /// stripe, then — inside the window — the word histogram and the history
+  /// automaton. `word_of()` yields the word index and runs only when the
+  /// access is sampled.
   template <typename WordOf>
   AccessOutcome record(WordOf&& word_of, AccessType type, ThreadId tid,
-                       Stripe* stripe, std::uint64_t sample_window,
-                       std::uint64_t sample_interval, std::uint32_t epoch) {
+                       Stripe* stripe, std::uint64_t window,
+                       std::uint64_t interval) {
     if (!armed_.load(std::memory_order_acquire)) [[unlikely]] {
       unarmed_accesses_.fetch_add(1, std::memory_order_relaxed);
       return {};
     }
-    const std::uint64_t want = pack_sync(tid, epoch);
-    if (want == 0) {
-      // Never-synced thread (or unrepresentable tid/epoch): exact PR 3
-      // behavior, no claims.
-      return sample_and_record(word_of, type, tid, stripe, sample_window,
-                               sample_interval);
-    }
-    std::uint64_t seen = sync_word_.load(std::memory_order_relaxed);
-    if (seen == want && packed_history_.owned_write_by(tid)) [[likely]] {
-      Stripe& st = stripe_or_register(stripe);
-      Stripe::bump(type == AccessType::kWrite ? st.suppressed_writes
-                                              : st.suppressed_reads);
-      AccessOutcome outcome;
-      outcome.suppressed = true;
-      return outcome;
-    }
-    AccessOutcome outcome = sample_and_record(
-        word_of, type, tid, stripe, sample_window, sample_interval);
-    // Claim ownership for the epoch we just recorded under. Losing the CAS
-    // race only means the next same-owner access falls through again —
-    // never a wrong suppression, since a hit re-confirms the history state.
-    sync_word_.compare_exchange_strong(seen, want, std::memory_order_relaxed,
-                                       std::memory_order_relaxed);
-    return outcome;
-  }
-
-  /// The sampling decision on the calling thread's stripe, then — inside
-  /// the window — the word histogram and the history automaton.
-  template <typename WordOf>
-  AccessOutcome sample_and_record(WordOf&& word_of, AccessType type,
-                                  ThreadId tid, Stripe* stripe,
-                                  std::uint64_t window,
-                                  std::uint64_t interval) {
     Stripe& st = stripe_or_register(stripe);
     if (!st.clock.tick(window, interval)) {
       return {};  // outside the sampling window: count only
@@ -596,26 +531,6 @@ class alignas(kCacheLineSize) CacheTracker {
     return n;
   }
 
-  /// Packed sync-aware ownership word:
-  ///   bit 63        valid
-  ///   bits 62..40   owner thread id (23 bits; wider tids never fast-hit)
-  ///   bits 39..24   owner epoch (low 16 bits of the thread's sync counter)
-  ///   bits 23..0    zero (reserved)
-  /// A zero return means "never matches": unrepresentable tids, and —
-  /// deliberately — epoch 0, the state of a thread that has never issued a
-  /// sync event. Sync-free code therefore never claims and never fast-hits,
-  /// keeping its sampling stream byte-identical to the suppression-off
-  /// build; the 16-bit epoch wrap re-enters the never-match state for one
-  /// epoch every 65536 syncs, which merely costs full-path accesses.
-  static constexpr std::uint64_t kSyncValid = 1ull << 63;
-  static constexpr std::uint64_t kSyncMaxTid = 0x7fffffull;
-  static std::uint64_t pack_sync(ThreadId tid, std::uint32_t epoch) {
-    const auto t = static_cast<std::uint64_t>(tid);
-    if (t > kSyncMaxTid || (epoch & 0xffffu) == 0) return 0;
-    return kSyncValid | (t << 40) |
-           (static_cast<std::uint64_t>(epoch & 0xffffu) << 24);
-  }
-
   // Host line 0: read by every tracked access, inline exits included;
   // written only when a thread registers a stripe, a virtual line is
   // nominated, or the tracker is armed or decides its prediction.
@@ -627,9 +542,8 @@ class alignas(kCacheLineSize) CacheTracker {
   const std::size_t line_index_;
   const LineGeometry geometry_;
 
-  // Host line 1: the words sampled and synced accesses CAS.
+  // Host line 1: the word sampled accesses CAS.
   alignas(kCacheLineSize) PackedHistoryTable packed_history_;
-  std::atomic<std::uint64_t> sync_word_{0};
   std::atomic<std::uint64_t> unarmed_accesses_{0};
 
   // The word histogram, from the next host line on.

@@ -49,18 +49,6 @@ struct RuntimeConfig {
 
   InstrumentMode instrument_mode = InstrumentMode::kReadsAndWrites;
 
-  /// Sync-aware suppression (SmartTrack-style ownership/epoch fast state,
-  /// runtime/cache_tracker.hpp): each tracker carries one packed word
-  /// (owner tid, owner epoch) and accesses by the same thread since its
-  /// last synchronization event retire with a single relaxed load — no
-  /// history-table CAS, no sampling-stripe tick. A per-thread epoch
-  /// counter bumps on Session::sync / Session::handoff; any cross-thread
-  /// access or epoch mismatch falls through to the full path unchanged
-  /// and re-claims the word. Off = PR 3 behavior, kept as the determinism
-  /// reference; both modes report bit-identical counts on single-OS-thread
-  /// workloads.
-  bool sync_suppression = true;
-
   /// Convenience: set the sampling rate keeping the paper's 10k window.
   void set_sampling_rate(double rate) {
     if (rate >= 1.0) {

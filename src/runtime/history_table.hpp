@@ -143,18 +143,6 @@ class PackedHistoryTable {
 
   void reset() { state_.store(0, std::memory_order_relaxed); }
 
-  /// True iff the table is exactly {tid, W} — the one state in which *any*
-  /// further access by `tid` (read or write) is a provable no-op: a repeat
-  /// write finds no other resident thread (no invalidation, state
-  /// unchanged), a read of a resident thread is ignored. One acquire load,
-  /// no RMW; the sync-aware suppression fast path confirms this before
-  /// retiring an access, which is what keeps invalidation counts exact
-  /// under every interleaving (the load is the access's serialization
-  /// point, and at that point the full path would have been a no-op).
-  bool owned_write_by(ThreadId tid) const {
-    return state_.load(std::memory_order_acquire) == encode_write(tid);
-  }
-
   // Snapshot accessors (each call reads the word once; use raw() to decode
   // one consistent state under concurrency).
   int size() const { return size_of(raw()); }

@@ -33,7 +33,7 @@ void WriteStage::flush() {
     s.region = nullptr;
     s.count = 0;
   }
-  staged_since_epoch = 0;
+  staged_since_flush = 0;
 }
 
 Runtime::Runtime(RuntimeConfig config)
@@ -166,15 +166,9 @@ void Runtime::handle_tracked(ShadowSpace& region, std::size_t line,
                              ThreadId tid) {
   if (!admit_tid(tid)) return;  // too wide for the history table: counted
 
-  // Sync-aware suppression applies only while no virtual line covers this
-  // line: prediction verification (Section 3.4) is fed by sampled-access
-  // fan-out, which suppressed accesses would starve.
-  const bool suppress =
-      config_.sync_suppression && !track->has_virtual_lines();
   const auto outcome =
       track->handle_word(word, type, tid, stripe, config_.sample_window,
-                         config_.sample_interval,
-                         suppress ? thread_epoch(tid) : 0);
+                         config_.sample_interval);
   if (outcome.sampled) track->update_virtual_lines(word, type, tid);
   // Until the line's prediction decision is made the shared counter must
   // see every write, so the threshold check below reads an exact count;
@@ -207,7 +201,7 @@ void Runtime::stage_write(ShadowSpace& region, std::size_t line_index) {
     s.base = region.writes_count(line_index);
   }
   ++s.count;
-  if (++st.staged_since_epoch >= WriteStage::kEpochLength) [[unlikely]] {
+  if (++st.staged_since_flush >= WriteStage::kFlushPeriod) [[unlikely]] {
     st.flush();
     return;
   }
@@ -297,11 +291,9 @@ void Runtime::escalate(ShadowSpace& region, std::size_t line_index) {
 }
 
 void Runtime::handle_handoff(Address addr, std::size_t len, ThreadId tid) {
-  handle_sync(tid);
   if (len == 0) return;
   ShadowSpace* region = find_region(addr);
   if (region == nullptr) return;
-  const std::uint32_t epoch = thread_epoch(tid);
   const std::size_t first = region->line_index(addr);
   const Address last_addr = addr + len - 1;
   const std::size_t last = region->contains(last_addr)
@@ -315,7 +307,7 @@ void Runtime::handle_handoff(Address addr, std::size_t len, ThreadId tid) {
   // be lost.
   for (std::size_t i = first; i <= last && i < region->num_lines(); ++i) {
     ensure_tracked_line(*region, i);
-    if (admit_tid(tid)) region->tracker(i)->claim_for_handoff(tid, epoch);
+    if (admit_tid(tid)) region->tracker(i)->claim_for_handoff(tid);
   }
 }
 

@@ -117,31 +117,19 @@ class Runtime {
     return next_thread_.load(std::memory_order_relaxed);
   }
 
-  // --- synchronization events (sync-aware suppression) ---
+  // --- ownership handoff ---
 
-  /// Records a synchronization event (lock acquire/release, barrier) by
-  /// `tid`: bumps its epoch counter, so ownership words claimed before the
-  /// event no longer match and the next access per line falls through to
-  /// the full tracked path. Cheap enough to call unconditionally — one
-  /// relaxed fetch_add on a line-padded slot.
-  void handle_sync(ThreadId tid) {
-    epoch_slot(tid).fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Ownership handoff: bumps the receiving thread's epoch, then delivers a
-  /// synthetic ownership claim (CacheTracker::claim_for_handoff) to every
-  /// line overlapping [addr, addr+len), escalating untracked lines first.
-  /// The claim stands in for the receiver's first write to the range when
-  /// static sync-scoped pruning removed it, so no invalidation is lost; it
-  /// runs regardless of RuntimeConfig::sync_suppression so reports stay
-  /// comparable across knob settings.
+  /// Ownership handoff: delivers a synthetic ownership claim
+  /// (CacheTracker::claim_for_handoff) to every line overlapping
+  /// [addr, addr+len), escalating untracked lines first. The claim stands
+  /// in for the receiver's first write to the range when static
+  /// sync-scoped pruning removed it, so no invalidation is lost.
   void handle_handoff(Address addr, std::size_t len, ThreadId tid);
 
-  /// Current epoch of `tid`'s slot (slots are hashed by tid; collisions
-  /// only cause extra fall-throughs, never wrong suppression).
-  std::uint32_t thread_epoch(ThreadId tid) const {
-    return epoch_slot(tid).load(std::memory_order_relaxed);
-  }
+  /// A stub that returns 0: threads have no sync epoch. perfbench still
+  /// passes it to CacheTracker::handle_access; the next change to the
+  /// benchmark removes it.
+  std::uint32_t thread_epoch(ThreadId /*tid*/) const { return 0; }
 
   // --- prediction plumbing ---
 
@@ -219,9 +207,9 @@ class Runtime {
 
   /// The tracked path: one access to word `word` of `line`, whose tracker
   /// is `track`. `stripe` is track->find_stripe() for the calling thread
-  /// (nullptr: not registered yet). Runs the sampling decision or the
-  /// sync-aware check, the virtual-line fan-out of a sampled access, and
-  /// the write count with its prediction threshold.
+  /// (nullptr: not registered yet). Runs the sampling decision, the
+  /// virtual-line fan-out of a sampled access, and the write count with its
+  /// prediction threshold.
   void handle_tracked(ShadowSpace& region, std::size_t line, std::size_t word,
                       CacheTracker* track, CacheTracker::Stripe* stripe,
                       AccessType type, ThreadId tid);
@@ -254,23 +242,6 @@ class Runtime {
 
   RuntimeConfig config_;
 
-  /// Per-thread epoch counters for sync-aware suppression, hashed by tid
-  /// into line-padded slots so two hot threads never bump the same host
-  /// line. A collision merges two threads' epochs — sound (their accesses
-  /// fall through more often), never unsound (a fast hit still requires the
-  /// exact tid in the ownership word).
-  static constexpr std::size_t kEpochSlots = 256;
-  struct alignas(kCacheLineSize) EpochSlot {
-    std::atomic<std::uint32_t> epoch{0};
-  };
-  std::atomic<std::uint32_t>& epoch_slot(ThreadId tid) {
-    return epochs_[static_cast<std::size_t>(tid) & (kEpochSlots - 1)].epoch;
-  }
-  const std::atomic<std::uint32_t>& epoch_slot(ThreadId tid) const {
-    return epochs_[static_cast<std::size_t>(tid) & (kEpochSlots - 1)].epoch;
-  }
-  EpochSlot epochs_[kEpochSlots];
-
   std::unique_ptr<ShadowSpace> regions_[kMaxRegions];  // slot-claimed owners
   std::atomic<ShadowSpace*> visible_[kMaxRegions];     // published to readers
   std::atomic<std::size_t> num_claimed_{0};
@@ -292,9 +263,8 @@ inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,
   // Hot-region fast path: a single-word access inside the region the
   // calling thread last resolved. The generation compare rejects dead
   // runtimes, so no region lookup is needed here. A tracked access that
-  // no exit retires — sampled, from a thread that has synced, a write to a
-  // line whose prediction is pending, or to a disarmed tracker — goes
-  // straight to handle_tracked.
+  // no exit retires — sampled, a write to a line whose prediction is
+  // pending, or to a disarmed tracker — goes straight to handle_tracked.
   FastPathCache& fc = t_fastpath_cache;
   const Address off = addr - fc.region_begin;
   if (fc.rt == this && off < fc.region_bytes &&
@@ -310,7 +280,7 @@ inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,
       if (s.region == fc.region && s.line == line && s.gen == fc.gen)
           [[likely]] {
         ++s.count;
-        if (++fc.stage->staged_since_epoch >= WriteStage::kEpochLength)
+        if (++fc.stage->staged_since_flush >= WriteStage::kFlushPeriod)
             [[unlikely]] {
           fc.stage->flush();
           return;
@@ -327,8 +297,7 @@ inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,
       if (type == AccessType::kRead) return;
     } else if (type == AccessType::kWrite || fc.tracked_read_exit) {
       CacheTracker::Stripe* stripe = track->find_stripe();
-      if (thread_epoch(tid) == 0 &&
-          track->try_retire_unsampled(stripe, type, config_.sample_window,
+      if (track->try_retire_unsampled(stripe, type, config_.sample_window,
                                       config_.sample_interval)) {
         return;  // outside the thread's sampling window: counted only
       }

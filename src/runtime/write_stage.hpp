@@ -16,12 +16,12 @@
 // increment checks `base + count >= threshold`, where `base` is the shared
 // counter value snapshotted when the slot was filled; crossing drains the
 // slot and escalates immediately. With concurrent pre-threshold writers the
-// sum can cross the threshold before any single thread's view does; the epoch
-// flush (every kEpochLength staged writes per thread) bounds that delay,
-// and the drain itself re-checks both thresholds.
+// sum can cross the threshold before any single thread's view does; the
+// periodic flush (every kFlushPeriod staged writes per thread) bounds that
+// delay, and the drain itself re-checks both thresholds.
 //
 // Drain points: slot eviction (direct-mapped collision), inline threshold
-// crossing, the per-thread epoch, `Session::flush()` / `ScopedThread`
+// crossing, the per-thread periodic flush, `Session::flush()` / `ScopedThread`
 // unbind / `BatchBuffer::flush`, `build_report`, and thread exit.
 //
 // Lifetime safety: slots reference runtimes/regions by raw pointer. A
@@ -73,13 +73,13 @@ struct StagedSlot {
 class WriteStage {
  public:
   static constexpr std::size_t kSlots = 64;  // direct-mapped
-  /// Staged writes per epoch; an epoch ends with a full drain, bounding
-  /// both the staleness of shared counters and multi-writer escalation lag.
-  static constexpr std::uint32_t kEpochLength = 4096;
+  /// Staged writes between full drains, bounding both the staleness of
+  /// shared counters and multi-writer escalation lag.
+  static constexpr std::uint32_t kFlushPeriod = 4096;
 
   ~WriteStage() { flush(); }
 
-  /// Drains all valid slots and starts a new epoch.
+  /// Drains all valid slots and restarts the flush period.
   void flush();
 
   static std::size_t slot_index(const ShadowSpace* region, std::size_t line) {
@@ -88,7 +88,7 @@ class WriteStage {
   }
 
   StagedSlot slots[kSlots];
-  std::uint32_t staged_since_epoch = 0;
+  std::uint32_t staged_since_flush = 0;
 };
 
 /// The calling thread's staging block.

@@ -11,14 +11,15 @@ using wire::FieldReader;
 using wire::FieldWriter;
 
 // Top-level snapshot payload field ids. New telemetry gets new ids; never
-// reuse or renumber — old collectors skip what they do not know.
+// reuse or renumber — old collectors skip what they do not know. Retired,
+// never to be reused: 5 (events dropped), 6 (aggregation passes) and 15
+// (per-ring event counts, nested ids 1-3); decoders skip them like any
+// unknown id.
 enum : std::uint16_t {
   kFClientUid = 1,
   kFClientPid = 2,
   kFSequence = 3,
   kFEventsSeen = 4,
-  kFEventsDropped = 5,
-  kFAggregationPasses = 6,
   kFEscalations = 7,
   kFInvalidations = 8,
   kFSamples = 9,
@@ -27,7 +28,6 @@ enum : std::uint16_t {
   kFLinesTracked = 12,
   kFLineEntry = 13,      // repeated, nested
   kFCallsiteEntry = 14,  // repeated, nested
-  kFRingEntry = 15,      // repeated, nested
 };
 
 // Nested LineEntry field ids.
@@ -50,13 +50,6 @@ enum : std::uint16_t {
   kFSiteInvalidations = 3,
   kFSiteSamples = 4,
   kFSiteLines = 5,
-};
-
-// Nested RingEntry field ids.
-enum : std::uint16_t {
-  kFRingProduced = 1,
-  kFRingConsumed = 2,
-  kFRingDropped = 3,
 };
 
 std::string encode_line(const MonitorSnapshot::LineEntry& le) {
@@ -131,30 +124,6 @@ bool decode_site(std::string_view bytes, MonitorSnapshot::CallsiteEntry* ce) {
   return !r.malformed();
 }
 
-std::string encode_ring(const MonitorSnapshot::RingEntry& re) {
-  std::string out;
-  FieldWriter w(&out);
-  w.u64(kFRingProduced, re.produced);
-  w.u64(kFRingConsumed, re.consumed);
-  w.u64(kFRingDropped, re.dropped);
-  return out;
-}
-
-bool decode_ring(std::string_view bytes, MonitorSnapshot::RingEntry* re) {
-  FieldReader r(bytes);
-  while (auto f = r.next()) {
-    bool ok = true;
-    switch (f->id) {
-      case kFRingProduced: ok = f->read_u64(&re->produced); break;
-      case kFRingConsumed: ok = f->read_u64(&re->consumed); break;
-      case kFRingDropped: ok = f->read_u64(&re->dropped); break;
-      default: break;
-    }
-    if (!ok) return false;
-  }
-  return !r.malformed();
-}
-
 std::string encode_client_payload(const ClientId& client) {
   std::string payload;
   FieldWriter w(&payload);
@@ -173,8 +142,6 @@ std::string SnapshotCodec::encode(const MonitorSnapshot& snap,
   w.u64(kFClientPid, client.pid);
   w.u64(kFSequence, snap.sequence);
   w.u64(kFEventsSeen, snap.events_seen);
-  w.u64(kFEventsDropped, snap.events_dropped);
-  w.u64(kFAggregationPasses, snap.aggregation_passes);
   w.u64(kFEscalations, snap.escalations);
   w.u64(kFInvalidations, snap.invalidations);
   w.u64(kFSamples, snap.samples);
@@ -185,7 +152,6 @@ std::string SnapshotCodec::encode(const MonitorSnapshot& snap,
   for (const auto& ce : snap.callsites) {
     w.bytes(kFCallsiteEntry, encode_site(ce));
   }
-  for (const auto& re : snap.rings) w.bytes(kFRingEntry, encode_ring(re));
   return wire::encode_frame(wire::FrameType::kSnapshot, payload);
 }
 
@@ -200,10 +166,6 @@ bool SnapshotCodec::decode(std::string_view payload, DecodedSnapshot* out) {
       case kFClientPid: ok = f->read_u64(&out->client.pid); break;
       case kFSequence: ok = f->read_u64(&snap.sequence); break;
       case kFEventsSeen: ok = f->read_u64(&snap.events_seen); break;
-      case kFEventsDropped: ok = f->read_u64(&snap.events_dropped); break;
-      case kFAggregationPasses:
-        ok = f->read_u64(&snap.aggregation_passes);
-        break;
       case kFEscalations: ok = f->read_u64(&snap.escalations); break;
       case kFInvalidations: ok = f->read_u64(&snap.invalidations); break;
       case kFSamples: ok = f->read_u64(&snap.samples); break;
@@ -220,12 +182,6 @@ bool SnapshotCodec::decode(std::string_view payload, DecodedSnapshot* out) {
         MonitorSnapshot::CallsiteEntry ce;
         if (!decode_site(f->bytes, &ce)) return false;
         snap.callsites.push_back(std::move(ce));
-        break;
-      }
-      case kFRingEntry: {
-        MonitorSnapshot::RingEntry re;
-        if (!decode_ring(f->bytes, &re)) return false;
-        snap.rings.push_back(re);
         break;
       }
       default: break;  // newer-client field — skip

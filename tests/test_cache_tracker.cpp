@@ -27,6 +27,14 @@ constexpr Address kLineBase = 640;
 
 CacheTracker make_tracker() { return CacheTracker(10, kGeo); }
 
+/// True iff `h` is exactly {tid, W}: the state a write by `tid` leaves.
+bool owned_write_by(const PackedHistoryTable& h, ThreadId tid) {
+  const std::uint64_t s = h.raw();
+  return PackedHistoryTable::size_of(s) == 1 &&
+         PackedHistoryTable::entry_tid(s, 0) == tid &&
+         PackedHistoryTable::entry_type(s, 0) == W;
+}
+
 TEST(CacheTracker, RecordsWordHistogram) {
   auto t = make_tracker();
   t.handle_access(kLineBase + 0, W, 0, 10'000, 1'000'000);
@@ -109,15 +117,15 @@ TEST(CacheTracker, VirtualLineFanOut) {
   const VirtualLineTracker& vl =
       *store.add(kLineBase + 32, 64, VirtualLineTracker::Kind::kShifted,
                  kLineBase + 32, kLineBase + 72);
-  EXPECT_FALSE(t.has_virtual_lines());
+  EXPECT_EQ(t.fanout_tables(), 0u);
   t.add_virtual_line(vl, 0xf0);  // [672, 736) covers words 4..7 of line 10
-  EXPECT_TRUE(t.has_virtual_lines());
+  EXPECT_EQ(t.fanout_tables(), 1u);
   // Only accesses to covered words reach the virtual table: had thread 1's
   // write arrived, it would have invalidated thread 0's entry.
   t.update_virtual_lines(5, W, 0);  // byte 40: word 5
   t.update_virtual_lines(1, W, 1);  // word 1: outside the line
   EXPECT_EQ(vl.invalidations(), 0u);
-  EXPECT_TRUE(vl.history().owned_write_by(0));
+  EXPECT_TRUE(owned_write_by(vl.history(), 0));
 }
 
 // --- tracked-path concurrency ----------------------------------------------
@@ -441,7 +449,7 @@ TEST(CacheTracker, VirtualLineSnapshotGrowsUnderFanOut) {
   t.update_virtual_lines(1, W, 2);
   for (const VirtualLineTracker* vl : vls) {
     // Every nominated line sees the tail access.
-    EXPECT_TRUE(vl->history().owned_write_by(2));
+    EXPECT_TRUE(owned_write_by(vl->history(), 2));
   }
 }
 
@@ -825,157 +833,39 @@ TEST(VirtualLineTracker, CountsInvalidationsLikePhysicalLines) {
                            static_cast<ThreadId>(i % 2));
   }
   EXPECT_EQ(vl.invalidations(), 99u);
-  EXPECT_TRUE(vl.history().owned_write_by(1));  // the last write's thread
+  EXPECT_TRUE(owned_write_by(vl.history(), 1));  // the last write's thread
 }
 
 // ---------------------------------------------------------------------------
-// Sync-aware suppression: the epoch/ownership word state machine
+// Handoff claims: the synthetic first write Session::handoff delivers
 // ---------------------------------------------------------------------------
 
-// Full-sampling arguments used by every suppression test.
-constexpr std::uint64_t kWin = 10'000;
-constexpr std::uint64_t kIval = 1'000'000;
+// Window == interval: every access is sampled, whichever thread's stripe
+// (tokens are recycled, so threads that do not overlap share one).
+constexpr std::uint64_t kAll = 1;
 
-TEST(SyncSuppression, FirstSyncedAccessInstallsThenHits) {
+TEST(HandoffClaim, ClaimForHandoffTransfersOwnership) {
   auto t = make_tracker();
-  // Fall-through installs the (tid, epoch) word; the hit then needs the
-  // history automaton in the exact {tid, W} state, which the first write
-  // establishes.
-  auto first = t.handle_access(kLineBase, W, /*tid=*/3, kWin, kIval,
-                               /*epoch=*/1);
-  EXPECT_FALSE(first.suppressed);
-  EXPECT_TRUE(first.sampled);
-  auto second = t.handle_access(kLineBase, W, 3, kWin, kIval, 1);
-  EXPECT_TRUE(second.suppressed);
-  EXPECT_FALSE(second.sampled);
-  // Reads by the exclusive writer are no-ops too and also suppress.
-  auto read = t.handle_access(kLineBase + 8, R, 3, kWin, kIval, 1);
-  EXPECT_TRUE(read.suppressed);
-  EXPECT_EQ(t.suppressed_accesses(), 2u);
-  EXPECT_EQ(t.sampled_accesses(), 1u);
-  EXPECT_EQ(t.total_accesses(), 3u);  // sampled + suppressed, exact
-}
-
-TEST(SyncSuppression, EpochZeroNeverSuppresses) {
-  auto t = make_tracker();
-  // Epoch 0 means "this thread never synced": byte-for-byte the PR 3 path.
-  for (int i = 0; i < 50; ++i) {
-    auto out = t.handle_access(kLineBase, W, 0, kWin, kIval, /*epoch=*/0);
-    EXPECT_FALSE(out.suppressed);
-  }
-  EXPECT_EQ(t.suppressed_accesses(), 0u);
-  EXPECT_EQ(t.sampled_accesses(), 50u);
-}
-
-TEST(SyncSuppression, EpochLow16ZeroWrapsToNeverMatch) {
-  auto t = make_tracker();
-  // Epochs whose low 16 bits are zero pack to the reserved value: one
-  // epoch per 65536 syncs falls back to the exact path — sound, never
-  // wrong, and the next epoch suppresses again.
-  t.handle_access(kLineBase, W, 0, kWin, kIval, 0x10000u);
-  auto out = t.handle_access(kLineBase, W, 0, kWin, kIval, 0x10000u);
-  EXPECT_FALSE(out.suppressed);
-  t.handle_access(kLineBase, W, 0, kWin, kIval, 0x10001u);
-  out = t.handle_access(kLineBase, W, 0, kWin, kIval, 0x10001u);
-  EXPECT_TRUE(out.suppressed);
-}
-
-TEST(SyncSuppression, WideTidNeverSuppresses) {
-  auto t = make_tracker();
-  const ThreadId wide = static_cast<ThreadId>(0x800000u);  // > 23 bits
-  t.handle_access(kLineBase, W, wide, kWin, kIval, 1);
-  auto out = t.handle_access(kLineBase, W, wide, kWin, kIval, 1);
-  EXPECT_FALSE(out.suppressed);
-  EXPECT_EQ(t.suppressed_accesses(), 0u);
-}
-
-TEST(SyncSuppression, ForeignAccessBreaksOwnershipAndCostsNothingExact) {
-  auto t = make_tracker();
-  t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
-  ASSERT_TRUE(t.handle_access(kLineBase, W, 0, kWin, kIval, 1).suppressed);
-  // Another thread's write: falls through (word/history mismatch), counts
-  // the invalidation exactly as the unsuppressed automaton would.
-  auto foreign = t.handle_access(kLineBase + 8, W, 1, kWin, kIval, 1);
-  EXPECT_FALSE(foreign.suppressed);
-  EXPECT_EQ(t.invalidations(), 1u);
-  // The original owner now falls through too — its history state is gone —
-  // and that fall-through is the second invalidation, not a miss.
-  auto back = t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
-  EXPECT_FALSE(back.suppressed);
-  EXPECT_EQ(t.invalidations(), 2u);
-}
-
-TEST(SyncSuppression, EpochRotationInvalidatesTheFastPath) {
-  auto t = make_tracker();
-  t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
-  ASSERT_TRUE(t.handle_access(kLineBase, W, 0, kWin, kIval, 1).suppressed);
-  // After a sync the epoch moves: the stale word must not keep hitting.
-  auto post_sync = t.handle_access(kLineBase, W, 0, kWin, kIval, 2);
-  EXPECT_FALSE(post_sync.suppressed);
-  // The fall-through re-installed the word at the new epoch.
-  EXPECT_TRUE(t.handle_access(kLineBase, W, 0, kWin, kIval, 2).suppressed);
-}
-
-TEST(SyncSuppression, ClaimForHandoffTransfersOwnership) {
-  auto t = make_tracker();
-  t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
-  ASSERT_TRUE(t.handle_access(kLineBase, W, 0, kWin, kIval, 1).suppressed);
+  t.handle_access(kLineBase, W, 0, kAll, kAll);
   // The receiver's claim is a synthetic first write: it invalidates (the
-  // line changes owner) and pre-arms the receiver's fast path, standing in
-  // for a first write the static pass may have pruned.
-  EXPECT_TRUE(t.claim_for_handoff(/*tid=*/1, /*epoch=*/5));
+  // line changes owner), standing in for a first write the static pass may
+  // have pruned. It is not an access: no clock tick, no histogram entry.
+  EXPECT_TRUE(t.claim_for_handoff(/*tid=*/1));
   EXPECT_EQ(t.invalidations(), 1u);
-  EXPECT_TRUE(t.handle_access(kLineBase + 8, W, 1, kWin, kIval, 5).suppressed);
-  // A claim on an already-owned line is a no-op invalidation-wise.
-  EXPECT_FALSE(t.claim_for_handoff(1, 6));
-}
-
-TEST(SyncSuppression, ResetForReuseClearsTheSyncWord) {
-  auto t = make_tracker();
-  t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
-  ASSERT_TRUE(t.handle_access(kLineBase, W, 0, kWin, kIval, 1).suppressed);
-  t.reset_for_reuse();
-  // Stale ownership from the previous tenant must not suppress.
-  auto out = t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
-  EXPECT_FALSE(out.suppressed);
-  EXPECT_EQ(t.suppressed_accesses(), 0u);
   EXPECT_EQ(t.total_accesses(), 1u);
+  // The claim leaves the line {1, W}: the receiver's writes are no-ops.
+  t.handle_access(kLineBase + 8, W, 1, kAll, kAll);
+  EXPECT_EQ(t.invalidations(), 1u);
+  // A claim on an already-owned line is a no-op invalidation-wise.
+  EXPECT_FALSE(t.claim_for_handoff(1));
+  EXPECT_EQ(t.invalidations(), 1u);
+  EXPECT_EQ(t.sampled_accesses(), 2u);
 }
 
-TEST(SyncSuppression, InvalidationsIdenticalWithAndWithoutSuppression) {
-  // One deterministic synced stream, replayed sequentially through both
-  // signatures: suppression may drop sampled detail, but invalidation
-  // counts and total accesses must be bit-identical.
-  auto drive = [](bool with_epochs) {
-    auto t = make_tracker();
-    std::uint64_t epoch[2] = {1, 1};
-    for (int round = 0; round < 6; ++round) {
-      const ThreadId owner = static_cast<ThreadId>(round % 2);
-      ++epoch[owner];
-      t.claim_for_handoff(owner, static_cast<std::uint32_t>(epoch[owner]));
-      for (int i = 0; i < 17; ++i) {
-        const Address a = kLineBase + 8 * ((round + i) % 8);
-        const AccessType ty = (i % 5 == 0) ? R : W;
-        if (with_epochs) {
-          t.handle_access(a, ty, owner, kWin, kIval,
-                          static_cast<std::uint32_t>(epoch[owner]));
-        } else {
-          t.handle_access(a, ty, owner, kWin, kIval);
-        }
-      }
-    }
-    return std::pair<std::uint64_t, std::uint64_t>(t.invalidations(),
-                                                   t.total_accesses());
-  };
-  const auto base = drive(false);
-  const auto sync = drive(true);
-  EXPECT_EQ(base.first, sync.first);    // invalidations
-  EXPECT_EQ(base.second, sync.second);  // total accesses
-}
-
-TEST(SyncSuppression, ConcurrentHandoffTenuresConserveCounts) {
-  // TSan-facing: rotating tenures with racing claims; every delivered
-  // access must be either sampled or suppressed, never both or neither.
+TEST(HandoffClaim, ConcurrentHandoffTenuresConserveCounts) {
+  // TSan-facing: rotating tenures with racing claims; under full sampling
+  // every delivered access is sampled exactly once, and no claim counts as
+  // an access.
   auto t = std::make_unique<CacheTracker>(10, kGeo);
   constexpr int kThreads = 4;
   constexpr std::uint64_t kTenures = 200;
@@ -984,18 +874,17 @@ TEST(SyncSuppression, ConcurrentHandoffTenuresConserveCounts) {
   for (int id = 0; id < kThreads; ++id) {
     threads.emplace_back([&t, id] {
       for (std::uint64_t r = 0; r < kTenures; ++r) {
-        const auto epoch = static_cast<std::uint32_t>(r + 1);
-        t->claim_for_handoff(static_cast<ThreadId>(id), epoch);
+        t->claim_for_handoff(static_cast<ThreadId>(id));
         for (std::uint64_t i = 0; i < kBurst; ++i) {
           t->handle_access(kLineBase + 8 * (id % 8), W,
-                           static_cast<ThreadId>(id), kWin, kIval, epoch);
+                           static_cast<ThreadId>(id), kAll, kAll);
         }
       }
     });
   }
   for (auto& th : threads) th.join();
   const std::uint64_t total = kThreads * kTenures * kBurst;
-  EXPECT_EQ(t->sampled_accesses() + t->suppressed_accesses(), total);
+  EXPECT_EQ(t->sampled_accesses(), total);
   EXPECT_EQ(t->total_accesses(), total);
 }
 

@@ -31,13 +31,11 @@ namespace pred {
 namespace {
 
 // Deterministic snapshot generator: per client, a cumulative series with
-// overlapping lines/sites across clients and occasional ring drops.
+// overlapping lines/sites across clients.
 MonitorSnapshot synth_snapshot(std::mt19937_64& rng, std::uint64_t sequence) {
   MonitorSnapshot s;
   s.sequence = sequence;
   s.events_seen = sequence * 1000 + rng() % 100;
-  s.events_dropped = rng() % 5 == 0 ? rng() % 200 : 0;
-  s.aggregation_passes = sequence;
   s.escalations = rng() % 8;
   s.invalidations = sequence * 50 + rng() % 50;
   s.samples = s.invalidations * 2;
@@ -68,8 +66,6 @@ MonitorSnapshot synth_snapshot(std::mt19937_64& rng, std::uint64_t sequence) {
     ce.lines = 1 + rng() % 4;
     s.callsites.push_back(ce);
   }
-  s.rings.push_back({s.events_seen + s.events_dropped, s.events_seen,
-                     s.events_dropped});
   return s;
 }
 
@@ -204,12 +200,11 @@ TEST(MergeAlgebra, StaleRedeliveryDoesNotRegressState) {
   EXPECT_EQ(state.rollup(4).events_seen, new_snap.events_seen);
 }
 
-TEST(MergeAlgebra, RollupBoundsChargeDrops) {
+TEST(MergeAlgebra, RollupSumsClientCounts) {
   MonitorSnapshot a;
   a.sequence = 1;
   a.invalidations = 100;
   a.samples = 200;
-  a.events_dropped = 40;
   MonitorSnapshot::LineEntry le;
   le.line_start = 0x40;
   le.invalidations = 100;
@@ -220,7 +215,6 @@ TEST(MergeAlgebra, RollupBoundsChargeDrops) {
   b.sequence = 1;
   b.invalidations = 10;
   b.samples = 20;
-  b.events_dropped = 0;
   le.line_start = 0x80;
   le.invalidations = 10;
   le.samples = 20;
@@ -231,21 +225,18 @@ TEST(MergeAlgebra, RollupBoundsChargeDrops) {
   state.absorb(2, 2, b);
   const FleetRollup rollup = state.rollup(8);
   EXPECT_EQ(rollup.invalidations, 110u);
-  EXPECT_EQ(rollup.invalidations_upper, 150u);  // fleet-wide drops charged
   EXPECT_EQ(rollup.samples, 220u);
-  EXPECT_EQ(rollup.samples_upper, 260u);
   ASSERT_EQ(rollup.top_lines.size(), 2u);
-  // Per-line upper charges only the owning client's drops.
   EXPECT_EQ(rollup.top_lines[0].line_start, 0x40u);
-  EXPECT_EQ(rollup.top_lines[0].invalidations_upper, 140u);
+  EXPECT_EQ(rollup.top_lines[0].invalidations, 100u);
   EXPECT_EQ(rollup.top_lines[1].line_start, 0x80u);
-  EXPECT_EQ(rollup.top_lines[1].invalidations_upper, 10u);
+  EXPECT_EQ(rollup.top_lines[1].invalidations, 10u);
 }
 
 // A real session's snapshot reads the trackers and sheds nothing, so the
-// fleet bounds [exact, exact + dropped] collapse onto one value, and that
-// value is the lossless oracle: the report's invalidation total.
-TEST(DropReconciliation, BoundsCoverLosslessOracle) {
+// fleet rollup of it equals the lossless oracle: the report's invalidation
+// total.
+TEST(FleetRollup, MatchesTheReportOfARealSession) {
   SessionOptions o;
   o.heap_size = 8 * 1024 * 1024;
   o.runtime.tracking_threshold = 2;
@@ -256,16 +247,14 @@ TEST(DropReconciliation, BoundsCoverLosslessOracle) {
     s.record(&data[1], AccessType::kWrite, 1, 8);
   }
   const MonitorSnapshot snap = s.monitor().snapshot();
-  ASSERT_EQ(snap.events_dropped, 0u);
 
   FleetState state;
   state.absorb(1, 1, snap);
   const FleetRollup rollup = state.rollup(8);
   const Report report = s.report();
   ASSERT_GT(report.total_invalidations, 0u);
-  EXPECT_EQ(rollup.invalidations_upper, rollup.invalidations);
   EXPECT_EQ(rollup.invalidations, report.total_invalidations);
-  EXPECT_EQ(rollup.samples_upper, rollup.samples);
+  EXPECT_EQ(rollup.samples, snap.samples);
 }
 
 TEST(Collector, MatchesOracleForEveryOrder) {

@@ -44,8 +44,7 @@ void default_config(RuntimeConfig&) {}
 /// replay_into_session's round-robin order (quantum 1). The oracle side
 /// clears the thread's FastPathCache before each access, so no inline exit
 /// can fire, and flushes the write stage after it. With `sync_every` > 0,
-/// every thread issues a sync event after each `sync_every` rounds, so its
-/// tracked accesses carry a non-zero epoch.
+/// every thread calls Session::sync after each `sync_every` rounds.
 void round_robin_replay(Session& session,
                         const std::vector<ThreadTrace>& traces, bool oracle,
                         std::size_t sync_every) {
@@ -64,7 +63,7 @@ void round_robin_replay(Session& session,
     }
     if (sync_every != 0 && round % sync_every == 0) {
       for (std::size_t t = 0; t < traces.size(); ++t) {
-        rt.handle_sync(static_cast<ThreadId>(t));
+        session.sync(static_cast<ThreadId>(t));
       }
     }
   }
@@ -74,8 +73,7 @@ void round_robin_replay(Session& session,
 struct TrackedCounts {
   std::uint64_t total = 0;
   std::uint64_t sampled = 0;
-  std::uint64_t suppressed = 0;
-  std::uint64_t unsampled() const { return total - sampled - suppressed; }
+  std::uint64_t unsampled() const { return total - sampled; }
 };
 
 std::string replay_report(const char* workload, bool fast,
@@ -101,7 +99,6 @@ std::string replay_report(const char* workload, bool fast,
       region.for_each_tracker([&](std::size_t, const CacheTracker* t) {
         counts->total += t->total_accesses();
         counts->sampled += t->sampled_accesses();
-        counts->suppressed += t->suppressed_accesses();
       });
     });
   }
@@ -224,24 +221,28 @@ TEST(FastPathDeterminism, NonPowerOfTwoLineTakesTheGenericPath) {
 }
 
 TEST(FastPathDeterminism, SyncedReplayMatchesSeedPath) {
-  // Every thread syncs after each 64 rounds, so its tracked accesses carry
-  // a non-zero epoch: the inline path hands them to handle_tracked, where
-  // the sync-aware check suppresses repeated accesses to a line the thread
-  // owns until a virtual line covers it. The oracle replays the same
-  // accesses and syncs.
+  // Every thread syncs after each 16 or 64 rounds. A sync changes nothing
+  // the detector records, so synced threads take the same inline exits as
+  // any other and the predictor still finds linear_regression's line
+  // however often they sync. The oracle replays the same accesses and
+  // syncs.
   auto dense_sampling = [](RuntimeConfig& c) {
     c.sample_window = 64;
     c.sample_interval = 1024;
   };
-  TrackedCounts counts;
-  const std::string fast = replay_report("linear_regression", true,
-                                         dense_sampling, &counts, 64);
-  const std::string slow = replay_report("linear_regression", false,
-                                         dense_sampling, nullptr, 64);
-  EXPECT_GT(counts.suppressed, 1'000u);
-  EXPECT_GT(counts.sampled, 0u);
-  EXPECT_NE(fast.find("Finding #1"), std::string::npos);
-  EXPECT_EQ(fast, slow);
+  for (const std::size_t sync_every : {64u, 16u}) {
+    TrackedCounts counts;
+    const std::string fast = replay_report("linear_regression", true,
+                                           dense_sampling, &counts,
+                                           sync_every);
+    const std::string slow = replay_report("linear_regression", false,
+                                           dense_sampling, nullptr,
+                                           sync_every);
+    EXPECT_GT(counts.sampled, 0u) << sync_every;
+    EXPECT_GT(counts.unsampled(), 0u) << sync_every;
+    EXPECT_NE(fast.find("Finding #1"), std::string::npos) << sync_every;
+    EXPECT_EQ(fast, slow) << sync_every;
+  }
 }
 
 // --- concurrent registration: the seed read-then-store slot claim lost
@@ -634,28 +635,32 @@ TEST(FastPathStaging, PredictionFiresOnTheCrossingTrackedWrite) {
             3 * cfg.prediction_threshold);
 }
 
-TEST(FastPathStaging, SyncedThreadKeepsTheSuppressionPath) {
-  // A thread with a non-zero sync epoch must take the sync-aware path,
-  // where its repeated writes to a line it owns are suppressed; the inline
-  // tracked exit would tick the sampling clock instead.
-  RuntimeConfig cfg = small_config();
-  cfg.prediction_enabled = false;
-  cfg.sample_window = 1;
-  cfg.sample_interval = 1000;
-  Runtime rt(cfg);
-  auto* region =
-      rt.register_region(reinterpret_cast<Address>(g_page_a), 4096);
-  const Address a = reinterpret_cast<Address>(g_page_a) + 640;
-  for (std::uint64_t i = 0; i < cfg.tracking_threshold; ++i) {
-    rt.handle_access(a, W, 0);  // the last one escalates
+TEST(FastPathStaging, SyncedThreadSamplesLikeAnyOther) {
+  // A thread that called Session::sync samples its tracked writes by the
+  // same window as any other: 1 of every 10.
+  SessionOptions o;
+  o.heap_size = 8 * 1024 * 1024;
+  o.runtime = small_config();
+  o.runtime.prediction_enabled = false;
+  o.runtime.sample_window = 1;
+  o.runtime.sample_interval = 10;
+  Session session(o);
+  session.register_global(g_page_a, sizeof g_page_a, "page_a");
+  const char* a = g_page_a + 640;
+  for (std::uint64_t i = 0; i < o.runtime.tracking_threshold; ++i) {
+    session.record(a, W, 0, 8);  // the last one escalates
   }
-  rt.handle_sync(0);
-  for (int i = 0; i < 100; ++i) rt.handle_access(a, W, 0);
-  const std::size_t idx = region->line_index(a);
-  ASSERT_NE(region->tracker(idx), nullptr);
-  // The first write after the sync claims the line; the other 99 hit.
-  EXPECT_EQ(region->tracker(idx)->suppressed_accesses(), 99u);
-  EXPECT_EQ(region->writes_count(idx), cfg.tracking_threshold + 100);
+  session.sync(0);
+  for (int i = 0; i < 100; ++i) session.record(a, W, 0, 8);
+  ShadowSpace* region =
+      session.runtime().find_region(reinterpret_cast<Address>(a));
+  ASSERT_NE(region, nullptr);
+  const std::size_t idx = region->line_index(reinterpret_cast<Address>(a));
+  const CacheTracker* track = region->tracker(idx);
+  ASSERT_NE(track, nullptr);
+  EXPECT_EQ(track->sampled_accesses(), 10u);
+  EXPECT_EQ(track->total_accesses(), 100u);
+  EXPECT_EQ(region->writes_count(idx), o.runtime.tracking_threshold + 100);
 }
 
 TEST(FastPathStaging, EscalationHappensOnTheCrossingAccess) {

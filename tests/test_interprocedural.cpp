@@ -198,16 +198,13 @@ alignas(64) std::int64_t g_buffer[1024];
 /// Executes the first `num_fns` functions of `m` (the originals — "$bare"
 /// clones run only when called) from two alternating logical threads
 /// against g_buffer under a fully deterministic runtime and returns the
-/// detector report as JSON. `sync_suppression` toggles the runtime's
-/// epoch/ownership fast path (on by default, as in production).
+/// detector report as JSON.
 std::string run_module_report(const Module& m, std::size_t num_fns,
-                              std::int64_t n, RunTotals* totals,
-                              bool sync_suppression = true) {
+                              std::int64_t n, RunTotals* totals) {
   SessionOptions opts;
   opts.runtime.tracking_threshold = 1;
   opts.runtime.report_invalidation_threshold = 1;
   opts.runtime.prediction_enabled = false;
-  opts.runtime.sync_suppression = sync_suppression;
   opts.runtime.set_sampling_rate(1.0);
   opts.heap_size = 4 * 1024 * 1024;
   Session session(opts);
@@ -769,10 +766,11 @@ TEST(SyncFuzz, SyncFreeGenerationIsDeterministicAndIntrinsicFree) {
 /// Collapses a report JSON to its invalidation content: the sorted multiset
 /// of every "total_invalidations", "finding_count", and per-entry
 /// "invalidations" counter. Word histograms and access totals are
-/// deliberately excluded — suppressed and sync-pruned accesses skip them by
-/// design (that IS the saved work) — so on synced streams only the
-/// invalidation accounting is comparable across modes, and it must match
-/// EXACTLY: the handoff claim stands in for every pruned first write.
+/// deliberately excluded — sync-pruned accesses skip them by design (that
+/// IS the saved work) — so on synced streams only the invalidation
+/// accounting is comparable across pruned and unpruned runs, and it must
+/// match EXACTLY: the handoff claim stands in for every pruned first
+/// write.
 std::string invalidation_signature(const std::string& json) {
   std::ostringstream sig;
   const auto grab = [&](const char* key) {
@@ -800,9 +798,8 @@ std::string invalidation_signature(const std::string& json) {
 /// invalidations versus fully-instrumented ones — the runs are sequential
 /// and deterministic, so the invalidation accounting must be exactly
 /// equal, not merely bounded. Word histograms shrink by design: the static
-/// layer drops exactly the deliveries the runtime fast path would have
-/// suppressed (the handoff claim leaves each line's automaton in the
-/// {owner, W} state, where the dropped accesses are provable no-ops).
+/// layer drops deliveries that are provable no-ops for the automaton (the
+/// handoff claim leaves each line's automaton in the {owner, W} state).
 TEST(SyncFuzz, SyncScopedPruningLosesNoInvalidations) {
   GeneratorOptions gopts;
   gopts.segments = 3;
@@ -854,53 +851,6 @@ TEST(SyncFuzz, SyncScopedPruningLosesNoInvalidations) {
   EXPECT_GT(total_sync_skipped, 0u);   // the pruning pass actually fired
   EXPECT_GT(total_dropped, 0u);        // and removed live deliveries
   EXPECT_GT(total_syncing_exact, 0u);  // exact-but-syncing callees occurred
-}
-
-/// The runtime-level half of the same proof, split by the ISSUE contract:
-/// on SYNC-FREE streams every thread's epoch stays zero, pack_sync refuses
-/// to build an ownership word, and the knob must be completely invisible —
-/// reports bit-identical byte for byte. On SYNCED streams the fast path
-/// legitimately skips histogram work, so the requirement drops to
-/// soundness: identical delivered streams and exactly equal invalidation
-/// accounting. Sequential determinism makes both checks exact, not
-/// statistical.
-TEST(SyncFuzz, SuppressionKnobIsInvisibleWhereItMustBe) {
-  GeneratorOptions gopts;
-  gopts.segments = 3;
-  gopts.accesses_per_block = 2;
-  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    gopts.callees = 1 + static_cast<std::uint32_t>(seed % 4);
-    const std::int64_t n = 3 + static_cast<std::int64_t>(seed % 13);
-
-    // Sync-free: bit-identical across modes (the epoch-0 policy end to
-    // end — no sync event ever happened, so nothing may be suppressed).
-    gopts.sync_segments = 0;
-    Module plain = generate_module(seed, gopts);
-    run_instrumentation_pass(plain, {});
-    RunTotals pon;
-    RunTotals poff;
-    const std::string plain_on = run_module_report(
-        plain, plain.functions.size(), n, &pon, /*sync_suppression=*/true);
-    const std::string plain_off = run_module_report(
-        plain, plain.functions.size(), n, &poff, /*sync_suppression=*/false);
-    EXPECT_EQ(pon.delivered, poff.delivered) << "seed " << seed;
-    EXPECT_EQ(plain_on, plain_off) << "seed " << seed;
-
-    // Synced: same deliveries, zero lost invalidations.
-    gopts.sync_segments = 2;
-    Module synced = generate_module(seed, gopts);
-    run_instrumentation_pass(synced, {});
-    RunTotals son;
-    RunTotals soff;
-    const std::string synced_on = run_module_report(
-        synced, synced.functions.size(), n, &son, /*sync_suppression=*/true);
-    const std::string synced_off = run_module_report(
-        synced, synced.functions.size(), n, &soff, /*sync_suppression=*/false);
-    EXPECT_EQ(son.delivered, soff.delivered) << "seed " << seed;
-    EXPECT_EQ(invalidation_signature(synced_on),
-              invalidation_signature(synced_off))
-        << "seed " << seed;
-  }
 }
 
 /// Cross-call handoff evidence: a transferable root argument's verified

@@ -4,11 +4,11 @@
 // reimplementation of the Section 2.3.1 invalidation rules (no thresholds,
 // no atomics — a direct transcription of the paper's bullet list per line)
 // with the seed's Section 2.4.3 sampling rule: access number n of a line is
-// recorded iff n % interval < window. Random access streams are fed to both
-// the oracle and the production Runtime (every line tracked, one OS
-// thread); their per-line access totals, sampled counts, invalidation
-// counts and word histograms must match exactly, at full and at partial
-// sampling.
+// recorded iff n % interval < window. Random access streams, with ownership
+// handoffs over random ranges interleaved, are fed to both the oracle and
+// the production Runtime (every line tracked, one OS thread); their
+// per-line access totals, sampled counts, invalidation counts and word
+// histograms must match exactly, at full and at partial sampling.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -52,12 +52,13 @@ class ReferenceDetector {
       }
       return;
     }
-    const bool invalidation =
-        st.entries == 2 || (st.entries == 1 && st.tid[0] != tid);
-    if (invalidation) ++st.invalidations;
-    st.tid[0] = tid;
-    st.entries = 1;
+    write(st, tid);
   }
+
+  /// A handoff claim of line `line` by `tid`: one write through the
+  /// two-entry rules. It is not an access: it counts nothing, ticks no
+  /// sampling clock and touches no word.
+  void claim(std::size_t line, ThreadId tid) { write(lines_[line], tid); }
 
   struct WordState {
     std::uint64_t reads = 0, writes = 0;
@@ -75,6 +76,14 @@ class ReferenceDetector {
   const std::map<std::size_t, LineState>& lines() const { return lines_; }
 
  private:
+  static void write(LineState& st, ThreadId tid) {
+    const bool invalidation =
+        st.entries == 2 || (st.entries == 1 && st.tid[0] != tid);
+    if (invalidation) ++st.invalidations;
+    st.tid[0] = tid;
+    st.entries = 1;
+  }
+
   const std::uint64_t window_;
   const std::uint64_t interval_;
   std::map<std::size_t, LineState> lines_;
@@ -83,12 +92,17 @@ class ReferenceDetector {
 
 alignas(64) char g_buf[16 * 1024];
 
+/// One step of a stream: an access, or (handoff_len > 0) a handoff of
+/// [addr, addr + handoff_len) to `tid`.
 struct Access {
   Address addr;
   AccessType type;
   ThreadId tid;
+  std::size_t handoff_len = 0;
 };
 
+/// About one step in 50 is a handoff of 1 to 192 bytes starting anywhere
+/// in the accessed lines, so a range covers up to four lines.
 std::vector<Access> random_stream(std::uint64_t seed, int n, int threads,
                                   std::size_t lines) {
   Xorshift64 rng(seed);
@@ -97,8 +111,14 @@ std::vector<Access> random_stream(std::uint64_t seed, int n, int threads,
   const Address base = reinterpret_cast<Address>(g_buf);
   for (int i = 0; i < n; ++i) {
     Access a;
-    a.addr = base + rng.next_below(lines) * 64 + rng.next_below(8) * 8;
-    a.type = rng.next_below(3) == 0 ? AccessType::kWrite : AccessType::kRead;
+    if (rng.next_below(50) == 0) {
+      a.addr = base + rng.next_below(lines * 64);
+      a.type = AccessType::kWrite;
+      a.handoff_len = 1 + rng.next_below(192);
+    } else {
+      a.addr = base + rng.next_below(lines) * 64 + rng.next_below(8) * 8;
+      a.type = rng.next_below(3) == 0 ? AccessType::kWrite : AccessType::kRead;
+    }
     a.tid = static_cast<ThreadId>(rng.next_below(threads));
     out.push_back(a);
   }
@@ -127,10 +147,21 @@ void expect_runtime_matches_reference(std::uint64_t seed,
     region->ensure_tracker(i);
   }
 
+  std::size_t handoffs = 0;
   for (const Access& a : stream) {
-    oracle.access(a.addr, a.type, a.tid);
-    rt.handle_access(a.addr, a.type, a.tid);
+    if (a.handoff_len == 0) {
+      oracle.access(a.addr, a.type, a.tid);
+      rt.handle_access(a.addr, a.type, a.tid);
+      continue;
+    }
+    for (Address l = a.addr / 64; l <= (a.addr + a.handoff_len - 1) / 64;
+         ++l) {
+      oracle.claim(l, a.tid);
+    }
+    rt.handle_handoff(a.addr, a.handoff_len, a.tid);
+    ++handoffs;
   }
+  ASSERT_GT(handoffs, 0u);
 
   for (const auto& [line, ref] : oracle.lines()) {
     const std::size_t idx =

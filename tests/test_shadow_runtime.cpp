@@ -257,8 +257,8 @@ TEST(Runtime, VirtualLineRegistrationCoversAllOverlappedLines) {
   ASSERT_NE(vl, nullptr);
   ASSERT_NE(region->tracker(1), nullptr);
   ASSERT_NE(region->tracker(2), nullptr);
-  EXPECT_TRUE(region->tracker(1)->has_virtual_lines());
-  EXPECT_TRUE(region->tracker(2)->has_virtual_lines());
+  EXPECT_EQ(region->tracker(1)->fanout_tables(), 1u);
+  EXPECT_EQ(region->tracker(2)->fanout_tables(), 1u);
   EXPECT_EQ(rt.virtual_lines().size(), 1u);
 }
 

@@ -15,8 +15,6 @@ MonitorSnapshot sample_snapshot() {
   MonitorSnapshot s;
   s.sequence = 41;
   s.events_seen = 100000;
-  s.events_dropped = 250;
-  s.aggregation_passes = 77;
   s.escalations = 12;
   s.invalidations = 4321;
   s.samples = 8000;
@@ -50,9 +48,6 @@ MonitorSnapshot sample_snapshot() {
   ce.samples = 654;
   ce.lines = 2;
   s.callsites.push_back(ce);
-
-  s.rings.push_back({50000, 49900, 100});
-  s.rings.push_back({50000, 49850, 150});
   return s;
 }
 
@@ -60,8 +55,6 @@ void expect_snapshots_equal(const MonitorSnapshot& a,
                             const MonitorSnapshot& b) {
   EXPECT_EQ(a.sequence, b.sequence);
   EXPECT_EQ(a.events_seen, b.events_seen);
-  EXPECT_EQ(a.events_dropped, b.events_dropped);
-  EXPECT_EQ(a.aggregation_passes, b.aggregation_passes);
   EXPECT_EQ(a.escalations, b.escalations);
   EXPECT_EQ(a.invalidations, b.invalidations);
   EXPECT_EQ(a.samples, b.samples);
@@ -91,12 +84,6 @@ void expect_snapshots_equal(const MonitorSnapshot& a,
     EXPECT_EQ(a.callsites[i].invalidations, b.callsites[i].invalidations);
     EXPECT_EQ(a.callsites[i].samples, b.callsites[i].samples);
     EXPECT_EQ(a.callsites[i].lines, b.callsites[i].lines);
-  }
-  ASSERT_EQ(a.rings.size(), b.rings.size());
-  for (std::size_t i = 0; i < a.rings.size(); ++i) {
-    EXPECT_EQ(a.rings[i].produced, b.rings[i].produced);
-    EXPECT_EQ(a.rings[i].consumed, b.rings[i].consumed);
-    EXPECT_EQ(a.rings[i].dropped, b.rings[i].dropped);
   }
 }
 
@@ -151,20 +138,32 @@ TEST(SnapshotCodec, HelloGoodbyeCarryIdentity) {
 }
 
 TEST(SnapshotCodec, SkipsFieldsFromNewerClients) {
-  // Simulate a future client: append unknown top-level fields (both kinds)
-  // to a valid payload. The decode must ignore them and still recover the
+  // Append unknown top-level fields (both kinds) to a valid payload: those
+  // of a future client, and the retired ids 5 (events dropped), 6
+  // (aggregation passes) and 15 (a nested ring entry) an older client
+  // still sends. The decode must ignore them and still recover the
   // snapshot exactly.
   const MonitorSnapshot snap = sample_snapshot();
-  std::string payload = frame_payload(
-      SnapshotCodec::encode(snap, ClientId{5, 6}), wire::FrameType::kSnapshot);
-  wire::FieldWriter w(&payload);
-  w.u64(600, 123456789);
-  w.str(601, "telemetry from the future");
-
-  DecodedSnapshot decoded;
-  ASSERT_TRUE(SnapshotCodec::decode(payload, &decoded));
-  EXPECT_EQ(decoded.client.uid, 5u);
-  expect_snapshots_equal(decoded.snapshot, snap);
+  for (const bool retired : {false, true}) {
+    std::string payload =
+        frame_payload(SnapshotCodec::encode(snap, ClientId{5, 6}),
+                      wire::FrameType::kSnapshot);
+    wire::FieldWriter w(&payload);
+    if (retired) {
+      std::string ring;
+      wire::FieldWriter(&ring).u64(1, 50000);
+      w.u64(5, 250);
+      w.u64(6, 77);
+      w.bytes(15, ring);
+    } else {
+      w.u64(600, 123456789);
+      w.str(601, "telemetry from the future");
+    }
+    DecodedSnapshot decoded;
+    ASSERT_TRUE(SnapshotCodec::decode(payload, &decoded)) << retired;
+    EXPECT_EQ(decoded.client.uid, 5u);
+    expect_snapshots_equal(decoded.snapshot, snap);
+  }
 }
 
 TEST(SnapshotCodec, RejectsMalformedPayload) {
