@@ -3,6 +3,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <string>
@@ -92,6 +93,14 @@ inline std::size_t resident_bytes() {
   if (std::fscanf(f, "%lu %lu", &pages, &resident) != 2) resident = 0;
   std::fclose(f);
   return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/// The median of `v` (the mean of the middle two for an even count).
+inline double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
 }
 
 inline void print_rule(char c = '-', int width = 96) {

@@ -17,10 +17,23 @@
 // additional dynamic runtime-call reduction over the intraprocedural
 // passes alone.
 //
+// Counts (static sites, runtime calls, delivered accesses) come from one
+// pass of 6 rounds per configuration. Times, in the bench thread's CPU
+// time, come from the same modules run for enough rounds that the fastest
+// configuration of the set took at least 120 ms, repeated 5 times with the
+// configurations interleaved; each row prints the median and min-max of
+// its repetitions. `pruned_speedup` is the loop-heavy `selective` median
+// over the `all` median, and `interproc_speedup` the call-heavy
+// `selective` median over the `+interproc` median: what the pruning passes
+// buy in time, which batched calls deliver only when the runtime retires
+// them in closed form.
+//
 //   microbench_instrument [--json]   (--json also writes BENCH_instrument.json)
-#include <chrono>
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,30 +57,46 @@ struct Result {
   std::uint64_t static_sites = 0;    // marked accesses + intrinsics + reports
   std::uint64_t runtime_calls = 0;   // dynamic calls into the runtime
   std::uint64_t delivered = 0;       // access units the detector consumed
-  double seconds = 0;
+  std::vector<double> seconds;       // one timed repetition each
 };
 
 constexpr std::size_t kBufWords = 1024;
 alignas(64) std::int64_t g_buffer[kBufWords];
+constexpr std::int64_t kIterations = 128;
+constexpr int kCountRounds = 6;
+constexpr int kRepetitions = 5;
+constexpr double kMinSeconds = 0.1;
 
-Result run_config(const std::vector<ir::Module>& modules, const Config& cfg,
-                  std::int64_t iterations, int rounds) {
-  Result res;
-  std::vector<ir::Module> pruned = modules;
+/// The modules of one configuration, pruned by its passes, with the entry
+/// points every configuration drives.
+struct Pruned {
+  std::vector<ir::Module> modules;
+  std::vector<std::size_t> entries;  // original functions per module
+};
+
+Pruned prune(const std::vector<ir::Module>& modules, const Config& cfg,
+             Result& res) {
+  Pruned p{modules, std::vector<std::size_t>(modules.size())};
   ir::PassOptions opt;
   opt.dominance_elim = cfg.dominance;
   opt.loop_batching = cfg.batching;
   opt.interprocedural = cfg.interproc;
   // An interprocedural pass may append "$bare" clones; drive only the
   // original functions so every configuration runs the same entry points.
-  std::vector<std::size_t> original(pruned.size());
-  for (std::size_t i = 0; i < pruned.size(); ++i) {
-    original[i] = pruned[i].functions.size();
-    const ir::PassStats stats = ir::run_instrumentation_pass(pruned[i], opt);
+  for (std::size_t i = 0; i < p.modules.size(); ++i) {
+    p.entries[i] = p.modules[i].functions.size();
+    const ir::PassStats stats = ir::run_instrumentation_pass(p.modules[i], opt);
     res.static_sites += stats.instrumented_accesses + stats.intrinsic_accesses +
                         stats.reports_inserted;
   }
+  return p;
+}
 
+/// Runs `rounds` rounds of every entry point from two logical threads
+/// against a fresh session and returns the calling thread's CPU time, so
+/// time the host gives other tenants does not count; adds the calls and
+/// deliveries to `res` when given.
+double run_rounds(const Pruned& p, int rounds, Result* res) {
   // Deterministic detector configuration (same as the report-equivalence
   // property test): full sampling, no prediction, every line pre-escalated.
   SessionOptions sopts;
@@ -86,23 +115,77 @@ Result run_config(const std::vector<ir::Module>& modules, const Config& cfg,
   ir::Interpreter interp(&session);
   const std::int64_t args[] = {
       static_cast<std::int64_t>(reinterpret_cast<std::intptr_t>(g_buffer)),
-      iterations};
-  const auto t0 = std::chrono::steady_clock::now();
+      kIterations};
+  const double t0 = bench::thread_cpu_seconds();
   for (int round = 0; round < rounds; ++round) {
     for (ThreadId tid = 0; tid < 2; ++tid) {
-      for (std::size_t i = 0; i < pruned.size(); ++i) {
-        const ir::Module& m = pruned[i];
-        for (std::size_t f = 0; f < original[i]; ++f) {
+      for (std::size_t i = 0; i < p.modules.size(); ++i) {
+        const ir::Module& m = p.modules[i];
+        for (std::size_t f = 0; f < p.entries[i]; ++f) {
           const auto r = interp.run(m, m.functions[f], args, tid);
-          res.runtime_calls += r.runtime_calls;
-          res.delivered += r.accesses_delivered;
+          if (res != nullptr) {
+            res->runtime_calls += r.runtime_calls;
+            res->delivered += r.accesses_delivered;
+          }
         }
       }
     }
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  res.seconds = std::chrono::duration<double>(t1 - t0).count();
-  return res;
+  return bench::thread_cpu_seconds() - t0;
+}
+
+/// Counts every configuration of a set in one pass of kCountRounds rounds,
+/// then times each kRepetitions times, interleaving the configurations, at
+/// rounds that take the fastest configuration at least 1.2 kMinSeconds.
+/// Returns the rounds timed.
+int measure_set(const std::vector<ir::Module>& modules,
+                std::span<const Config> configs, std::vector<Result>& out) {
+  std::vector<Pruned> pruned;
+  out.assign(configs.size(), Result{});
+  double seconds = 0;
+  std::size_t fastest = 0;
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    pruned.push_back(prune(modules, configs[c], out[c]));
+    const double t = run_rounds(pruned[c], kCountRounds, &out[c]);
+    if (c == 0 || t < seconds) {
+      seconds = t;
+      fastest = c;
+    }
+  }
+  // Scale the rounds by the fastest configuration's time until it takes
+  // 1.2 kMinSeconds: the counting pass ran cold and reads slow.
+  int rounds = kCountRounds;
+  while (seconds < 1.2 * kMinSeconds) {
+    rounds = static_cast<int>(std::ceil(rounds * 1.5 * kMinSeconds / seconds));
+    seconds = run_rounds(pruned[fastest], rounds, nullptr);
+  }
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      out[c].seconds.push_back(run_rounds(pruned[c], rounds, nullptr));
+    }
+  }
+  return rounds;
+}
+
+void print_header(int rounds) {
+  std::printf("%-12s %12s %14s %14s %10s %19s %12s\n", "config",
+              "static sites", "runtime calls", "delivered", "median s",
+              "min-max s", "ns/delivered");
+  std::printf("(counts: %d rounds; times: %d rounds, %d repetitions)\n",
+              kCountRounds, rounds, kRepetitions);
+  bench::print_rule('-', 100);
+}
+
+void print_row(const char* name, const Result& r, int rounds) {
+  const double med = bench::median(r.seconds);
+  const auto [lo, hi] = std::minmax_element(r.seconds.begin(), r.seconds.end());
+  const double delivered =
+      static_cast<double>(r.delivered) * rounds / kCountRounds;
+  std::printf("%-12s %12llu %14llu %14llu %10.4f %9.4f-%-9.4f %12.2f\n", name,
+              static_cast<unsigned long long>(r.static_sites),
+              static_cast<unsigned long long>(r.runtime_calls),
+              static_cast<unsigned long long>(r.delivered), med, *lo, *hi,
+              delivered > 0 ? med * 1e9 / delivered : 0.0);
 }
 
 }  // namespace
@@ -126,22 +209,11 @@ int main(int argc, char** argv) {
       {"+batching", false, true},
       {"all", true, true},
   };
-
-  std::printf("%-12s %12s %14s %14s %10s %12s\n", "config", "static sites",
-              "runtime calls", "delivered", "seconds", "ns/delivered");
-  bench::print_rule();
-
   std::vector<Result> results;
-  for (const Config& cfg : configs) {
-    results.push_back(run_config(modules, cfg, /*iterations=*/128,
-                                 /*rounds=*/6));
-    const Result& r = results.back();
-    std::printf("%-12s %12llu %14llu %14llu %10.4f %12.2f\n", cfg.name,
-                static_cast<unsigned long long>(r.static_sites),
-                static_cast<unsigned long long>(r.runtime_calls),
-                static_cast<unsigned long long>(r.delivered), r.seconds,
-                r.delivered ? r.seconds * 1e9 / static_cast<double>(r.delivered)
-                            : 0.0);
+  const int rounds = measure_set(modules, configs, results);
+  print_header(rounds);
+  for (std::size_t c = 0; c < results.size(); ++c) {
+    print_row(configs[c].name, results[c], rounds);
   }
 
   const Result& base = results[0];
@@ -155,8 +227,12 @@ int main(int argc, char** argv) {
   const bool conserved = base.delivered == all.delivered &&
                          results[1].delivered == base.delivered &&
                          results[2].delivered == base.delivered;
+  const double pruned_speedup =
+      bench::median(base.seconds) / bench::median(all.seconds);
   std::printf("\nruntime-call reduction (all vs selective): %.1f%%\n",
               call_reduction);
+  std::printf("pruned_speedup (selective / all, median time): %.3f\n",
+              pruned_speedup);
   std::printf("delivered access stream conserved: %s\n",
               conserved ? "yes" : "NO — pruning is unsound");
 
@@ -179,21 +255,13 @@ int main(int argc, char** argv) {
       {"+interproc", true, true, true}, // plus summaries + call batching
   };
   std::printf("\ncall-heavy modules (callee pool %u):\n", copts.callees);
-  std::printf("%-12s %12s %14s %14s %10s %12s\n", "config", "static sites",
-              "runtime calls", "delivered", "seconds", "ns/delivered");
-  bench::print_rule();
   std::vector<Result> call_results;
-  for (const Config& cfg : call_configs) {
-    call_results.push_back(run_config(call_modules, cfg, /*iterations=*/128,
-                                      /*rounds=*/6));
-    const Result& r = call_results.back();
-    std::printf("%-12s %12llu %14llu %14llu %10.4f %12.2f\n", cfg.name,
-                static_cast<unsigned long long>(r.static_sites),
-                static_cast<unsigned long long>(r.runtime_calls),
-                static_cast<unsigned long long>(r.delivered), r.seconds,
-                r.delivered ? r.seconds * 1e9 / static_cast<double>(r.delivered)
-                            : 0.0);
+  const int call_rounds = measure_set(call_modules, call_configs, call_results);
+  print_header(call_rounds);
+  for (std::size_t c = 0; c < call_results.size(); ++c) {
+    print_row(call_configs[c].name, call_results[c], call_rounds);
   }
+  const Result& c_sel = call_results[0];
   const Result& c_intra = call_results[1];
   const Result& c_inter = call_results[2];
   const double callheavy_reduction =
@@ -203,12 +271,16 @@ int main(int argc, char** argv) {
                                     c_inter.runtime_calls) /
                 static_cast<double>(c_intra.runtime_calls)
           : 0.0;
-  const bool call_conserved =
-      call_results[0].delivered == c_intra.delivered &&
-      call_results[0].delivered == c_inter.delivered;
+  const bool call_conserved = c_sel.delivered == c_intra.delivered &&
+                              c_sel.delivered == c_inter.delivered;
+  const double interproc_speedup =
+      bench::median(c_sel.seconds) / bench::median(c_inter.seconds);
   std::printf(
       "\nadditional runtime-call reduction (+interproc vs intra): %.1f%%\n",
       callheavy_reduction);
+  std::printf(
+      "interproc_speedup (selective / +interproc, median time): %.3f\n",
+      interproc_speedup);
   std::printf("delivered access stream conserved: %s\n",
               call_conserved ? "yes" : "NO — pruning is unsound");
 
@@ -224,18 +296,25 @@ int main(int argc, char** argv) {
     w.add("runtime_calls_all", static_cast<double>(all.runtime_calls));
     w.add("call_reduction_pct", call_reduction);
     w.add("delivered_conserved", conserved ? 1.0 : 0.0);
-    w.add("seconds_selective", base.seconds);
-    w.add("seconds_all", all.seconds);
+    w.add("rounds", rounds);
+    w.add("seconds_selective", bench::median(base.seconds));
+    w.add("seconds_dominance", bench::median(results[1].seconds));
+    w.add("seconds_batching", bench::median(results[2].seconds));
+    w.add("seconds_all", bench::median(all.seconds));
+    w.add("pruned_speedup", pruned_speedup);
     w.add("runtime_calls_callheavy_selective",
-          static_cast<double>(call_results[0].runtime_calls));
+          static_cast<double>(c_sel.runtime_calls));
     w.add("runtime_calls_callheavy_intra",
           static_cast<double>(c_intra.runtime_calls));
     w.add("runtime_calls_callheavy_interproc",
           static_cast<double>(c_inter.runtime_calls));
     w.add("call_reduction_callheavy_pct", callheavy_reduction);
     w.add("delivered_conserved_callheavy", call_conserved ? 1.0 : 0.0);
-    w.add("seconds_callheavy_intra", c_intra.seconds);
-    w.add("seconds_callheavy_interproc", c_inter.seconds);
+    w.add("rounds_callheavy", call_rounds);
+    w.add("seconds_callheavy_selective", bench::median(c_sel.seconds));
+    w.add("seconds_callheavy_intra", bench::median(c_intra.seconds));
+    w.add("seconds_callheavy_interproc", bench::median(c_inter.seconds));
+    w.add("interproc_speedup", interproc_speedup);
     if (!w.write_file("BENCH_instrument.json")) {
       std::fprintf(stderr, "cannot write BENCH_instrument.json\n");
       return 1;

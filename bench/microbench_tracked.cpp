@@ -44,20 +44,25 @@
 //              scanned with a range check per virtual line, a shared access
 //              counter per covering line, and 72-byte lines that share host
 //              lines).
-//   adjacent   two threads, pinned to two CPUs when there are two, make
+//   adjacent   two threads, pinned to the first two CPUs of the affinity
+//              mask when there are two (the row prints which), make
 //              read+write pairs on adjacent words (3 and 4) of one line,
 //              fully sampled, covered as `churn` covers its counters:
 //              shifted lines at five offsets anchored on the line and on
 //              the line before it, and the double line, six covering lines
-//              per word. Each thread times its own loop; a pass counts only
-//              when the two loops overlapped for 90% of the longer one, and
-//              each layout reports the median ns/access of its kept passes
-//              (passes alternate between layouts). `fanout_adjacent_
-//              speedup_t2` = OwnLineFanOut below (the layout before history
-//              words were packed: a host line per virtual line holding its
-//              history word and a shared invalidation counter) over the
-//              production layout: two history blocks written per access
-//              instead of six lines.
+//              per word. Each thread times its own loop in its own CPU
+//              time, so time the host gives other tenants does not count; a
+//              pass counts only when the two loops overlapped (in wall
+//              time) for 90% of the longer one, and each layout reports the
+//              median ns/access of its kept passes (passes alternate
+//              between layouts). `fanout_adjacent_speedup_t2` =
+//              OwnLineFanOut below (the layout before history words were
+//              packed: a host line per virtual line holding its history
+//              word and a shared invalidation counter) over the production
+//              layout: two history blocks written per access instead of six
+//              lines. `fanout_adjacent_tracker_ns` is the same loop with no
+//              virtual line registered: the tracker alone, whose history
+//              word is the one host line the two threads must share.
 //
 // Usage: microbench_tracked [writes_per_thread] [--json FILE]
 #include <pthread.h>
@@ -539,6 +544,13 @@ struct OwnLineAdjacent : HotLine {
   }
 };
 
+/// Line 1 with no virtual line registered: the fan-out finds no table.
+struct TrackerOnlyAdjacent : HotLine {
+  void fan_out(std::size_t word, pred::AccessType type, pred::ThreadId tid) {
+    line.update_virtual_lines(word, type, tid);
+  }
+};
+
 /// CPUs the calling thread may run on, in order.
 std::vector<int> allowed_cpus() {
   std::vector<int> cpus;
@@ -552,7 +564,7 @@ std::vector<int> allowed_cpus() {
 }
 
 struct AdjacentPass {
-  double ns_per_access;  ///< the two threads' mean
+  double ns_per_access;  ///< the two threads' mean, in thread CPU time
   bool overlapped;       ///< the loops overlapped for 90% of the longer
 };
 
@@ -566,6 +578,7 @@ AdjacentPass run_adjacent(std::uint64_t pairs, const std::vector<int>& cpus) {
   using Clock = std::chrono::steady_clock;
   std::array<Clock::time_point, 2> begin{};
   std::array<Clock::time_point, 2> end{};
+  std::array<double, 2> cpu_seconds{};
   std::atomic<int> ready{0};
   std::vector<std::thread> threads;
   for (std::uint32_t t = 0; t < 2; ++t) {
@@ -582,6 +595,7 @@ AdjacentPass run_adjacent(std::uint64_t pairs, const std::vector<int>& cpus) {
       while (ready.load(std::memory_order_acquire) < 2) {
       }
       begin[t] = Clock::now();
+      const double cpu0 = pred::bench::thread_cpu_seconds();
       for (std::uint64_t i = 0; i < pairs; ++i) {
         for (pred::AccessType type :
              {pred::AccessType::kRead, pred::AccessType::kWrite}) {
@@ -591,6 +605,7 @@ AdjacentPass run_adjacent(std::uint64_t pairs, const std::vector<int>& cpus) {
           }
         }
       }
+      cpu_seconds[t] = pred::bench::thread_cpu_seconds() - cpu0;
       end[t] = Clock::now();
     });
   }
@@ -604,22 +619,16 @@ AdjacentPass run_adjacent(std::uint64_t pairs, const std::vector<int>& cpus) {
   double ns = 0.0;
   double longest = 0.0;
   for (std::uint32_t t = 0; t < 2; ++t) {
-    const double d = std::chrono::duration<double, std::nano>(end[t] - begin[t])
-                         .count();
-    ns += d / static_cast<double>(2 * pairs) / 2.0;
-    longest = std::max(longest, d);
+    ns += cpu_seconds[t] * 1e9 / static_cast<double>(2 * pairs) / 2.0;
+    longest = std::max(longest, std::chrono::duration<double, std::nano>(
+                                    end[t] - begin[t])
+                                    .count());
   }
   const double overlap = std::chrono::duration<double, std::nano>(
                              std::min(end[0], end[1]) -
                              std::max(begin[0], begin[1]))
                              .count();
   return {ns, overlap >= 0.9 * longest};
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
 }
 
 /// Median ns/access over the kept passes (all passes when none kept).
@@ -634,8 +643,8 @@ AdjacentResult summarize(const std::vector<AdjacentPass>& passes) {
     all.push_back(p.ns_per_access);
     if (p.overlapped) kept.push_back(p.ns_per_access);
   }
-  if (kept.empty()) return {median(all), 0};
-  return {median(kept), static_cast<int>(kept.size())};
+  if (kept.empty()) return {pred::bench::median(all), 0};
+  return {pred::bench::median(kept), static_cast<int>(kept.size())};
 }
 
 }  // namespace
@@ -717,30 +726,45 @@ int main(int argc, char** argv) {
   const std::uint64_t pairs = writes / 4 > 0 ? writes / 4 : 1;
   const std::vector<int> cpus = allowed_cpus();
   std::printf("\nadjacent fan-out: two threads, read+write pairs on adjacent "
-              "words, %zu virtual lines, %" PRIu64 " pairs/thread%s\n\n",
-              adjacent_placements().size(), pairs,
-              cpus.size() >= 2 ? ", pinned" : "");
+              "words, %zu virtual lines, %" PRIu64 " pairs/thread",
+              adjacent_placements().size(), pairs);
+  if (cpus.size() >= 2) {
+    std::printf(", pinned to CPUs %d and %d", cpus[0], cpus[1]);
+  }
+  std::printf("; ns/access in thread CPU time\n\n");
   constexpr int kAdjacentPasses = 7;
-  run_adjacent<PackedAdjacent>(pairs / 8 > 0 ? pairs / 8 : 1, cpus);
-  run_adjacent<OwnLineAdjacent>(pairs / 8 > 0 ? pairs / 8 : 1, cpus);
+  const std::uint64_t warmup = pairs / 8 > 0 ? pairs / 8 : 1;
+  run_adjacent<PackedAdjacent>(warmup, cpus);
+  run_adjacent<OwnLineAdjacent>(warmup, cpus);
+  run_adjacent<TrackerOnlyAdjacent>(warmup, cpus);
   std::vector<AdjacentPass> packed_passes;
   std::vector<AdjacentPass> own_passes;
+  std::vector<AdjacentPass> tracker_passes;
   for (int pass = 0; pass < kAdjacentPasses; ++pass) {
     packed_passes.push_back(run_adjacent<PackedAdjacent>(pairs, cpus));
     own_passes.push_back(run_adjacent<OwnLineAdjacent>(pairs, cpus));
+    tracker_passes.push_back(run_adjacent<TrackerOnlyAdjacent>(pairs, cpus));
   }
   const AdjacentResult packed = summarize(packed_passes);
   const AdjacentResult own = summarize(own_passes);
+  const AdjacentResult tracker = summarize(tracker_passes);
   const double adjacent_speedup = own.ns / packed.ns;
-  std::printf("%8s %18s %18s %9s\n", "threads", "own-line ns", "packed ns",
-              "speedup");
-  std::printf("%8u %18.1f %18.1f %8.2fx   (kept %d and %d of %d passes)\n",
-              2u, own.ns, packed.ns, adjacent_speedup, own.kept, packed.kept,
-              kAdjacentPasses);
+  std::printf("%8s %18s %18s %9s %18s\n", "threads", "own-line ns",
+              "packed ns", "speedup", "tracker-only ns");
+  std::printf("%8u %18.1f %18.1f %8.2fx %18.1f   (kept %d, %d and %d of %d "
+              "passes)\n",
+              2u, own.ns, packed.ns, adjacent_speedup, tracker.ns, own.kept,
+              packed.kept, tracker.kept, kAdjacentPasses);
+  if (cpus.size() >= 2) {
+    json.add("fanout_adjacent_cpu0", cpus[0]);
+    json.add("fanout_adjacent_cpu1", cpus[1]);
+  }
   json.add("fanout_adjacent_ownline_ns", own.ns);
   json.add("fanout_adjacent_packed_ns", packed.ns);
+  json.add("fanout_adjacent_tracker_ns", tracker.ns);
   json.add("fanout_adjacent_kept_passes",
-           static_cast<double>(std::min(own.kept, packed.kept)));
+           static_cast<double>(
+               std::min({own.kept, packed.kept, tracker.kept})));
   json.add("fanout_adjacent_speedup_t2", adjacent_speedup);
 
   if (!json_path.empty()) {

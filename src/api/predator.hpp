@@ -104,11 +104,15 @@ class Session {
     runtime_->handle_access(reinterpret_cast<Address>(p), type, tid, size);
   }
 
-  /// Bulk delivery: semantically exactly `count` repetitions of record().
-  /// Used by batched instrumentation (the mini-IR's kReport and merge
-  /// compensation) to amortize call overhead; every sampling, threshold,
-  /// and history decision is made per access, so the detector's state —
-  /// and its report — is identical to `count` individual record() calls.
+  /// Bulk delivery: `count` copies of one access, used by batched
+  /// instrumentation (the mini-IR's kReport and merge compensation). On one
+  /// OS thread the detector's state — and its report — is bit-identical to
+  /// `count` individual record() calls; across threads the call acts as
+  /// `count` accesses with no other thread's access between them. It does
+  /// not cost `count` accesses: on a tracked line, an unsampled stretch
+  /// retires in one step and, after one copy is recorded in full, the
+  /// sampled repeats left in its window in another
+  /// (Runtime::handle_access_n).
   void record_n(const void* p, AccessType type, ThreadId tid,
                 std::size_t size, std::uint64_t count) {
     runtime_->handle_access_n(reinterpret_cast<Address>(p), type, tid, size,

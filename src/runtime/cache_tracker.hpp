@@ -7,12 +7,13 @@
 // concurrency"): the tracker runs precisely on the hottest, most
 // falsely-shared lines, so one sampled access performs
 //   - a division-free sampling decision on the calling OS thread's own
-//     *stripe* — a host-line-padded block the thread owns exclusively, so
-//     the clock tick and the sampled/invalidation counters are plain
-//     relaxed load/store pairs (no lock-prefixed RMW, no shared line),
-//   - one relaxed fetch_add on the word histogram (the only state genuinely
-//     shared between threads that touch the same word) plus a monotone CAS
-//     on the word's owner slot, and
+//     *stripe* — a block of whole host lines the thread owns exclusively, so
+//     the clock tick, the sampled/invalidation counters and the thread's
+//     read or write count of the word are plain relaxed load/store pairs
+//     (no lock-prefixed RMW, no shared line),
+//   - a load of the word's owner slot, the one part of the word histogram
+//     that threads touching the same word share, and a monotone CAS on it
+//     only when the owner changes, and
 //   - one CAS on the packed 64-bit history table, whose winner reports the
 //     invalidation —
 // and never takes a lock. The runtime resolves an access's line, word
@@ -26,12 +27,15 @@
 // Layout: the class is alignas(kCacheLineSize) and sized to a whole number
 // of host lines (static_asserts below), so adjacent trackers — and the
 // ShadowSpace arena slots that own them — never falsely share with each
-// other; each per-thread sampling stripe is likewise padded to one host
-// line. Inside the tracker, the first host line holds what every tracked
-// access reads — the armed and prediction flags, the stripe-table and
-// fan-out pointers and the virtual-line store — and no access writes it;
-// the history word that sampled accesses CAS sits on the next line, so
-// those CASes never invalidate the line the inline exits read. The stripe
+// other; each per-thread stripe is likewise a whole number of host lines: a
+// 64-byte header, then 16 bytes of word counts per word of the line (192 B
+// on the default 64 B / 8 B geometry). Inside the tracker, the first host
+// line holds what every tracked access reads — the armed and prediction
+// flags, the stripe-table and fan-out pointers and the virtual-line store —
+// and no access writes it; the history word that sampled accesses CAS sits
+// on the next line, so those CASes never invalidate the line the inline
+// exits read, and the word owners that sampled accesses read follow on
+// lines of their own. The stripe
 // table and the fan-out table are one GrowOnlyTable type
 // (runtime/grow_only_table.hpp): a header and its entries in one
 // allocation, so a lookup is tracker → table → entry. A fan-out entry
@@ -40,11 +44,12 @@
 // (runtime/virtual_line.hpp).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
+#include <new>
 #include <vector>
 
 #include "common/cacheline.hpp"
@@ -65,12 +70,12 @@ namespace pred {
 /// (the interval need not be a power of two, so the modulo was a hardware
 /// divide on every tracked access).
 ///
-/// Owner-exclusive: tick() is only ever called by the OS thread that
-/// currently owns the enclosing stripe, so both fields advance with relaxed
-/// load/store pairs — no RMW. The fields stay atomic because *readers*
-/// (accessors, reports, reset_for_reuse) are cross-thread; a reset racing
-/// the owner is detected by the resync branch below, which starts a fresh
-/// interval instead of derailing the clock.
+/// Owner-exclusive: tick() and skip() are only ever called by the OS thread
+/// that currently owns the enclosing stripe, so both fields advance with
+/// relaxed load/store pairs — no RMW. The fields stay atomic because
+/// *readers* (accessors, reports, reset_for_reuse) are cross-thread; a reset
+/// racing the owner is detected by the resync branch below, which starts a
+/// fresh interval instead of derailing the clock.
 struct SampleClock {
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> interval_begin{0};
@@ -91,18 +96,38 @@ struct SampleClock {
     return off < window;
   }
 
-  /// tick() for an access the caller retires only if it is unsampled:
-  /// ticks and returns true when access number n falls outside the window,
-  /// and returns false with the clock untouched when tick() would sample
-  /// it — including the interval-boundary and resync cases, which always
-  /// land on offset 0.
-  bool tick_unsampled(std::uint64_t window, std::uint64_t interval) {
+  /// Sentinel for skip()'s `sampled_at`: no sampled tick may be skipped.
+  static constexpr std::uint64_t kNoSampledSkip = ~std::uint64_t{0};
+
+  /// Up to `max` ticks in one step, as many tick() calls would make them,
+  /// for ticks that need no more than the count: returns how many it took
+  /// (0, the clock untouched, when the next tick needs tick()) and sets
+  /// `sampled` to what tick() would have returned for each of them.
+  ///   - Outside the window it takes the unsampled ticks left before the
+  ///     interval ends.
+  ///   - Inside the window it takes the sampled ticks left in it, but only
+  ///     while the count still reads `sampled_at`: the caller's proof that
+  ///     the tick before was its own and left state that these repeat.
+  /// The interval-boundary and resync cases, which always land on offset
+  /// 0, take tick().
+  std::uint64_t skip(std::uint64_t max, std::uint64_t window,
+                     std::uint64_t interval, std::uint64_t sampled_at,
+                     bool& sampled) {
     const std::uint64_t n = count.load(std::memory_order_relaxed);
     const std::uint64_t off =
         n - interval_begin.load(std::memory_order_relaxed);
-    if (off < window || off >= interval) return false;
-    count.store(n + 1, std::memory_order_relaxed);
-    return true;
+    std::uint64_t k;
+    if (off >= window && off < interval) {
+      k = std::min(max, interval - off);
+      sampled = false;
+    } else if (off < window && n == sampled_at) {
+      k = std::min(max, window - off);
+      sampled = true;
+    } else {
+      return 0;
+    }
+    count.store(n + k, std::memory_order_relaxed);
+    return k;
   }
 
   void reset() {
@@ -113,17 +138,21 @@ struct SampleClock {
 
 class alignas(kCacheLineSize) CacheTracker {
  public:
-  /// Upper bound on words per line we support inline (covers line sizes up to
-  /// 256 bytes at 8-byte words without a secondary allocation).
+  /// Upper bound on words per line: the word owners are an inline array
+  /// (line sizes up to 256 bytes at 8-byte words), and fan-out masks are
+  /// 32 bits wide.
   static constexpr std::size_t kMaxWords = 32;
 
-  /// One per-thread sampling stripe: a host-line-padded block owned by the
-  /// one OS thread that holds its token, so every update is a relaxed
-  /// load/store pair — cross-thread readers see atomic snapshots, and owner
-  /// increments can never be lost. When the owner exits, the next thread to
-  /// take the token inherits the stripe, clock and counts included. The
-  /// runtime only carries a pointer to the calling thread's stripe from
-  /// find_stripe() to the calls below.
+  /// One per-thread sampling stripe, owned by the one OS thread that holds
+  /// its token, so every update is a relaxed load/store pair — cross-thread
+  /// readers see atomic snapshots, and owner increments can never be lost.
+  /// A one-host-line header of clock and counters is followed by the
+  /// thread's sampled read and write counts of each word of the line
+  /// (words(), words_per_line() entries; stripe_bytes() in all).
+  /// reset_for_reuse() zeroes the word counts with the header's counters,
+  /// by the same cross-thread stores. When the owner exits, the next thread
+  /// to take the token inherits the stripe, clock and counts included. The runtime only carries a pointer to the
+  /// calling thread's stripe from find_stripe() to the calls below.
   struct alignas(kCacheLineSize) Stripe {
     SampleClock clock;
     std::atomic<std::uint64_t> sampled_reads{0};
@@ -133,11 +162,33 @@ class alignas(kCacheLineSize) CacheTracker {
     /// longer touch the region's shared counter (see count_write).
     std::atomic<std::uint64_t> writes{0};
 
-    /// Owner-exclusive increment: no lock-prefixed RMW.
-    static void bump(std::atomic<std::uint64_t>& c) {
-      c.store(c.load(std::memory_order_relaxed) + 1,
+    /// This thread's sampled accesses of one word of the line.
+    struct WordCounts {
+      std::atomic<std::uint64_t> reads{0};
+      std::atomic<std::uint64_t> writes{0};
+
+      std::atomic<std::uint64_t>& of(AccessType type) {
+        return type == AccessType::kWrite ? writes : reads;
+      }
+    };
+    /// The word counts, stored right after the header.
+    WordCounts* words() {
+      return std::launder(reinterpret_cast<WordCounts*>(this + 1));
+    }
+    const WordCounts* words() const {
+      return const_cast<Stripe*>(this)->words();
+    }
+
+    std::atomic<std::uint64_t>& sampled(AccessType type) {
+      return type == AccessType::kWrite ? sampled_writes : sampled_reads;
+    }
+
+    /// Owner-exclusive increments: no lock-prefixed RMW.
+    static void add(std::atomic<std::uint64_t>& c, std::uint64_t k) {
+      c.store(c.load(std::memory_order_relaxed) + k,
               std::memory_order_relaxed);
     }
+    static void bump(std::atomic<std::uint64_t>& c) { add(c, 1); }
   };
   static_assert(sizeof(Stripe) == kCacheLineSize);
 
@@ -153,6 +204,10 @@ class alignas(kCacheLineSize) CacheTracker {
   }
 
   ~CacheTracker() {
+    // The newest table holds every registered stripe.
+    for_each_stripe([](Stripe& s) {
+      ::operator delete(&s, std::align_val_t{alignof(Stripe)});
+    });
     StripeTable::destroy(stripe_table_.load(std::memory_order_relaxed));
     FanOutTable::destroy(fanout_.load(std::memory_order_relaxed));
   }
@@ -226,23 +281,53 @@ class alignas(kCacheLineSize) CacheTracker {
   /// window by ticking `stripe`'s clock (and, for a write, its write count)
   /// — owner-local loads and stores, no RMW. `stripe` is find_stripe()'s
   /// result. Returns false, changing nothing, when the access needs the
-  /// full path (Runtime::handle_tracked): a disarmed tracker, a thread with
-  /// no stripe yet, a sampled access, or a write while the line's
-  /// prediction decision is pending (its count must reach the shared
-  /// counter the threshold check reads).
+  /// full path (Runtime::handle_tracked): a tracker or stripe that is not
+  /// retirable(), or a sampled access.
   bool try_retire_unsampled(Stripe* stripe, AccessType type,
                             std::uint64_t sample_window,
                             std::uint64_t sample_interval) {
-    if (stripe == nullptr || !armed_.load(std::memory_order_acquire)) {
-      return false;
+    return retirable(stripe, type) &&
+           retire_run(*stripe, type, 0, 1, sample_window, sample_interval,
+                      SampleClock::kNoSampledSkip) != 0;
+  }
+
+  /// Whether an access of `type` by the owner of `stripe` may retire on its
+  /// stripe alone when its clock allows (try_retire_unsampled, retire_run):
+  /// not on a disarmed tracker, not before the thread has a stripe, and not
+  /// for a write while the line's prediction decision is pending (its count
+  /// must reach the shared counter the threshold check reads).
+  bool retirable(const Stripe* stripe, AccessType type) const {
+    return stripe != nullptr && armed_.load(std::memory_order_acquire) &&
+           (type == AccessType::kRead || prediction_decided());
+  }
+
+  /// Retires up to `n` copies of one single-word access of `type` to word
+  /// `word` by the owner of `st`, in one step, with exactly the counts that
+  /// many full-path calls would leave; returns how many (0, changing
+  /// nothing: the next copy needs the full path). Requires
+  /// retirable(&st, type). The steps are SampleClock::skip's:
+  ///   - outside the window, the unsampled copies left in the interval;
+  ///     the clock and, for a write, the stripe's write count advance;
+  ///   - inside it, when the clock still reads `repeat_at` — its count just
+  ///     after the caller recorded this same (tid, type, word) access in
+  ///     full, sampled — the sampled copies left in the window; the clock,
+  ///     the sampled count, the word's count and, for a write, the write
+  ///     count advance. A repeat by the same (tid, type) on the same word
+  ///     changes no history word, no owner and no covering virtual line,
+  ///     so none of them is read or written.
+  std::uint64_t retire_run(Stripe& st, AccessType type, std::size_t word,
+                           std::uint64_t n, std::uint64_t window,
+                           std::uint64_t interval, std::uint64_t repeat_at) {
+    bool sampled = false;
+    const std::uint64_t k = st.clock.skip(n, window, interval, repeat_at,
+                                          sampled);
+    if (k == 0) return 0;
+    if (sampled) {
+      Stripe::add(st.sampled(type), k);
+      Stripe::add(st.words()[word].of(type), k);
     }
-    const bool write = type == AccessType::kWrite;
-    if (write && !prediction_decided()) return false;
-    if (!stripe->clock.tick_unsampled(sample_window, sample_interval)) {
-      return false;
-    }
-    if (write) Stripe::bump(stripe->writes);
-    return true;
+    if (type == AccessType::kWrite) Stripe::add(st.writes, k);
+    return k;
   }
 
   /// Counts one tracked write in the calling thread's stripe (`stripe`, as
@@ -311,13 +396,30 @@ class alignas(kCacheLineSize) CacheTracker {
     return c;
   }
 
-  /// Copy of the word histogram (size = words_per_line).
+  /// Copy of the word histogram (size = words_per_line): each word's
+  /// owner, and its reads and writes summed over the stripes in one walk
+  /// of the stripe table.
   std::vector<WordAccess> words_snapshot() const {
     std::vector<WordAccess> out(geometry_.words_per_line());
     for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = atomic_words_[i].snapshot();
+      out[i].owner = owners_[i].owner.load(std::memory_order_relaxed);
     }
+    for_each_stripe([&](const Stripe& s) {
+      const Stripe::WordCounts* w = s.words();
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i].reads += w[i].reads.load(std::memory_order_relaxed);
+        out[i].writes += w[i].writes.load(std::memory_order_relaxed);
+      }
+    });
     return out;
+  }
+
+  /// Bytes of one stripe: its header and its words_per_line() word counts,
+  /// rounded up to whole host lines.
+  std::size_t stripe_bytes() const {
+    const std::size_t bytes = sizeof(Stripe) + geometry_.words_per_line() *
+                                                   sizeof(Stripe::WordCounts);
+    return (bytes + kCacheLineSize - 1) / kCacheLineSize * kCacheLineSize;
   }
 
   /// Bytes of tracker metadata, including lazily-grown per-thread stripes
@@ -326,13 +428,16 @@ class alignas(kCacheLineSize) CacheTracker {
   std::size_t metadata_bytes() const {
     std::size_t bytes = sizeof(CacheTracker);
     std::lock_guard<Spinlock> g(lock_);
-    bytes += stripes_.size() * sizeof(Stripe);
+    for_each_stripe([&](const Stripe&) { bytes += stripe_bytes(); });
     for (const StripeTable* t = stripe_table_.load(std::memory_order_relaxed);
          t != nullptr; t = t->prev()) {
       bytes += t->capacity() * sizeof(Stripe*);
     }
     return bytes;
   }
+
+  /// The line's history automaton (tests compare its raw() word).
+  const PackedHistoryTable& history() const { return packed_history_; }
 
   /// Stripe tables retained: the published one and those it superseded.
   std::size_t stripe_tables() const {
@@ -398,15 +503,21 @@ class alignas(kCacheLineSize) CacheTracker {
   /// Section 2.3.2). Only called for lines with zero invalidations.
   void reset_for_reuse() {
     packed_history_.reset();
-    for (AtomicWordAccess& w : atomic_words_) w.reset();
-    // Cross-thread stores; a concurrently ticking owner resyncs (see
+    for (AtomicWordAccess& w : owners_) w.reset();
+    // Cross-thread stores, the word counts included, like every stripe
+    // counter a reset clears; a concurrently ticking owner resyncs (see
     // SampleClock::tick). Stripe write counts stay: like the shared
     // counter they add to, they total the line's writes across tenants.
-    for_each_stripe([](Stripe& s) {
+    const std::size_t words = geometry_.words_per_line();
+    for_each_stripe([words](Stripe& s) {
       s.clock.reset();
       s.sampled_reads.store(0, std::memory_order_relaxed);
       s.sampled_writes.store(0, std::memory_order_relaxed);
       s.invalidations.store(0, std::memory_order_relaxed);
+      for (std::size_t i = 0; i < words; ++i) {
+        s.words()[i].reads.store(0, std::memory_order_relaxed);
+        s.words()[i].writes.store(0, std::memory_order_relaxed);
+      }
     });
     unarmed_accesses_.store(0, std::memory_order_relaxed);
   }
@@ -443,9 +554,9 @@ class alignas(kCacheLineSize) CacheTracker {
   using FanOutTable = GrowOnlyTable<FanOutEntry>;
 
   /// handle_word's body: the sampling decision on the calling thread's
-  /// stripe, then — inside the window — the word histogram and the history
-  /// automaton. `word_of()` yields the word index and runs only when the
-  /// access is sampled.
+  /// stripe, then — inside the window — the word histogram (the stripe's
+  /// count and the shared owner) and the history automaton. `word_of()`
+  /// yields the word index and runs only when the access is sampled.
   template <typename WordOf>
   AccessOutcome record(WordOf&& word_of, AccessType type, ThreadId tid,
                        Stripe* stripe, std::uint64_t window,
@@ -460,12 +571,10 @@ class alignas(kCacheLineSize) CacheTracker {
     }
     AccessOutcome outcome;
     outcome.sampled = true;
-    if (type == AccessType::kWrite) {
-      Stripe::bump(st.sampled_writes);
-    } else {
-      Stripe::bump(st.sampled_reads);
-    }
-    atomic_words_[word_of()].record(tid, type);
+    const std::size_t word = word_of();
+    Stripe::bump(st.sampled(type));
+    Stripe::bump(st.words()[word].of(type));
+    owners_[word].claim(tid);
     if (packed_history_.access(tid, type) == HistoryOutcome::kInvalidation) {
       Stripe::bump(st.invalidations);
     }
@@ -489,7 +598,7 @@ class alignas(kCacheLineSize) CacheTracker {
     std::atomic_ref<Stripe*> entry(table->entries()[token]);
     Stripe* stripe = entry.load(std::memory_order_relaxed);
     if (stripe == nullptr) {
-      stripe = &stripes_.emplace_back();
+      stripe = new_stripe();
       entry.store(stripe, std::memory_order_release);
       if (table->size.load(std::memory_order_relaxed) <= token) {
         table->size.store(token + 1, std::memory_order_release);
@@ -497,6 +606,18 @@ class alignas(kCacheLineSize) CacheTracker {
     }
     if (table != cur) stripe_table_.store(table, std::memory_order_release);
     return *stripe;
+  }
+
+  /// A zeroed stripe of stripe_bytes(), header and word counts.
+  Stripe* new_stripe() const {
+    void* mem =
+        ::operator new(stripe_bytes(), std::align_val_t{alignof(Stripe)});
+    auto* stripe = new (mem) Stripe;
+    auto* words = reinterpret_cast<Stripe::WordCounts*>(stripe + 1);
+    for (std::size_t i = 0; i < geometry_.words_per_line(); ++i) {
+      new (words + i) Stripe::WordCounts;
+    }
+    return stripe;
   }
 
   /// Invokes fn on every registered stripe via the published table (safe
@@ -546,13 +667,13 @@ class alignas(kCacheLineSize) CacheTracker {
   alignas(kCacheLineSize) PackedHistoryTable packed_history_;
   std::atomic<std::uint64_t> unarmed_accesses_{0};
 
-  // The word histogram, from the next host line on.
-  alignas(kCacheLineSize) std::array<AtomicWordAccess, kMaxWords>
-      atomic_words_{};
+  // Host lines 2-3: each word's owner, read by sampled accesses and
+  // written only when it changes; the counts are in the stripes.
+  alignas(kCacheLineSize) std::array<AtomicWordAccess, kMaxWords> owners_{};
 
   // Registration only: stripe registrations and virtual-line nominations.
+  // Stripes are reached and freed through the stripe table.
   mutable Spinlock lock_;
-  std::deque<Stripe> stripes_;  ///< stable addresses; one per token
 };
 
 // Adjacent trackers (ShadowSpace arena slots) must not themselves falsely
@@ -562,9 +683,10 @@ class alignas(kCacheLineSize) CacheTracker {
 // guarantee for the heap-allocated trackers the arena owns.
 static_assert(alignof(CacheTracker) == kCacheLineSize);
 static_assert(sizeof(CacheTracker) % kCacheLineSize == 0);
-// Every escalated line pays this much metadata (Figures 8/9): 1024 B on
-// x86-64 — the read-mostly line, the history line, 12 lines of word
-// histogram and the registration state.
-static_assert(sizeof(CacheTracker) <= 1024);
+// Every escalated line pays this much metadata (Figures 8/9), plus a
+// stripe per thread that touches it: 320 B on x86-64 — the read-mostly
+// line, the history line, two lines of word owners and the registration
+// lock.
+static_assert(sizeof(CacheTracker) <= 320);
 
 }  // namespace pred

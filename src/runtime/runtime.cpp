@@ -120,6 +120,49 @@ ThreadId Runtime::register_thread() {
   return next_thread_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void Runtime::handle_access_n(Address addr, AccessType type, ThreadId tid,
+                              std::size_t size, std::uint64_t count) {
+  // The stripe clock's count right after this call recorded a copy in full
+  // on the tracked path: while the clock reads it, the copies left in the
+  // window repeat that record.
+  std::uint64_t repeat_at = SampleClock::kNoSampledSkip;
+  while (count != 0) {
+    FastPathCache& fc = t_fastpath_cache;
+    const Address off = addr - fc.region_begin;
+    if (fc.rt == this && off < fc.region_bytes &&
+        (addr & fc.word_mask) + size <= fc.word_size &&
+        fc.gen == runtime_generation() &&
+        tid <= PackedHistoryTable::kMaxThread) {
+      const std::size_t line = off >> fc.line_shift;
+      CacheTracker* track = fc.trackers[line].load(std::memory_order_acquire);
+      CacheTracker::Stripe* stripe =
+          track != nullptr ? track->find_stripe() : nullptr;
+      if (track != nullptr && track->retirable(stripe, type) &&
+          (type == AccessType::kWrite ? fc.live_slot(line) == nullptr
+                                      : fc.tracked_read_exit)) {
+        const std::size_t word = (off >> fc.word_shift) & fc.word_index_mask;
+        const std::uint64_t k =
+            track->retire_run(*stripe, type, word, count,
+                              config_.sample_window, config_.sample_interval,
+                              repeat_at);
+        if (k != 0) {
+          count -= k;
+          continue;
+        }
+        // The clock could not skip this copy, so it is sampled: record it
+        // in full, as handle_access would.
+        handle_tracked(*fc.region, line, word, track, stripe, type, tid);
+        repeat_at = stripe->clock.count.load(std::memory_order_relaxed);
+        --count;
+        continue;
+      }
+    }
+    handle_access(addr, type, tid, size);
+    repeat_at = SampleClock::kNoSampledSkip;
+    --count;
+  }
+}
+
 void Runtime::handle_access_slow(Address addr, AccessType type, ThreadId tid,
                                  std::size_t size) {
   if (config_.instrument_mode == InstrumentMode::kWritesOnly &&

@@ -18,11 +18,14 @@
 //      (runtime/write_stage.hpp) and drained in batches, so the common
 //      case touches no shared cache line;
 //   4. tracked path (handle_tracked, the one entry both paths share) —
-//      lock-free: per-OS-thread striped sampling clocks, CAS-packed
-//      history table, atomic word histogram, per-word virtual-line fan-out
-//      tables (runtime/cache_tracker.hpp) onto history words packed by
-//      anchor line, with per-token invalidation counts
-//      (runtime/virtual_line.hpp).
+//      lock-free: per-OS-thread stripes holding the sampling clock and the
+//      thread's word counts, CAS-packed history table, monotone word
+//      owners, per-word virtual-line fan-out tables
+//      (runtime/cache_tracker.hpp) onto history words packed by anchor
+//      line, with per-token invalidation counts (runtime/virtual_line.hpp).
+// A batched call (handle_access_n) retires runs of tracked accesses on the
+// thread's stripe in closed form and hands every other access to
+// handle_access.
 #pragma once
 
 #include <atomic>
@@ -95,19 +98,26 @@ class Runtime {
   void handle_access(Address addr, AccessType type, ThreadId tid,
                      std::size_t size = 8);
 
-  /// Exactly `count` repetitions of handle_access. Deliberately a literal
-  /// loop, not a counter shortcut: every per-access decision (staging,
-  /// sampling clocks, escalation and prediction thresholds, history-table
-  /// transitions) must match the unbatched execution bit for bit — that is
-  /// the contract the instrumentation pruning passes' report-equivalence
-  /// proof rests on. The savings batching buys live at the call site (one
-  /// dispatch, one address computation), not here.
+  /// `count` accesses of `size` bytes at `addr` by `tid` in one call. On
+  /// one OS thread the detector's state afterwards — every count, owner,
+  /// history word and virtual-line state — is bit-identical to `count`
+  /// calls of handle_access: the contract the instrumentation pruning
+  /// passes' report-equivalence proof rests on. Across threads, the call
+  /// acts as `count` accesses with no other thread's access between them.
+  ///
+  /// A single-word access to a tracked line in the region the thread last
+  /// resolved, whose tracker is retirable() for the thread — not a write
+  /// while the thread's staged slot for the line is live — retires on the
+  /// thread's stripe in closed form (CacheTracker::retire_run): an
+  /// unsampled stretch in one step, and, right after one access recorded
+  /// in full, the sampled repeats left in its window in another. Every
+  /// other access — untracked lines, staged writes, writes while the line's
+  /// prediction is pending (the hook may nominate virtual lines mid-run),
+  /// disarmed trackers, wide tids, multi-word accesses and reads in
+  /// writes-only mode — takes handle_access once. So a run costs O(1) per
+  /// window or interval boundary it crosses.
   void handle_access_n(Address addr, AccessType type, ThreadId tid,
-                       std::size_t size, std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      handle_access(addr, type, tid, size);
-    }
-  }
+                       std::size_t size, std::uint64_t count);
 
   // --- threads ---
 
@@ -275,18 +285,15 @@ inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,
     if (type == AccessType::kWrite) {
       // A write to a line whose staged slot is live: two thread-local
       // increments.
-      StagedSlot& s =
-          fc.stage->slots[WriteStage::slot_index(fc.region, line)];
-      if (s.region == fc.region && s.line == line && s.gen == fc.gen)
-          [[likely]] {
-        ++s.count;
+      if (StagedSlot* s = fc.live_slot(line)) [[likely]] {
+        ++s->count;
         if (++fc.stage->staged_since_flush >= WriteStage::kFlushPeriod)
             [[unlikely]] {
           fc.stage->flush();
           return;
         }
-        if (s.base + s.count >= fc.tracking_threshold) [[unlikely]] {
-          drain_slot(s);
+        if (s->base + s->count >= fc.tracking_threshold) [[unlikely]] {
+          drain_slot(*s);
         }
         return;
       }

@@ -40,25 +40,22 @@ struct WordAccess {
   }
 };
 
-/// Concurrent-update variant used by the lock-free tracked path: counters
-/// are relaxed fetch_adds and the owner word follows the monotone state
-/// machine  kInvalidThread → first-owner tid → kSharedWord  via CAS. Every
-/// transition moves strictly forward (the shared state is absorbing), so
-/// racing recorders can never resurrect single-owner status and the
+/// The one part of a word's histogram entry that every thread touching the
+/// word shares: its owner, which follows the monotone state machine
+/// kInvalidThread → first-owner tid → kSharedWord via CAS. Every transition
+/// moves strictly forward (the shared state is absorbing), so racing
+/// recorders can never resurrect single-owner status and the
 /// false/true-sharing classification of Section 2.3.2 stays sound without a
-/// lock. Once the word is owned by the calling thread or shared, record()
-/// performs no RMW on the owner at all.
+/// lock. The word's read and write counts are owner-exclusive instead: each
+/// thread counts its own in its stripe of the tracker
+/// (CacheTracker::Stripe), and a snapshot sums them.
 struct AtomicWordAccess {
-  std::atomic<std::uint64_t> reads{0};
-  std::atomic<std::uint64_t> writes{0};
   std::atomic<ThreadId> owner{kInvalidThread};
 
-  void record(ThreadId tid, AccessType type) {
-    if (type == AccessType::kWrite) {
-      writes.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      reads.fetch_add(1, std::memory_order_relaxed);
-    }
+  /// Moves the owner forward for an access by `tid`: one load, and a CAS
+  /// only on a transition. Once the word is owned by `tid` or shared, no
+  /// RMW at all.
+  void claim(ThreadId tid) {
     ThreadId o = owner.load(std::memory_order_relaxed);
     while (o != tid && o != WordAccess::kSharedWord) {
       const ThreadId next =
@@ -69,21 +66,7 @@ struct AtomicWordAccess {
     }
   }
 
-  /// Value-type copy for reporting/prediction (same shape the locked path
-  /// hands out).
-  WordAccess snapshot() const {
-    WordAccess w;
-    w.reads = reads.load(std::memory_order_relaxed);
-    w.writes = writes.load(std::memory_order_relaxed);
-    w.owner = owner.load(std::memory_order_relaxed);
-    return w;
-  }
-
-  void reset() {
-    reads.store(0, std::memory_order_relaxed);
-    writes.store(0, std::memory_order_relaxed);
-    owner.store(kInvalidThread, std::memory_order_relaxed);
-  }
+  void reset() { owner.store(kInvalidThread, std::memory_order_relaxed); }
 };
 
 }  // namespace pred

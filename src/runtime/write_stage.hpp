@@ -130,6 +130,15 @@ struct FastPathCache {
   /// Tracked reads may retire inline: off in writes-only mode, where the
   /// slow path drops reads instead of counting them.
   bool tracked_read_exit = false;
+
+  /// The calling thread's staged slot for `line` of the cached region when
+  /// it is live (occupied by this region, line and generation), else
+  /// nullptr.
+  StagedSlot* live_slot(std::size_t line) const {
+    StagedSlot& s = stage->slots[WriteStage::slot_index(region, line)];
+    return s.region == region && s.line == line && s.gen == gen ? &s
+                                                                : nullptr;
+  }
 };
 
 inline thread_local FastPathCache t_fastpath_cache;

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "instrument/analysis/cfg.hpp"
 #include "instrument/analysis/constants.hpp"
@@ -490,27 +492,76 @@ struct RunTotals {
 
 alignas(64) std::int64_t g_buffer[1024];
 
-/// Executes every function of `m` from two alternating logical threads
-/// against g_buffer under a fully deterministic runtime configuration
-/// (sampling 1.0, prediction off, every line pre-escalated so all IR-driven
-/// accesses land on tracked lines) and returns the detector report as JSON.
-std::string run_module_report(const Module& m, std::int64_t n,
-                              RunTotals* totals) {
+/// The detector configuration of the report-equivalence runs: sampling
+/// 1.0 and prediction off.
+RuntimeConfig full_sampling_runtime() {
+  RuntimeConfig cfg;
+  cfg.tracking_threshold = 1;
+  cfg.report_invalidation_threshold = 1;
+  cfg.prediction_enabled = false;
+  cfg.set_sampling_rate(1.0);
+  return cfg;
+}
+
+/// A second configuration whose runs cross sampling windows and intervals
+/// (3 of every 7 accesses sampled) and fire the prediction hook, which
+/// nominates virtual lines mid-run.
+RuntimeConfig partial_sampling_runtime() {
+  RuntimeConfig cfg;
+  cfg.tracking_threshold = 1;
+  cfg.prediction_threshold = 12;
+  cfg.report_invalidation_threshold = 1;
+  cfg.sample_window = 3;
+  cfg.sample_interval = 7;
+  return cfg;
+}
+
+/// One delivery of an interpreted run: `count` accesses in one call.
+struct Delivery {
+  Address addr;
+  std::uint32_t size;
+  AccessType type;
+  ThreadId tid;
+  std::uint64_t count;
+};
+
+/// A session over g_buffer with every line pre-escalated (threshold 1: one
+/// write creates the tracker), so no later delivery can straddle the
+/// tracking boundary.
+std::unique_ptr<Session> make_session(const RuntimeConfig& runtime) {
   SessionOptions opts;
-  opts.runtime.tracking_threshold = 1;
-  opts.runtime.report_invalidation_threshold = 1;
-  opts.runtime.prediction_enabled = false;
-  opts.runtime.set_sampling_rate(1.0);
+  opts.runtime = runtime;
   opts.heap_size = 4 * 1024 * 1024;
-  Session session(opts);
+  auto session = std::make_unique<Session>(opts);
   std::memset(g_buffer, 0, sizeof g_buffer);
-  session.register_global(g_buffer, sizeof g_buffer, "gen_buffer");
-  // Pre-escalate every line (threshold 1: one write creates the tracker) so
-  // no later delivery can straddle the tracking boundary.
+  session->register_global(g_buffer, sizeof g_buffer, "gen_buffer");
   for (std::size_t w = 0; w < 1024; w += 8) {
-    session.record(&g_buffer[w], AccessType::kWrite, 0, 8);
+    session->record(&g_buffer[w], AccessType::kWrite, 0, 8);
   }
-  Interpreter interp(&session);
+  return session;
+}
+
+std::string report_json(Session& session) {
+  return report_to_json(session.report(), session.runtime().callsites());
+}
+
+/// Executes every function of `m` from two alternating logical threads
+/// against g_buffer under a deterministic runtime configuration and
+/// returns the detector report as JSON. `deliveries`, when given, receives
+/// every delivery the interpreter made, batched ones whole.
+std::string run_module_report(
+    const Module& m, std::int64_t n, RunTotals* totals,
+    const RuntimeConfig& runtime = full_sampling_runtime(),
+    std::vector<Delivery>* deliveries = nullptr) {
+  const auto session = make_session(runtime);
+  Interpreter interp(session.get());
+  if (deliveries != nullptr) {
+    interp.set_delivery_observer([deliveries](Address a, std::uint32_t size,
+                                              AccessType type, ThreadId tid,
+                                              std::uint64_t count) {
+      deliveries->push_back({a, size, type, tid, count});
+    });
+  }
   const std::int64_t args[] = {
       static_cast<std::int64_t>(reinterpret_cast<std::intptr_t>(g_buffer)),
       n};
@@ -524,10 +575,35 @@ std::string run_module_report(const Module& m, std::int64_t n,
       }
     }
   }
-  return report_to_json(session.report(), session.runtime().callsites());
+  return report_json(*session);
 }
 
+/// The report of `deliveries` replayed as single accesses: each batched
+/// delivery becomes `count` Session::record calls, the literal loop a
+/// batched call must match.
+std::string replay_singly(const std::vector<Delivery>& deliveries,
+                          const RuntimeConfig& runtime) {
+  const auto session = make_session(runtime);
+  for (const Delivery& d : deliveries) {
+    for (std::uint64_t k = 0; k < d.count; ++k) {
+      session->record(reinterpret_cast<void*>(d.addr), d.type, d.tid, d.size);
+    }
+  }
+  return report_json(*session);
+}
+
+// At full sampling with prediction off, base and pruned modules report the
+// same bytes. The second configuration samples 3 of every 7 accesses and
+// runs the predictor. There the passes' reordering shows: loop batching
+// moves a loop's invariant accesses into one report, which changes which of
+// them a sampling window or the prediction hook sees, so base and pruned
+// reports differ even when every batched call is a literal loop. What must
+// hold is that the pruned run, whose batched calls retire in closed form
+// across windows, intervals and prediction hooks, reports exactly what its
+// delivered stream reports as single calls.
 TEST(ReportEquivalence, PrunedModulesProduceBitIdenticalReports) {
+  std::uint64_t long_runs = 0;
+  std::size_t predicted = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Module generated = generate_module(seed);
     Module base = generated;
@@ -553,7 +629,27 @@ TEST(ReportEquivalence, PrunedModulesProduceBitIdenticalReports) {
     EXPECT_LE(pruned_totals.calls, base_totals.calls) << "seed " << seed;
     // ...and concluded exactly the same thing, byte for byte.
     EXPECT_EQ(base_json, pruned_json) << "seed " << seed;
+
+    const RuntimeConfig partial = partial_sampling_runtime();
+    std::vector<Delivery> deliveries;
+    RunTotals partial_totals;
+    const std::string batched_json =
+        run_module_report(pruned, n, &partial_totals, partial, &deliveries);
+    EXPECT_EQ(partial_totals.delivered, base_totals.delivered)
+        << "seed " << seed;
+    EXPECT_EQ(batched_json, replay_singly(deliveries, partial))
+        << "seed " << seed;
+    for (const Delivery& d : deliveries) {
+      if (d.count > partial.sample_interval) ++long_runs;
+    }
+    if (batched_json.find("\"predicted\":true") != std::string::npos) {
+      ++predicted;
+    }
   }
+  // The second configuration crossed intervals inside batched calls and
+  // fired the prediction hook.
+  EXPECT_GT(long_runs, 0u);
+  EXPECT_GT(predicted, 0u);
 }
 
 // Direct regressions for the two count-exactness holes the random sweep can

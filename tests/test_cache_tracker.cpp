@@ -101,11 +101,20 @@ TEST(CacheTracker, ResetForReuseClearsRecordingState) {
   auto t = make_tracker();
   t.handle_access(kLineBase, W, 0, 10'000, 1'000'000);
   t.handle_access(kLineBase, W, 1, 10'000, 1'000'000);
+  // A second OS thread, so a second stripe holds word counts too.
+  std::thread([&t] {
+    t.handle_access(kLineBase + 24, R, 2, 10'000, 1'000'000);
+  }).join();
   ASSERT_GT(t.invalidations(), 0u);
+  ASSERT_EQ(t.words_snapshot()[3].reads, 1u);
   t.reset_for_reuse();
   EXPECT_EQ(t.invalidations(), 0u);
   EXPECT_EQ(t.sampled_accesses(), 0u);
-  for (const auto& w : t.words_snapshot()) EXPECT_FALSE(w.touched());
+  for (const auto& w : t.words_snapshot()) {
+    EXPECT_EQ(w.reads, 0u);
+    EXPECT_EQ(w.writes, 0u);
+    EXPECT_EQ(w.owner, kInvalidThread);
+  }
   // History is also clear: the next write is not an invalidation.
   t.handle_access(kLineBase, W, 2, 10'000, 1'000'000);
   EXPECT_EQ(t.invalidations(), 0u);
@@ -130,35 +139,38 @@ TEST(CacheTracker, VirtualLineFanOut) {
 
 // --- tracked-path concurrency ----------------------------------------------
 
-// N threads hammer one tracked line. Whatever the interleaving, the
-// tracker's books must balance: sampled_reads + sampled_writes ==
-// sampled_accesses, the word histogram totals sum to sampled_accesses
-// (every sampled access records exactly one word), invalidations never
-// exceed sampled writes, and owner states are only ever
-// kInvalidThread -> tid -> kSharedWord.
-void run_conservation(std::uint64_t window, std::uint64_t interval) {
+// N threads hammer one tracked line, thread w on word `first_word` + w.
+// Whatever the interleaving, the tracker's books must balance:
+// sampled_reads + sampled_writes == sampled_accesses, the word histogram
+// totals sum to sampled_accesses (every sampled access records exactly one
+// word), invalidations never exceed sampled writes, and owner states are
+// only ever kInvalidThread -> tid -> kSharedWord. With `pokes`, every
+// thread also writes word 0 occasionally, so that word goes shared. At full
+// sampling each word's reads and writes are exactly what its threads
+// delivered, however the threads' stripes interleaved.
+void run_conservation(std::uint64_t window, std::uint64_t interval,
+                      std::uint32_t threads = 8, std::size_t first_word = 0,
+                      bool pokes = true) {
   CacheTracker t(10, kGeo);
-  constexpr std::uint32_t kThreads = 8;
   constexpr std::uint64_t kPerThread = 20000;
-  std::vector<std::thread> threads;
-  for (std::uint32_t w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&t, w, window, interval] {
+  const auto word_of = [=](std::uint32_t w, std::uint64_t i) {
+    return pokes && i % 64 == 63 ? 0 : first_word + w;
+  };
+  const auto type_of = [](std::uint64_t i) { return i % 4 == 0 ? R : W; };
+  std::vector<std::thread> pool;
+  for (std::uint32_t w = 0; w < threads; ++w) {
+    pool.emplace_back([&t, &word_of, &type_of, w, window, interval] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        // Each thread owns word w; every fourth access is a read; every
-        // thread also pokes word 0 occasionally so one word goes shared.
-        const bool shared_poke = (i % 64) == 63;
-        const Address addr = kLineBase + (shared_poke ? 0 : w * 8);
-        const AccessType type = (i % 4 == 0) ? R : W;
-        t.handle_access(addr, type, static_cast<ThreadId>(w), window,
-                        interval);
+        t.handle_access(kLineBase + word_of(w, i) * 8, type_of(i),
+                        static_cast<ThreadId>(w), window, interval);
       }
     });
   }
-  for (auto& th : threads) th.join();
+  for (auto& th : pool) th.join();
 
   const std::uint64_t sampled = t.sampled_accesses();
   EXPECT_EQ(t.sampled_reads() + t.sampled_writes(), sampled);
-  EXPECT_EQ(t.total_accesses(), std::uint64_t{kThreads} * kPerThread);
+  EXPECT_EQ(t.total_accesses(), std::uint64_t{threads} * kPerThread);
   EXPECT_LE(sampled, t.total_accesses());
   EXPECT_LE(t.invalidations(), t.sampled_writes());
 
@@ -168,22 +180,40 @@ void run_conservation(std::uint64_t window, std::uint64_t interval) {
     word_total += words[wi].total();
     if (!words[wi].touched()) {
       EXPECT_EQ(words[wi].owner, kInvalidThread) << "word " << wi;
-    } else if (wi == 0) {
+    } else if (pokes && wi == 0) {
       // Word 0 is poked by every thread: once shared, always shared (the
       // monotone owner state machine cannot regress to a single owner).
       EXPECT_TRUE(words[wi].owner == WordAccess::kSharedWord ||
-                  words[wi].owner < kThreads)
+                  words[wi].owner < threads)
           << "word 0 owner " << words[wi].owner;
     } else {
-      // Word wi is only ever touched by thread wi.
-      EXPECT_EQ(words[wi].owner, static_cast<ThreadId>(wi)) << "word " << wi;
+      // Word wi is only ever touched by thread wi - first_word.
+      EXPECT_EQ(words[wi].owner, static_cast<ThreadId>(wi - first_word))
+          << "word " << wi;
     }
   }
   EXPECT_EQ(word_total, sampled);
+
+  if (window < interval) return;
+  std::vector<WordAccess> delivered(words.size());
+  for (std::uint32_t w = 0; w < threads; ++w) {
+    for (std::uint64_t i = 0; i < kPerThread; ++i) {
+      WordAccess& d = delivered[word_of(w, i)];
+      ++(type_of(i) == W ? d.writes : d.reads);
+    }
+  }
+  for (std::size_t wi = 0; wi < words.size(); ++wi) {
+    EXPECT_EQ(words[wi].reads, delivered[wi].reads) << "word " << wi;
+    EXPECT_EQ(words[wi].writes, delivered[wi].writes) << "word " << wi;
+  }
 }
 
 TEST(CacheTracker, MultiThreadConservationLockFreeFullSampling) {
   run_conservation(1'000'000, 1'000'000);
+  // Two threads on adjacent words, each counting its own word in its own
+  // stripe.
+  run_conservation(1'000'000, 1'000'000, /*threads=*/2, /*first_word=*/3,
+                   /*pokes=*/false);
 }
 TEST(CacheTracker, MultiThreadConservationLockFreePartialSampling) {
   run_conservation(100, 1000);
@@ -332,8 +362,9 @@ TEST(CacheTracker, RecycledStripesBalanceAcrossThreadWaves) {
 // twice the token. The threads register in ascending token order, which
 // replaces the table most often, and still leave at most ceil(log2 64) + 1
 // tables whose entries add up to a few times the largest token. The bound
-// on metadata_bytes() rules out one directory copy per registration, which
-// holds at least 1 + 2 + ... + 64 pointers (16.6 KB) here.
+// on the tables' bytes — metadata_bytes() less the tracker and its 64
+// stripes — rules out one directory copy per registration, which holds at
+// least 1 + 2 + ... + 64 pointers (16.6 KB) here.
 TEST(CacheTracker, StripeTableRetentionIsLinear) {
   CacheTracker t(10, kGeo);
   constexpr int kThreads = 64;
@@ -362,8 +393,9 @@ TEST(CacheTracker, StripeTableRetentionIsLinear) {
   EXPECT_EQ(t.total_accesses(), kThreads * kPerThread);
   EXPECT_GT(t.stripe_tables(), 1u);
   EXPECT_LE(t.stripe_tables(), 7u);
-  // The tracker (1 KB), 64 stripes (4 KB) and under 3 KB of tables.
-  EXPECT_LT(t.metadata_bytes(), 8u * 1024);
+  // Under 3 KiB of tables beside the tracker and its 64 stripes.
+  EXPECT_LT(t.metadata_bytes() - sizeof(CacheTracker) - 64 * t.stripe_bytes(),
+            3u * 1024);
 }
 
 // Records accesses from a thread_local destructor. Constructed before the

@@ -710,5 +710,217 @@ TEST(FastPathStaging, RuntimeDestructionInvalidatesStagedSlots) {
   EXPECT_EQ(region->writes_count(0), 1u);
 }
 
+// --- batched calls: Runtime::handle_access_n retires runs of tracked
+// --- accesses in closed form. Its oracle is the literal loop of
+// --- handle_access calls, run on a fresh Session (so a Predictor is
+// --- attached and its hook nominates virtual lines mid-stream).
+
+alignas(64) char g_batch[16 * 64];
+
+/// `count` copies of one access to g_batch.
+struct Run {
+  std::size_t offset;
+  std::size_t size;
+  AccessType type;
+  ThreadId tid;
+  std::uint64_t count;
+};
+
+/// Seeded runs over g_batch's 16 lines. Counts reach 3 × interval, and one
+/// run in eight reaches 30 × interval, so runs cross windows, intervals and
+/// the tracking and prediction thresholds. Threads 0-3 favour words of
+/// their own, so words stay owned as well as shared. About one run in 16
+/// straddles two words and one in 32 comes from a tid too wide for the
+/// history table.
+std::vector<Run> batch_stream(std::uint64_t seed, std::uint64_t interval,
+                              int runs) {
+  std::mt19937_64 rng(seed);
+  auto below = [&](std::uint64_t n) { return rng() % n; };
+  std::vector<Run> out;
+  for (int i = 0; i < runs; ++i) {
+    Run r;
+    r.tid = static_cast<ThreadId>(below(4));
+    const std::size_t line = below(16);
+    const std::size_t word =
+        below(4) == 0 ? below(8) : (r.tid * 2 + below(2)) % 8;
+    r.offset = line * 64 + word * 8;
+    r.size = 8;
+    if (below(16) == 0 && r.offset + 12 <= sizeof g_batch) {
+      r.offset += 4;  // straddles the next word
+    }
+    if (below(32) == 0) {
+      r.tid = PackedHistoryTable::kMaxThread + 1 + r.tid;
+    }
+    r.type = below(3) == 0 ? AccessType::kRead : W;
+    r.count = 1 + below(below(8) == 0 ? 30 * interval : 3 * interval);
+    out.push_back(r);
+  }
+  return out;
+}
+
+/// Everything a batched call must leave as the literal loop leaves it:
+/// per line, the shared write counter and, when tracked, the tracker's
+/// counts, word histogram with owners, raw history word and stripe write
+/// count; every virtual line's invalidations and raw history word;
+/// wide_tid_accesses(); and the report text.
+std::string batch_state(Session& session) {
+  std::string out;
+  auto num = [&](std::uint64_t v) { out += std::to_string(v) + ' '; };
+  const Runtime& rt = session.runtime();
+  rt.for_each_region([&](const ShadowSpace& region) {
+    for (std::size_t i = 0; i < region.num_lines(); ++i) {
+      out += "\nline ";
+      num(i);
+      num(const_cast<ShadowSpace&>(region).writes(i).load());
+      num(region.writes_count(i));
+      const CacheTracker* t = region.tracker(i);
+      if (t == nullptr) continue;
+      const CacheTracker::Counts c = t->counts();
+      num(c.total_accesses);
+      num(c.sampled_reads);
+      num(c.sampled_writes);
+      num(c.invalidations);
+      num(t->history().raw());
+      num(t->stripe_writes());
+      for (const WordAccess& w : t->words_snapshot()) {
+        num(w.reads);
+        num(w.writes);
+        num(w.owner);
+      }
+    }
+  });
+  for (const VirtualLineTracker& vl : rt.virtual_lines()) {
+    out += "\nvl ";
+    num(vl.start());
+    num(vl.size());
+    num(vl.invalidations());
+    num(vl.history().raw());
+  }
+  out += "\nwide ";
+  num(rt.wide_tid_accesses());
+  return out + "\n" + session.report_text();
+}
+
+/// Replays `runs` into a fresh Session: through Session::record_n
+/// (Runtime::handle_access_n) when `batched`, else `count` record() calls.
+std::string replay_runs(const RuntimeConfig& cfg, const std::vector<Run>& runs,
+                        bool batched, std::size_t* virtual_lines = nullptr) {
+  SessionOptions o;
+  o.heap_size = 1024 * 1024;
+  o.runtime = cfg;
+  Session session(o);
+  session.register_global(g_batch, sizeof g_batch, "batch");
+  for (const Run& r : runs) {
+    const void* p = g_batch + r.offset;
+    if (batched) {
+      session.record_n(p, r.type, r.tid, r.size, r.count);
+    } else {
+      for (std::uint64_t i = 0; i < r.count; ++i) {
+        session.record(p, r.type, r.tid, r.size);
+      }
+    }
+  }
+  session.flush();
+  if (virtual_lines != nullptr) {
+    *virtual_lines = session.runtime().virtual_lines().size();
+  }
+  return batch_state(session);
+}
+
+RuntimeConfig batch_config(std::uint64_t window, std::uint64_t interval) {
+  RuntimeConfig cfg;
+  cfg.tracking_threshold = 8;
+  cfg.prediction_threshold = 24;
+  cfg.report_invalidation_threshold = 1;
+  cfg.sample_window = window;
+  cfg.sample_interval = interval;
+  return cfg;
+}
+
+void expect_batched_matches_loop(const RuntimeConfig& cfg,
+                                 bool expect_virtual_lines = true) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto runs = batch_stream(seed, cfg.sample_interval, 1500);
+    std::size_t vls = 0;
+    const std::string loop = replay_runs(cfg, runs, false, &vls);
+    const std::string batched = replay_runs(cfg, runs, true);
+    if (expect_virtual_lines) {
+      EXPECT_GT(vls, 0u) << "seed " << seed;
+    }
+    EXPECT_EQ(loop.find("\nwide 0 \n"), std::string::npos) << "seed " << seed;
+    EXPECT_EQ(batched, loop) << "seed " << seed;
+  }
+}
+
+TEST(BatchedCalls, MatchTheLoopAtPartialSampling) {
+  expect_batched_matches_loop(batch_config(3, 7));
+}
+
+TEST(BatchedCalls, MatchTheLoopAtFullSampling) {
+  // Window == interval: every access is sampled, and a run's sampled
+  // repeats stop at each interval boundary.
+  expect_batched_matches_loop(batch_config(5, 5));
+}
+
+TEST(BatchedCalls, MatchTheLoopWithPredictionOff) {
+  // Tracked writes count in stripes from the first one, so writes retire
+  // in closed form from escalation on.
+  RuntimeConfig cfg = batch_config(3, 7);
+  cfg.prediction_enabled = false;
+  expect_batched_matches_loop(cfg, /*expect_virtual_lines=*/false);
+}
+
+TEST(BatchedCalls, MatchTheLoopInWritesOnlyMode) {
+  // Reads are dropped, on the batched path as on the loop.
+  RuntimeConfig cfg = batch_config(3, 7);
+  cfg.instrument_mode = InstrumentMode::kWritesOnly;
+  expect_batched_matches_loop(cfg);
+}
+
+TEST(BatchedCalls, MatchTheLoopOnNonPowerOfTwoLines) {
+  // 96-byte lines have no inline exit, so every copy takes handle_access.
+  RuntimeConfig cfg = batch_config(3, 7);
+  cfg.geometry = LineGeometry{96, 8};
+  expect_batched_matches_loop(cfg);
+}
+
+TEST(BatchedCalls, ConcurrentRunsOnAdjacentWordsCountEveryAccess) {
+  // Two OS threads make batched runs on adjacent words of one tracked
+  // line; each run acts as its accesses with no other thread's between
+  // them, so no access is lost from the line's total, and each word's
+  // sampled counts add up to the line's.
+  RuntimeConfig cfg = small_config();
+  cfg.prediction_enabled = false;
+  cfg.sample_window = 3;
+  cfg.sample_interval = 7;
+  Runtime rt(cfg);
+  auto* region =
+      rt.register_region(reinterpret_cast<Address>(g_page_a), 4096);
+  const Address line = reinterpret_cast<Address>(g_page_a) + 640;
+  rt.handle_handoff(line, 64, 0);  // escalates the line; not an access
+  const CacheTracker* track = region->tracker(region->line_index(line));
+  ASSERT_NE(track, nullptr);
+  std::array<std::uint64_t, 2> delivered{};
+  std::vector<std::thread> threads;
+  for (ThreadId t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < 4000; ++i) {
+        const std::uint64_t n = 1 + (i * 7 + t) % 40;
+        rt.handle_access_n(line + 8 * t,
+                           i % 3 == 0 ? AccessType::kRead : W, t, 8, n);
+        delivered[t] += n;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(track->total_accesses(), delivered[0] + delivered[1]);
+  std::uint64_t word_total = 0;
+  for (const WordAccess& w : track->words_snapshot()) word_total += w.total();
+  EXPECT_EQ(word_total, track->sampled_accesses());
+  const auto words = track->words_snapshot();
+  EXPECT_EQ(words[0].owner, 0u);
+  EXPECT_EQ(words[1].owner, 1u);
+}
+
 }  // namespace
 }  // namespace pred

@@ -8,7 +8,10 @@
 // handoffs over random ranges interleaved, are fed to both the oracle and
 // the production Runtime (every line tracked, one OS thread); their
 // per-line access totals, sampled counts, invalidation counts and word
-// histograms must match exactly, at full and at partial sampling.
+// histograms must match exactly, at full and at partial sampling. The
+// streams also hold runs of one access repeated up to 3 × interval times,
+// which the runtime receives as one batched call (Runtime::handle_access_n)
+// and the oracle as that many single accesses.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -92,19 +95,21 @@ class ReferenceDetector {
 
 alignas(64) char g_buf[16 * 1024];
 
-/// One step of a stream: an access, or (handoff_len > 0) a handoff of
-/// [addr, addr + handoff_len) to `tid`.
+/// One step of a stream: `count` copies of an access, or (handoff_len > 0)
+/// a handoff of [addr, addr + handoff_len) to `tid`.
 struct Access {
   Address addr;
   AccessType type;
   ThreadId tid;
   std::size_t handoff_len = 0;
+  std::uint64_t count = 1;
 };
 
 /// About one step in 50 is a handoff of 1 to 192 bytes starting anywhere
-/// in the accessed lines, so a range covers up to four lines.
+/// in the accessed lines, so a range covers up to four lines. About one
+/// access step in 8 is a run of 1 to `max_run` copies.
 std::vector<Access> random_stream(std::uint64_t seed, int n, int threads,
-                                  std::size_t lines) {
+                                  std::size_t lines, std::uint64_t max_run) {
   Xorshift64 rng(seed);
   std::vector<Access> out;
   out.reserve(n);
@@ -118,6 +123,7 @@ std::vector<Access> random_stream(std::uint64_t seed, int n, int threads,
     } else {
       a.addr = base + rng.next_below(lines) * 64 + rng.next_below(8) * 8;
       a.type = rng.next_below(3) == 0 ? AccessType::kWrite : AccessType::kRead;
+      if (rng.next_below(8) == 0) a.count = 1 + rng.next_below(max_run);
     }
     a.tid = static_cast<ThreadId>(rng.next_below(threads));
     out.push_back(a);
@@ -128,7 +134,7 @@ std::vector<Access> random_stream(std::uint64_t seed, int n, int threads,
 void expect_runtime_matches_reference(std::uint64_t seed,
                                       std::uint64_t window,
                                       std::uint64_t interval) {
-  const auto stream = random_stream(seed, 30000, 6, 12);
+  const auto stream = random_stream(seed, 30000, 6, 12, 3 * interval);
 
   ReferenceDetector oracle(window, interval);
   RuntimeConfig cfg;
@@ -142,16 +148,27 @@ void expect_runtime_matches_reference(std::uint64_t seed,
   // Caveat: with tracking_threshold = 1 the runtime's first write per line
   // is counted in the fast path before the tracker exists, so the oracle
   // must see everything and the runtime everything except that first write
-  // per line. To compare exactly, pre-escalate all lines.
+  // per line. To compare exactly, pre-escalate all lines. Odd lines keep
+  // their prediction decision pending, so their writes take the per-access
+  // path inside a batched call; even lines' writes retire in closed form.
   for (std::size_t i = 0; i < region->num_lines(); ++i) {
-    region->ensure_tracker(i);
+    CacheTracker* t = region->ensure_tracker(i);
+    if (i % 2 == 0) t->settle_prediction();
   }
 
   std::size_t handoffs = 0;
+  std::uint64_t batched = 0;
   for (const Access& a : stream) {
     if (a.handoff_len == 0) {
-      oracle.access(a.addr, a.type, a.tid);
-      rt.handle_access(a.addr, a.type, a.tid);
+      for (std::uint64_t k = 0; k < a.count; ++k) {
+        oracle.access(a.addr, a.type, a.tid);
+      }
+      if (a.count == 1) {
+        rt.handle_access(a.addr, a.type, a.tid);
+      } else {
+        rt.handle_access_n(a.addr, a.type, a.tid, 8, a.count);
+        batched += a.count;
+      }
       continue;
     }
     for (Address l = a.addr / 64; l <= (a.addr + a.handoff_len - 1) / 64;
@@ -162,6 +179,7 @@ void expect_runtime_matches_reference(std::uint64_t seed,
     ++handoffs;
   }
   ASSERT_GT(handoffs, 0u);
+  ASSERT_GT(batched, 0u);
 
   for (const auto& [line, ref] : oracle.lines()) {
     const std::size_t idx =
